@@ -19,25 +19,24 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from taured.dsl import parse_file
 from taured.emit import emit_dot, json_payload
 from taured.reduction import compute_nsets, find_proj_injectives, socle_quotient
-from taured.tilting import build_inventory, enumerate_stpairs, hasse
+from taured.tilting import build_inventory
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="out")
     ap.add_argument("--file", default=os.path.join(os.path.dirname(__file__), "a3sq.alg"))
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
 
     af = parse_file(args.file)
     algebra, _ = af.build()
     inv = build_inventory(algebra)
-    pairs = enumerate_stpairs(inv)
-    H = hasse(inv, pairs)
-    tt = {inv.pair_label(p) for p in pairs if p.is_tau_tilting}
-    with open(os.path.join(args.out, "hasse.dot"), "w") as f:
-        f.write(emit_dot(H, double_border=tt))
-    with open(os.path.join(args.out, "hasse.json"), "w") as f:
+    pairs, H = inv.pairs, inv.hasse_quiver
+    tt = {i for i, p in enumerate(pairs) if p.is_tau_tilting}
+    with open(os.path.join(args.out, "hasse.dot"), "w", encoding="utf-8") as f:
+        f.write(emit_dot(H, [inv.pair_label(p) for p in pairs], double_border=tt))
+    with open(os.path.join(args.out, "hasse.json"), "w", encoding="utf-8") as f:
         json.dump(json_payload(af.name, inv, pairs, H), f, indent=2, ensure_ascii=False)
 
     v = find_proj_injectives(algebra)[0][0]
@@ -45,15 +44,12 @@ def main():
     ctx.inv = inv
     nsets = compute_nsets(ctx)
     qinv = ctx.quotient_inventory()
-    qpairs = enumerate_stpairs(qinv)
-    QH = hasse(qinv, qpairs)
-    qtt = {qinv.pair_label(p) for p in qpairs if p.is_tau_tilting}
-    boundary = set()
-    for mods in nsets.extend:
-        p = next(p for p in qpairs if frozenset(p.modules) == mods)
-        boundary.add(qinv.pair_label(p))
-    with open(os.path.join(args.out, "hasse_quotient.dot"), "w") as f:
-        f.write(emit_dot(QH, double_border=qtt, highlight=boundary))
+    qpairs, QH = qinv.pairs, qinv.hasse_quiver
+    qtt = {j for j, p in enumerate(qpairs) if p.is_tau_tilting}
+    boundary = {j for j, p in enumerate(qpairs) if frozenset(p.modules) in nsets.extend}
+    with open(os.path.join(args.out, "hasse_quotient.dot"), "w", encoding="utf-8") as f:
+        f.write(emit_dot(QH, [qinv.pair_label(p) for p in qpairs],
+                         double_border=qtt, highlight=boundary))
     print(f"wrote {args.out}/hasse.dot ({H.n} vertices), "
           f"{args.out}/hasse_quotient.dot ({QH.n} vertices), {args.out}/hasse.json")
 

@@ -16,7 +16,7 @@ import sys
 from .algebra import extract_presentation
 from .dsl import AlgebraFile, emit as emit_dsl, parse_file
 from .emit import emit_dot, json_payload
-from .errors import NoProjInjective, ParseError, TauredError
+from .errors import NoProjInjective, NotStringAlgebra, ParseError, TauredError
 from .reduction import (
     compute_nsets,
     find_proj_injectives,
@@ -25,13 +25,7 @@ from .reduction import (
     verify_reduction,
 )
 from .series import closed_form, series_counts
-from .tilting import (
-    build_inventory,
-    enumerate_stpairs,
-    full_subquiver,
-    hasse,
-    oracle_stpairs_via_quotients,
-)
+from .tilting import build_inventory, full_subquiver, oracle_stpairs_via_quotients
 
 
 def _field_override(args) -> str | None:
@@ -52,20 +46,18 @@ def _load(args):
 
 def _cmd_enumerate(args) -> int:
     af, algebra, inv = _load(args)
-    all_pairs = enumerate_stpairs(inv)
-    pairs = all_pairs
-    H = hasse(inv, all_pairs)
-    if args.tau_tilt_only:
+    pairs = inv.pairs
+    keep = [i for i, p in enumerate(pairs) if p.is_tau_tilting or not args.tau_tilt_only]
+    pairs = [pairs[i] for i in keep]
+    if args.format != "table":
         # the restriction is the full subquiver on tau-tilting vertices,
         # not a recomputed Hasse quiver of the subposet
-        pairs = [p for p in all_pairs if p.is_tau_tilting]
-        H = full_subquiver(H, [inv.pair_label(p) for p in pairs])
+        H = full_subquiver(inv.hasse_quiver, keep)
     if args.format == "json":
         print(json.dumps(json_payload(af.name, inv, pairs, H),
                          indent=2, ensure_ascii=False))
     elif args.format == "dot":
-        tt = {inv.pair_label(p) for p in pairs if p.is_tau_tilting}
-        print(emit_dot(H, double_border=tt), end="")
+        print(_dot(inv, pairs, H), end="")
     else:
         print(f"algebra {af.name}: dim {algebra.dim}, "
               f"{len(inv.records)} indecomposables, {len(pairs)} pairs")
@@ -83,12 +75,16 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _dot(inv, pairs, H, ascii_labels: bool = False) -> str:
+    tt = {i for i, p in enumerate(pairs) if p.is_tau_tilting}
+    return emit_dot(H, [inv.pair_label(p) for p in pairs], double_border=tt,
+                    ascii_labels=ascii_labels)
+
+
 def _cmd_hasse(args) -> int:
     af, algebra, inv = _load(args)
-    pairs = enumerate_stpairs(inv)
-    H = hasse(inv, pairs)
-    tt = {inv.pair_label(p) for p in pairs if p.is_tau_tilting}
-    text = emit_dot(H, double_border=tt, ascii_labels=args.ascii)
+    H = inv.hasse_quiver
+    text = _dot(inv, inv.pairs, H, args.ascii)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(text)
     print(f"wrote {args.out}: {H.n} vertices, {len(H.arrows)} arrows")
@@ -169,7 +165,7 @@ def _cmd_verify(args) -> int:
     af, algebra, inv = _load(args)
     failures = []
 
-    pairs = enumerate_stpairs(inv)
+    pairs = inv.pairs
     try:
         oracle = oracle_stpairs_via_quotients(inv)
         eq = {p.key() for p in pairs} == {p.key() for p in oracle}
@@ -177,14 +173,13 @@ def _cmd_verify(args) -> int:
               f"matches the quotient-definition oracle ({len(pairs)} pairs)")
         if not eq:
             failures.append("oracle-equivalence")
-    except ValueError as e:
+    except NotStringAlgebra as e:
         # vertex quotients need the string backend; supplied inventories may not
         print(f"[SKIP] oracle-equivalence: {e}")
 
-    H = hasse(inv, pairs)
     mutation_ok = True
-    for s, t in H.arrows:
-        ps, pt = H.payload["pairs"][s], H.payload["pairs"][t]
+    for s, t in inv.hasse_quiver.arrows:
+        ps, pt = pairs[s], pairs[t]
         a = set(ps.modules) | {("s", v) for v in ps.supports}
         b = set(pt.modules) | {("s", v) for v in pt.supports}
         if len(a - b) != 1 or len(b - a) != 1:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .algebra import Arrow, Quiver, Relation, build_algebra
 from .errors import ParseError
-from .linalg import Matrix, field_from_name
+from .linalg import Matrix, PrimeField, field_from_name
 from .reps import Representation
 
 
@@ -157,6 +157,14 @@ def _tokenize(body: str):
     return out
 
 
+def _prime_field_mode(tok: str, line: int, col: int) -> str:
+    """``fp:<p>`` for a prime ``tok``; anything else is a parse error at ``col``."""
+    try:
+        return PrimeField(int(tok)).name
+    except ValueError:
+        raise ParseError(f"field characteristic {tok!r} is not a prime", line, col)
+
+
 def parse(text: str) -> AlgebraFile:
     af = AlgebraFile()
     seen_vertices: set[str] = set()
@@ -184,9 +192,9 @@ def parse(text: str) -> AlgebraFile:
             if len(args) == 1 and args[0][0] == "rational":
                 af.field_mode = "rational"
             elif len(args) == 2 and args[0][0] == "fp":
-                af.field_mode = f"fp:{int(args[1][0])}"
+                af.field_mode = _prime_field_mode(args[1][0], lineno, args[1][1])
             elif len(args) == 1 and args[0][0].startswith("fp:"):
-                af.field_mode = args[0][0]
+                af.field_mode = _prime_field_mode(args[0][0][3:], lineno, args[0][1] + 3)
             else:
                 raise ParseError("field must be `rational` or `fp <p>`", lineno, kcol)
         elif key == "vertices":

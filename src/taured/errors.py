@@ -49,6 +49,10 @@ class CapExceeded(TauredError):
     """A valid string longer than the cap exists; the input is likely representation-infinite."""
 
 
+class NotStringAlgebra(TauredError):
+    """The string-module enumeration was asked for an algebra that is not a string algebra."""
+
+
 class InventoryError(TauredError):
     """The indecomposable inventory is not closed under the operations that need it."""
 

@@ -32,12 +32,8 @@ from .tilting import (
     PosetQuiver,
     STPair,
     build_inventory,
-    enumerate_stpairs,
     full_subquiver,
-    hasse,
 )
-
-PLUS = "⁺"
 
 
 def find_proj_injectives(algebra: Algebra) -> list[tuple[str, str]]:
@@ -217,8 +213,7 @@ class ReductionSets:
 
 
 def compute_nsets(ctx: ReductionContext) -> ReductionSets:
-    qinv = ctx.quotient_inventory()
-    pairs = enumerate_stpairs(qinv)
+    pairs = ctx.quotient_inventory().pairs
     nbar = len(ctx.quotient.vertices)
     qbar = ctx.qbar_id
     keep, extend, swap, surgery = [], [], [], []
@@ -260,33 +255,27 @@ def reconstruct_tau_tilt(ctx: ReductionContext, nsets: ReductionSets) -> list[fr
     return sorted(result, key=lambda s: tuple(sorted(inv.records[i].name for i in s)))
 
 
-def surgery(pq: PosetQuiver, n_labels) -> PosetQuiver:
-    """Duplicate the subposet N inside the quiver, rewiring the arrow families.
+def surgery(pq: PosetQuiver, members: list[int]) -> PosetQuiver:
+    """Duplicate the subposet N = ``members`` inside the quiver, rewiring the arrow families.
 
-    Arrows within the complement and from N outward are kept; arrows within N
-    are kept and copied; arrows from the complement into N are redirected to
-    the copy; each copy points at its original.
+    The copy of ``members[k]`` is vertex ``pq.n + k``.  Arrows within the
+    complement and from N outward are kept; arrows within N are kept and
+    copied; arrows from the complement into N are redirected to the copy; each
+    copy points at its original.
     """
-    n_set = set(n_labels)
-    for lbl in n_set:
-        if lbl not in pq.labels:
-            raise UnknownVertex(lbl)
-    plus = {lbl: lbl + PLUS for lbl in pq.labels if lbl in n_set}
-    labels = list(pq.labels) + [plus[l] for l in pq.labels if l in n_set]
-    pos = {l: i for i, l in enumerate(labels)}
-    arrows = set()
+    bad = [v for v in members if not 0 <= v < pq.n]
+    if bad:
+        raise UnknownVertex(bad[0])
+    copy = {v: pq.n + k for k, v in enumerate(members)}
+    arrows = {(c, v) for v, c in copy.items()}
     for s, t in pq.arrows:
-        ls, lt = pq.labels[s], pq.labels[t]
-        if lt in n_set and ls not in n_set:
-            arrows.add((pos[ls], pos[plus[lt]]))
+        if t in copy and s not in copy:
+            arrows.add((s, copy[t]))
         else:
-            arrows.add((pos[ls], pos[lt]))
-            if ls in n_set and lt in n_set:
-                arrows.add((pos[plus[ls]], pos[plus[lt]]))
-    for lbl in pq.labels:
-        if lbl in n_set:
-            arrows.add((pos[plus[lbl]], pos[lbl]))
-    return PosetQuiver(tuple(labels), tuple(sorted(arrows)))
+            arrows.add((s, t))
+            if s in copy and t in copy:
+                arrows.add((copy[s], copy[t]))
+    return PosetQuiver(pq.n + len(copy), tuple(sorted(arrows)))
 
 
 @dataclass
@@ -318,28 +307,25 @@ class Report:
         return [c.line() for c in self.checks]
 
 
-def _iso_along_map(src: PosetQuiver, dst: PosetQuiver, vmap: dict[str, str]):
-    """Quiver isomorphism along an explicit vertex map; returns (ok, witness)."""
-    if len(vmap) != src.n or len(set(vmap.values())) != src.n or dst.n != src.n:
+def _iso_along_map(src: PosetQuiver, dst: PosetQuiver, vmap: list[int | None],
+                   src_label, dst_label) -> tuple[bool, str]:
+    """Quiver isomorphism along the vertex map i -> vmap[i]; returns (ok, witness).
+
+    ``None`` in ``vmap`` marks a vertex without an image.  The label functions
+    are called only to write the witness of a failure.
+    """
+    if None in vmap:
+        return False, f"no image for {src_label(vmap.index(None))}"
+    if len(set(vmap)) != src.n or dst.n != src.n:
         return False, (f"vertex map is not a bijection "
-                       f"({len(set(vmap.values()))} images, {src.n} -> {dst.n} vertices)")
-    missing = [lbl for lbl in src.labels if vmap[lbl] not in dst.labels]
-    if missing:
-        return False, f"image vertex {vmap[missing[0]]!r} missing from the target"
-    src_edges = {(vmap[a], vmap[b]) for a, b in src.edge_labels()}
-    dst_edges = dst.edge_labels()
-    if src_edges - dst_edges:
-        return False, f"arrow not preserved: {sorted(src_edges - dst_edges)[0]}"
-    if dst_edges - src_edges:
-        return False, f"arrow not reflected: {sorted(dst_edges - src_edges)[0]}"
+                       f"({len(set(vmap))} images, {src.n} -> {dst.n} vertices)")
+    src_edges = {(vmap[s], vmap[t]) for s, t in src.arrows}
+    dst_edges = set(dst.arrows)
+    for edges, verb in ((src_edges - dst_edges, "preserved"), (dst_edges - src_edges, "reflected")):
+        if edges:
+            s, t = min(edges)
+            return False, f"arrow not {verb}: {dst_label(s)} -> {dst_label(t)}"
     return True, ""
-
-
-def _pair_with_modules(pairs: list[STPair], mods: frozenset) -> STPair | None:
-    for p in pairs:
-        if frozenset(p.modules) == mods:
-            return p
-    return None
 
 
 def verify_reduction(algebra: Algebra, name: str = "algebra",
@@ -350,10 +336,16 @@ def verify_reduction(algebra: Algebra, name: str = "algebra",
         raise NoProjInjective("no indecomposable projective-injective module")
     report = Report(name)
     inv = inv or build_inventory(algebra)
-    pairs = enumerate_stpairs(inv)
-    H = hasse(inv, pairs)
-    tau_pairs = [p for p in pairs if p.is_tau_tilting]
+    pairs = inv.pairs
+    H = inv.hasse_quiver
+    tau_idx = [i for i, p in enumerate(pairs) if p.is_tau_tilting]
+    tau_pairs = [pairs[i] for i in tau_idx]
     tt_sets = {frozenset(p.modules) for p in tau_pairs}
+    src = full_subquiver(H, tau_idx)
+    insincere = [inv.pair_label(p) for p in tau_pairs if not is_sincere(inv.sum_rep(p.modules))]
+
+    def src_label(k):
+        return inv.pair_label(pairs[tau_idx[k]])
 
     for v, _ in pis:
         tag = f"Q=P_{v}"
@@ -364,12 +356,14 @@ def verify_reduction(algebra: Algebra, name: str = "algebra",
                    "the socle span is a two-sided ideal (arrow products vanish)", True)
 
         qinv = ctx.quotient_inventory()
-        qpairs = enumerate_stpairs(qinv)
-        QH = hasse(qinv, qpairs)
-        q_tau_pairs = [p for p in qpairs if p.is_tau_tilting]
-        q_tt_sets = {frozenset(p.modules) for p in q_tau_pairs}
+        qpairs = qinv.pairs
+        QH = qinv.hasse_quiver
+        # a support tau-tilting pair is determined by its module part (AIR, Sec. 2)
+        q_index = {frozenset(p.modules): j for j, p in enumerate(qpairs)}
+        q_tt_sets = {frozenset(p.modules) for p in qpairs if p.is_tau_tilting}
         nsets = compute_nsets(ctx)
         q = ctx.q_id()
+        bars = [bar_summands(ctx, frozenset(p.modules)) for p in pairs]
 
         bad = []
         for r in inv.candidates():
@@ -382,58 +376,51 @@ def verify_reduction(algebra: Algebra, name: str = "algebra",
                    "the socle quotient functor fixes every non-Q indecomposable",
                    not bad, f"moved: {bad[:3]}")
 
-        src = full_subquiver(H, [inv.pair_label(p) for p in tau_pairs])
+        def iso_onto(targets):
+            """Is the tau-tilt quiver the full subquiver of QH on ``targets``, along bar?"""
+            dst_pos = {j: k for k, j in enumerate(targets)}
+            vmap = [dst_pos.get(q_index.get(bars[i])) for i in tau_idx]
+            return _iso_along_map(src, full_subquiver(QH, targets), vmap, src_label,
+                                  lambda k: qinv.pair_label(qpairs[targets[k]]))
 
         if ctx.q_is_simple:
-            vmap = {}
             all_have_q = all(q in p.modules for p in tau_pairs)
-            for p in tau_pairs:
-                img = bar_summands(ctx, frozenset(p.modules))
-                qp = _pair_with_modules(q_tau_pairs, img)
-                vmap[inv.pair_label(p)] = qinv.pair_label(qp) if qp else f"<missing {sorted(img)}>"
-            dst = full_subquiver(QH, [qinv.pair_label(p) for p in q_tau_pairs])
             ok, wit = ((False, "a tau-tilting module misses Q") if not all_have_q
-                       else _iso_along_map(src, dst, vmap))
+                       else iso_onto([j for j, p in enumerate(qpairs) if p.is_tau_tilting]))
             report.add(f"{tag}/simple-bijection",
                        "Q simple: the tau-tilt quivers agree after dropping Q", ok, wit)
         else:
             qbar = ctx.qbar_id
             qbar_amb = ctx.qbar_ambient_id()
-            m1 = [p for p in tau_pairs if q not in p.modules and qbar_amb not in p.modules]
-            m2 = [p for p in tau_pairs if q in p.modules and qbar_amb in p.modules]
-            m3 = [p for p in tau_pairs if q in p.modules and qbar_amb not in p.modules]
+            m1 = [i for i in tau_idx if q not in pairs[i].modules
+                  and qbar_amb not in pairs[i].modules]
+            m2 = [i for i in tau_idx if q in pairs[i].modules and qbar_amb in pairs[i].modules]
+            m3 = [i for i in tau_idx if q in pairs[i].modules
+                  and qbar_amb not in pairs[i].modules]
             report.add(f"{tag}/no-qbar-without-q",
                        "no tau-tilting module contains Q/Soc(Q) but not Q",
                        len(m1) + len(m2) + len(m3) == len(tau_pairs))
 
-            images: dict[frozenset, str] = {}
+            images: dict[frozenset, int] = {}
             collision = None
-            for p in tau_pairs:
-                img = bar_summands(ctx, frozenset(p.modules))
-                if img in images:
-                    collision = (inv.pair_label(p), images[img])
-                images[img] = inv.pair_label(p)
+            for i in tau_idx:
+                if bars[i] in images:
+                    collision = (i, images[bars[i]])
+                images[bars[i]] = i
             n_keep = set(nsets.keep)
             n_extend = set(nsets.extend)
-            n_swap = set(nsets.swap)
-            img_m1 = {bar_summands(ctx, frozenset(p.modules)) for p in m1}
-            img_m2 = {bar_summands(ctx, frozenset(p.modules)) for p in m2}
-            img_m3 = {bar_summands(ctx, frozenset(p.modules)) for p in m3}
+            ok = (collision is None and {bars[i] for i in m1} == n_keep
+                  and {bars[i] for i in m2} == n_extend
+                  and {bars[i] for i in m3} == set(nsets.swap))
+            wit = "" if ok else (
+                "family image mismatch" if collision is None else
+                f"collision {inv.pair_label(pairs[collision[0]])} / "
+                f"{inv.pair_label(pairs[collision[1]])}")
             report.add(f"{tag}/split-bijections",
-                       "the three tau-tilt families biject onto keep / extend / swap",
-                       collision is None and img_m1 == n_keep and img_m2 == n_extend
-                       and img_m3 == n_swap,
-                       f"collision {collision}" if collision else "family image mismatch")
+                       "the three tau-tilt families biject onto keep / extend / swap", ok, wit)
 
-            target_pairs = [p for p in qpairs
-                            if p.is_tau_tilting or frozenset(p.modules) in n_extend]
-            dst = full_subquiver(QH, [qinv.pair_label(p) for p in target_pairs])
-            vmap = {}
-            for p in tau_pairs:
-                img = bar_summands(ctx, frozenset(p.modules))
-                qp = _pair_with_modules(qpairs, img)
-                vmap[inv.pair_label(p)] = qinv.pair_label(qp) if qp else f"<missing {sorted(img)}>"
-            ok, wit = _iso_along_map(src, dst, vmap)
+            ok, wit = iso_onto([j for j, p in enumerate(qpairs)
+                                if p.is_tau_tilting or frozenset(p.modules) in n_extend])
             report.add(f"{tag}/tau-tilt-bijection",
                        "the tau-tilt quiver matches the quotient-side quiver, arrows both ways",
                        ok, wit)
@@ -451,51 +438,42 @@ def verify_reduction(algebra: Algebra, name: str = "algebra",
                                for mods in q_tt_sets))
 
             keep_ok = all(ctx.lift_set(mods) in tt_sets for mods in nsets.keep) and \
-                all(bar_summands(ctx, frozenset(p.modules)) in n_keep for p in m1)
+                all(bars[i] in n_keep for i in m1)
             report.add(f"{tag}/keep-cross-enumeration",
                        "modules without the top summand are tau-tilting over both algebras",
                        keep_ok)
 
-            swap_ok = all(
-                bar_summands(ctx, frozenset(p.modules)) in q_tt_sets
-                and ctx.hom_set_to_q(bar_summands(ctx, frozenset(p.modules))) != 0
-                for p in m3)
+            swap_ok = all(bars[i] in q_tt_sets and ctx.hom_set_to_q(bars[i]) != 0 for i in m3)
             swap_ok = swap_ok and all(
                 (ctx.lift_set(mods - {qbar}) | {q}) in tt_sets for mods in nsets.swap)
             report.add(f"{tag}/swap-cross-enumeration",
                        "exchanging Q for the top summand preserves tau-tilting, both ways",
                        swap_ok)
 
-        recon = set(reconstruct_tau_tilt(ctx, compute_nsets(ctx)))
+        recon = set(reconstruct_tau_tilt(ctx, nsets))
         report.add(f"{tag}/reconstruction",
                    "tau-tilt of the ambient algebra rebuilds from the quotient families",
                    recon == tt_sets)
 
-        insincere = [inv.pair_label(p) for p in tau_pairs
-                     if not is_sincere(inv.sum_rep(p.modules))]
         report.add(f"{tag}/tau-tilt-sincere", "every tau-tilting module is sincere",
                    not insincere, f"insincere: {insincere[:3]}")
 
-        surgery_labels = [qinv.pair_label(p) for p in nsets.surgery]
-        W = surgery(QH, surgery_labels)
-        vmap = {}
-        broken = ""
-        slabels = set(surgery_labels)
-        for p in pairs:
-            mods = frozenset(p.modules)
-            img = bar_summands(ctx, mods)
-            qp = _pair_with_modules(qpairs, img)
-            if qp is None:
-                broken = f"no quotient pair with the module part of {inv.pair_label(p)}"
-                vmap[inv.pair_label(p)] = "<missing>"
-                continue
-            lbl = qinv.pair_label(qp)
-            if q in mods and lbl in slabels:
-                lbl = lbl + PLUS
-            vmap[inv.pair_label(p)] = lbl
-        ok, wit = _iso_along_map(H, W, vmap)
+        members = [q_index[frozenset(p.modules)] for p in nsets.surgery]
+        W = surgery(QH, members)
+        copy = {j: QH.n + k for k, j in enumerate(members)}
+        vmap = []
+        for i, p in enumerate(pairs):
+            j = q_index.get(bars[i])
+            vmap.append(copy[j] if j in copy and q in p.modules else j)
+
+        def surgery_label(k):
+            if k < QH.n:
+                return qinv.pair_label(qpairs[k])
+            return f"copy of {qinv.pair_label(nsets.surgery[k - QH.n])}"
+
+        ok, wit = _iso_along_map(H, W, vmap, lambda i: inv.pair_label(pairs[i]), surgery_label)
         report.add(f"{tag}/surgery-isomorphism",
                    "the support Hasse quiver is the subposet surgery of the quotient's",
-                   ok and not broken, broken or wit)
+                   ok, wit)
 
     return report

@@ -538,15 +538,19 @@ def in_fac(N: Representation, M: Representation) -> bool:
         raise AlgebraMismatch("Fac test across different algebras")
     if N.is_zero():
         return True
-    homs = hom_basis(M, N)
-    alg = M.algebra
+    return _images_fill(N, hom_basis(M, N))
+
+
+def _images_fill(N: Representation, homs) -> bool:
+    """Does the joint image of the morphisms ``homs`` into N fill N at every vertex?"""
+    alg = N.algebra
     for v in alg.vertices:
-        if N.dims[v] == 0:
+        d = N.dims[v]
+        if d == 0:
             continue
         mats = [f.blocks[v] for f in homs]
-        stacked = Matrix.stack(mats, N.dims[v], alg.field) if mats else \
-            Matrix.zeros(0, N.dims[v], alg.field)
-        if rank_and_rowbasis(stacked)[0] != N.dims[v]:
+        stacked = Matrix.stack(mats, d, alg.field) if mats else Matrix.zeros(0, d, alg.field)
+        if rank_and_rowbasis(stacked)[0] != d:
             return False
     return True
 

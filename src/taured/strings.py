@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra
-from .errors import CapExceeded
+from .errors import CapExceeded, NotStringAlgebra
 from .linalg import Matrix
 from .reps import Representation
 
@@ -144,7 +144,7 @@ def enumerate_strings(alg: Algebra, cap: int | None = None) -> list[StringWord]:
     """
     ok, cert = is_string_algebra(alg)
     if not ok:
-        raise ValueError(f"not a string algebra: {cert}")
+        raise NotStringAlgebra(f"not a string algebra: {cert}")
     if cap is None:
         cap = 2 * alg.dim
     found: dict = {}

@@ -14,13 +14,15 @@ Their set equality on a given algebra is the central correctness check.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import Algebra, vertex_subalgebra_quotient
 from .errors import InventoryError, UnknownVertex
-from .linalg import Matrix, rank_and_rowbasis
+from .linalg import Matrix
 from .reps import (
     Representation,
+    _images_fill,
     direct_sum,
     hom_basis,
     is_iso,
@@ -76,6 +78,16 @@ class Inventory:
         self._fac_cache: dict[tuple[int, frozenset], bool] = {}
         self._proj_cache: dict[str, Representation] = {}
 
+    @cached_property
+    def pairs(self) -> list[STPair]:
+        """:func:`enumerate_stpairs` of this inventory, computed once."""
+        return enumerate_stpairs(self)
+
+    @cached_property
+    def hasse_quiver(self) -> PosetQuiver:
+        """:func:`hasse` of :attr:`pairs`, computed once."""
+        return hasse(self, self.pairs)
+
     def __len__(self):
         return len(self.records)
 
@@ -120,18 +132,8 @@ class Inventory:
         key = (j, sources)
         if key in self._fac_cache:
             return self._fac_cache[key]
-        target = self.records[j].rep
-        alg = self.algebra
-        ok = True
-        for v in alg.vertices:
-            d = target.dims[v]
-            if d == 0:
-                continue
-            mats = [f.blocks[v] for i in sources for f in self.hom(i, j)]
-            stacked = Matrix.stack(mats, d, alg.field) if mats else Matrix.zeros(0, d, alg.field)
-            if rank_and_rowbasis(stacked)[0] != d:
-                ok = False
-                break
+        homs = [f for i in sources for f in self.hom(i, j)]
+        ok = _images_fill(self.records[j].rep, homs)
         self._fac_cache[key] = ok
         return ok
 
@@ -372,65 +374,50 @@ def order_ge(inv: Inventory, p1: STPair, p2: STPair) -> bool:
     return all(inv.fac_contains(j, src) for j in p2.modules)
 
 
+def _topological_order(n: int, arrows) -> tuple[list[int], list[list[int]]]:
+    """Kahn's algorithm: an order of the vertices off any cycle, and the successor lists."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for s, t in arrows:
+        succ[s].append(t)
+        indeg[t] += 1
+    order = [i for i in range(n) if not indeg[i]]
+    for s in order:
+        for t in succ[s]:
+            indeg[t] -= 1
+            if not indeg[t]:
+                order.append(t)
+    return order, succ
+
+
 @dataclass(frozen=True)
 class PosetQuiver:
-    """A finite DAG with labeled vertices and its reachability closure."""
+    """A finite DAG on the vertices 0..n-1; for a quiver of pairs, vertex i is pairs[i]."""
 
-    labels: tuple[str, ...]
+    n: int
     arrows: tuple[tuple[int, int], ...]
-    payload: dict = dc_field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate vertex labels in poset quiver")
-        # reachability via arrows; reject cycles
-        closure = self._closure()
-        for i in range(len(self.labels)):
-            if (closure[i] >> i) & 1:
-                raise ValueError("poset quiver contains a cycle")
-        object.__setattr__(self, "_reach", closure)
+        if len(_topological_order(self.n, self.arrows)[0]) != self.n:
+            raise ValueError("poset quiver contains a cycle")
 
-    def _closure(self):
-        nv = len(self.labels)
-        succ = [0] * nv
-        for s, t in self.arrows:
-            succ[s] |= 1 << t
-        changed = True
-        while changed:
-            changed = False
-            for i in range(nv):
-                acc = succ[i]
-                extra = 0
-                rest = acc
-                while rest:
-                    j = (rest & -rest).bit_length() - 1
-                    rest &= rest - 1
-                    extra |= succ[j]
-                if acc | extra != acc:
-                    succ[i] = acc | extra
-                    changed = True
-        return succ
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
+    @cached_property
+    def closure(self) -> list[int]:
+        """Row i is the bitmask of the vertices strictly reachable from i."""
+        order, succ = _topological_order(self.n, self.arrows)
+        reach = [0] * self.n
+        for i in reversed(order):
+            for t in succ[i]:
+                reach[i] |= (1 << t) | reach[t]
+        return reach
 
     def reaches(self, i: int, j: int) -> bool:
         """Strict reachability along arrows."""
-        return bool((self._reach[i] >> j) & 1)
-
-    def ge(self, i: int, j: int) -> bool:
-        return i == j or self.reaches(i, j)
-
-    def edge_labels(self) -> set[tuple[str, str]]:
-        return {(self.labels[s], self.labels[t]) for s, t in self.arrows}
+        return bool((self.closure[i] >> j) & 1)
 
 
 def hasse(inv: Inventory, pairs: list[STPair]) -> PosetQuiver:
-    """Covering relations of the Fac order on the given pairs."""
+    """Covering relations of the Fac order on the given pairs; vertex i is pairs[i]."""
     nv = len(pairs)
     ge_rows = [0] * nv
     for i in range(nv):
@@ -454,30 +441,17 @@ def hasse(inv: Inventory, pairs: list[STPair]) -> PosetQuiver:
             j = (covers & -covers).bit_length() - 1
             covers &= covers - 1
             arrows.append((i, j))
-    labels = tuple(inv.pair_label(p) for p in pairs)
-    pq = PosetQuiver(labels, tuple(sorted(arrows)),
-                     payload={"pairs": list(pairs)})
-    # the transitive closure of the covers must reproduce the order
-    for i in range(nv):
-        reach = 0
-        for j in range(nv):
-            if i != j and pq.reaches(i, j):
-                reach |= 1 << j
-        if reach != ge_rows[i]:
-            raise AssertionError("covers do not regenerate the Fac order")
+    pq = PosetQuiver(nv, tuple(sorted(arrows)))
+    if pq.closure != ge_rows:
+        raise AssertionError("covers do not regenerate the Fac order")
     return pq
 
 
-def full_subquiver(pq: PosetQuiver, keep) -> PosetQuiver:
-    """Vertices in ``keep`` and the arrows of ``pq`` between them (not recomputed)."""
-    keep = list(keep)
-    for lbl in keep:
-        if lbl not in pq.labels:
-            raise UnknownVertex(lbl)
-    pos = {lbl: i for i, lbl in enumerate(keep)}
-    arrows = []
-    for s, t in pq.arrows:
-        ls, lt = pq.labels[s], pq.labels[t]
-        if ls in pos and lt in pos:
-            arrows.append((pos[ls], pos[lt]))
-    return PosetQuiver(tuple(keep), tuple(sorted(arrows)))
+def full_subquiver(pq: PosetQuiver, keep: list[int]) -> PosetQuiver:
+    """Vertex k is ``keep[k]``; the arrows of ``pq`` between kept vertices (not recomputed)."""
+    bad = [v for v in keep if not 0 <= v < pq.n]
+    if bad:
+        raise UnknownVertex(bad[0])
+    pos = {v: k for k, v in enumerate(keep)}
+    arrows = [(pos[s], pos[t]) for s, t in pq.arrows if s in pos and t in pos]
+    return PosetQuiver(len(keep), tuple(sorted(arrows)))

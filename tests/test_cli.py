@@ -1,10 +1,13 @@
+import importlib.util
 import json
 import os
 import re
 
 import pytest
 
+import taured.cli
 from taured.cli import main
+from taured.errors import NotStringAlgebra
 from taured.emit import emit_dot
 from taured.tilting import PosetQuiver
 
@@ -23,19 +26,19 @@ def check_dot_grammar(text: str) -> None:
 
 
 def test_emit_dot_empty():
-    text = emit_dot(PosetQuiver((), ()))
+    text = emit_dot(PosetQuiver(0, ()), [])
     check_dot_grammar(text)
     assert "->" not in text
 
 
 def test_emit_dot_attributes():
-    pq = PosetQuiver(("1+3", "0"), ((0, 1),))
-    text = emit_dot(pq, double_border={"1+3"}, highlight={"1+3"})
+    pq = PosetQuiver(2, ((0, 1),))
+    text = emit_dot(pq, ["1+3", "0"], double_border={0}, highlight={0})
     check_dot_grammar(text)
     assert "peripheries=2" in text
     assert "fillcolor=red" in text
     assert "⊕" in text
-    ascii_text = emit_dot(pq, ascii_labels=True)
+    ascii_text = emit_dot(pq, ["1+3", "0"], ascii_labels=True)
     assert "⊕" not in ascii_text
 
 
@@ -136,3 +139,105 @@ def test_reduce_second_anchor(a3sq_file, capsys):
     out = capsys.readouterr().out
     assert "reducing at Q = P_2" in out
     assert "[FAIL]" not in out
+
+
+# vertex names that are also pair labels: the simple S_0 and the zero pair are both "0"
+VERTEX_ZERO = """\
+algebra v0
+vertices 0 1
+arrow a 0 1
+"""
+
+NAKAYAMA_FROM_ZERO = """\
+algebra nakayama3
+vertices 0 1 2
+arrow c0 0 1
+arrow c1 1 2
+arrow c2 2 0
+relation c0 c1 c2
+relation c1 c2 c0
+relation c2 c0 c1
+"""
+
+
+def _write(tmp_path, text, name="in.alg"):
+    p = tmp_path / name
+    p.write_text(text)
+    return str(p)
+
+
+def test_vertex_zero_enumerate(tmp_path, capsys):
+    path = _write(tmp_path, VERTEX_ZERO)
+    assert main(["enumerate", path]) == 0
+    out = capsys.readouterr().out
+    assert "5 pairs" in out
+    assert out.count(" *\n") == 2
+    assert main(["enumerate", path, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["stpairs"]) == 5
+    assert sum(p["is_tau_tilting"] for p in payload["stpairs"]) == 2
+    assert len(payload["hasse"]["edges"]) == 5
+
+
+def test_vertex_zero_verify(tmp_path, capsys):
+    assert main(["verify", _write(tmp_path, VERTEX_ZERO)]) == 0
+    out = capsys.readouterr().out
+    assert "all checks passed" in out and "[SKIP]" not in out
+
+
+def test_nakayama_from_vertex_zero_verify(tmp_path, capsys):
+    assert main(["verify", _write(tmp_path, NAKAYAMA_FROM_ZERO)]) == 0
+    out = capsys.readouterr().out
+    assert "(20 pairs)" in out and "all checks passed" in out
+
+
+def test_vertex_zero_dot_refuses_colliding_labels(tmp_path, capsys):
+    out = tmp_path / "h.dot"
+    assert main(["hasse", _write(tmp_path, VERTEX_ZERO), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'0'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_verify_skips_oracle_only_for_non_string_algebras(a3sq_file, capsys, monkeypatch):
+    def not_string(inv):
+        raise NotStringAlgebra("not a string algebra: test")
+
+    monkeypatch.setattr(taured.cli, "oracle_stpairs_via_quotients", not_string)
+    assert main(["verify", a3sq_file]) == 0
+    assert "[SKIP] oracle-equivalence: not a string algebra" in capsys.readouterr().out
+
+
+def test_verify_oracle_error_is_not_a_skip(a3sq_file, capsys, monkeypatch):
+    def broken(inv):
+        raise ValueError("oracle bug")
+
+    monkeypatch.setattr(taured.cli, "oracle_stpairs_via_quotients", broken)
+    with pytest.raises(ValueError, match="oracle bug"):
+        main(["verify", a3sq_file])
+    assert "[SKIP]" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field", ["fp x", "fp 4"])
+def test_bad_field_exit_two(tmp_path, capsys, field):
+    path = _write(tmp_path, f"algebra x\nfield {field}\nvertices 1\n")
+    assert main(["enumerate", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 2, col 9:")
+
+
+def test_draw_example_quivers_script(tmp_path, capsys):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "draw_example_quivers.py")
+    spec = importlib.util.spec_from_file_location("draw_example_quivers", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main(["--out", str(tmp_path)])
+    golden = os.path.join(os.path.dirname(__file__), "golden", "hasse_a3sq.dot")
+    with open(golden, "r", encoding="utf-8") as f:
+        assert (tmp_path / "hasse.dot").read_text(encoding="utf-8") == f.read()
+    payload = json.loads((tmp_path / "hasse.json").read_text(encoding="utf-8"))
+    assert len(payload["hasse"]["edges"]) == 18
+    quotient = (tmp_path / "hasse_quotient.dot").read_text(encoding="utf-8")
+    check_dot_grammar(quotient)
+    assert quotient.count("fillcolor=red") == 1

@@ -122,6 +122,14 @@ def test_field_directive():
     assert alg2.field.name == "rational"
 
 
+@pytest.mark.parametrize("line, col", [("field fp x", 9), ("field fp 4", 9), ("field fp:4", 9)])
+def test_bad_field_characteristic_located(line, col):
+    with pytest.raises(ParseError) as exc:
+        parse(f"algebra x\n{line}\nvertices 1\n")
+    assert (exc.value.line, exc.value.column) == (2, col)
+    assert "not a prime" in exc.value.message
+
+
 def test_roundtrip_idempotent():
     for text in (A3SQ, SQUARE, WITH_COEFFS, WITH_INVENTORY):
         af = parse(text)

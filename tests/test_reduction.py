@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from taured.corpus import hereditary_d3, ka2_times_k, selfinjective_nakayama2
 from taured.errors import NonSimpleSocle, NoProjInjective, NotProjInjective
 from taured.reduction import (
-    PLUS,
     ReductionSets,
     bar_summands,
     compute_nsets,
@@ -142,24 +141,23 @@ def test_reconstruct_empty_sets(a3sq, a3sq_inv):
 
 
 def test_surgery_tiny():
-    pq = PosetQuiver(("a", "b"), ((0, 1),))
-    w = surgery(pq, ["b"])
-    assert set(w.labels) == {"a", "b", "b" + PLUS}
-    assert w.edge_labels() == {("a", "b" + PLUS), ("b" + PLUS, "b")}
+    pq = PosetQuiver(2, ((0, 1),))
+    w = surgery(pq, [1])
+    assert w.n == 3                   # vertex 2 is the copy of vertex 1
+    assert set(w.arrows) == {(0, 2), (2, 1)}
 
 
 def test_surgery_empty_subset():
-    pq = PosetQuiver(("a", "b", "c"), ((0, 1), (1, 2)))
-    w = surgery(pq, [])
-    assert w.labels == pq.labels and w.edge_labels() == pq.edge_labels()
+    pq = PosetQuiver(3, ((0, 1), (1, 2)))
+    assert surgery(pq, []) == pq
 
 
 def test_surgery_unknown_vertex():
     from taured.errors import UnknownVertex
 
-    pq = PosetQuiver(("a",), ())
+    pq = PosetQuiver(1, ())
     with pytest.raises(UnknownVertex):
-        surgery(pq, ["zz"])
+        surgery(pq, [5])
 
 
 @st.composite
@@ -170,9 +168,8 @@ def dag_and_subset(draw):
         for j in range(i + 1, n):
             if draw(st.booleans()):
                 edges.add((i, j))
-    labels = tuple(f"v{i}" for i in range(n))
-    subset = [labels[i] for i in range(n) if draw(st.booleans())]
-    return PosetQuiver(labels, tuple(sorted(edges))), subset
+    subset = [i for i in range(n) if draw(st.booleans())]
+    return PosetQuiver(n, tuple(sorted(edges))), subset
 
 
 @settings(max_examples=50, deadline=None)
@@ -182,11 +179,11 @@ def test_surgery_counts(data):
     w = surgery(pq, subset)
     nset = set(subset)
     assert w.n == pq.n + len(nset)
-    internal = sum(1 for s, t in pq.edge_labels() if s in nset and t in nset)
+    internal = sum(1 for s, t in pq.arrows if s in nset and t in nset)
     assert len(w.arrows) == len(pq.arrows) + internal + len(nset)
     # family check: no arrow from the complement lands on an original N vertex
-    for s, t in w.edge_labels():
-        if t in nset and not s.endswith(PLUS):
+    for s, t in w.arrows:
+        if t in nset and s < pq.n:
             assert s in nset
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from taured.algebra import Arrow, Quiver, Relation, build_algebra
 from taured.corpus import standard_corpus
-from taured.errors import CapExceeded
+from taured.errors import CapExceeded, NotStringAlgebra
 from taured.reps import injective, is_iso, projective
 from taured.series import series_algebra
 from taured.strings import (
@@ -30,6 +30,8 @@ def test_commutative_square_not_string():
     ok, cert = is_string_algebra(sq)
     assert not ok
     assert "monomial" in cert
+    with pytest.raises(NotStringAlgebra):
+        enumerate_strings(sq)
 
 
 def test_hereditary_d4_not_string():
