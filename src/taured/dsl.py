@@ -239,6 +239,8 @@ def parse(text: str) -> AlgebraFile:
             (v, vcol), (d, dcol) = args
             if v not in seen_vertices:
                 raise ParseError(f"unknown vertex {v!r}", lineno, vcol)
+            if not (d.isascii() and d.isdigit()):
+                raise ParseError(f"dimension {d!r} is not a nonnegative integer", lineno, dcol)
             current_module.dims[v] = int(d)
         elif key == "map":
             if current_module is None:

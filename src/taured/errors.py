@@ -57,6 +57,10 @@ class InventoryError(TauredError):
     """The indecomposable inventory is not closed under the operations that need it."""
 
 
+class HasseError(TauredError):
+    """The mutation quiver of the given pairs is not the covering relation of their Fac order."""
+
+
 class BadIndex(TauredError):
     pass
 

@@ -295,6 +295,8 @@ class Check:
 class Report:
     algebra_name: str
     checks: list[Check] = dc_field(default_factory=list)
+    # the socle-quotient context of each projective-injective P_v, by v
+    contexts: dict[str, ReductionContext] = dc_field(default_factory=dict)
 
     def add(self, name: str, statement: str, passed: bool, witness: str = "") -> None:
         self.checks.append(Check(name, statement, bool(passed), witness))
@@ -351,6 +353,7 @@ def verify_reduction(algebra: Algebra, name: str = "algebra",
         tag = f"Q=P_{v}"
         ctx = socle_quotient(algebra, v)
         ctx.inv = inv
+        report.contexts[v] = ctx
         report.add(f"{tag}/socle-simple", "Soc(Q) is one dimensional", True)
         report.add(f"{tag}/socle-two-sided",
                    "the socle span is a two-sided ideal (arrow products vanish)", True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import Algebra, vertex_subalgebra_quotient
-from .errors import InventoryError, UnknownVertex
+from .errors import HasseError, InventoryError, UnknownVertex
 from .linalg import Matrix
 from .reps import (
     Representation,
@@ -75,7 +75,7 @@ class Inventory:
         self.records = records
         self._hom_cache: dict[tuple[int, int], list] = {}
         self._hom_tau_cache: dict[tuple[int, int], int] = {}
-        self._fac_cache: dict[tuple[int, frozenset], bool] = {}
+        self._support_cache: dict[frozenset, frozenset] = {}
         self._proj_cache: dict[str, Representation] = {}
 
     @cached_property
@@ -129,13 +129,20 @@ class Inventory:
 
     def fac_contains(self, j: int, sources: frozenset) -> bool:
         """Is X_j generated by (in Fac of) the direct sum over ``sources``?"""
-        key = (j, sources)
-        if key in self._fac_cache:
-            return self._fac_cache[key]
-        homs = [f for i in sources for f in self.hom(i, j)]
-        ok = _images_fill(self.records[j].rep, homs)
-        self._fac_cache[key] = ok
-        return ok
+        if j in sources:
+            return True  # the identity map
+        rep = self.records[j].rep
+        support = self._support(sources)
+        # no quotient of the sources is nonzero where every source is zero
+        return (all(v in support for v, d in rep.dims.items() if d)
+                and _images_fill(rep, [f for i in sources for f in self.hom(i, j)]))
+
+    def _support(self, ids: frozenset) -> frozenset:
+        """The vertices where the direct sum over ``ids`` is nonzero."""
+        if ids not in self._support_cache:
+            self._support_cache[ids] = frozenset(
+                v for i in ids for v, d in self.records[i].rep.dims.items() if d)
+        return self._support_cache[ids]
 
     def sum_rep(self, ids) -> Representation:
         return direct_sum([self.records[i].rep for i in sorted(ids)], self.algebra)
@@ -416,34 +423,83 @@ class PosetQuiver:
         return bool((self.closure[i] >> j) & 1)
 
 
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def hasse(inv: Inventory, pairs: list[STPair]) -> PosetQuiver:
-    """Covering relations of the Fac order on the given pairs; vertex i is pairs[i]."""
+    """Covering relations of the Fac order on the given pairs; vertex i is pairs[i].
+
+    The arrows are the mutations (Adachi-Iyama-Reiten, arXiv:1210.1036): every
+    almost complete pair has exactly two completions (Thm 2.18), and the two
+    are joined by one arrow, oriented by the Fac order (Thm 2.33).  The result
+    is certified against the Fac order, computed from its definition: its
+    reachability must be that order, and no arrow may be implied by a longer
+    path, so it is the order's covering relation.  ``pairs`` must be every
+    support tau-tilting pair of the inventory; a failure raises HasseError.
+    """
     nv = len(pairs)
-    ge_rows = [0] * nv
-    for i in range(nv):
-        for j in range(nv):
-            if i != j and order_ge(inv, pairs[i], pairs[j]):
-                ge_rows[i] |= 1 << j
-    for i in range(nv):
-        for j in range(nv):
-            if i != j and (ge_rows[i] >> j) & 1 and (ge_rows[j] >> i) & 1:
-                raise AssertionError("Fac order is not antisymmetric on these pairs")
+
+    def name(i):
+        p = pairs[i]
+        sup = f" support {{{','.join(sorted(p.supports))}}}" if p.supports else ""
+        return inv.pair_label(p) + sup
+
+    # each pair under each of its almost complete parts (support vertices as
+    # ("s", v)), and the pairs that have each module as a summand
+    buckets: dict[frozenset, list[int]] = {}
+    containing: dict[int, int] = {}
+    for i, p in enumerate(pairs):
+        elems = p.modules + tuple(("s", v) for v in p.supports)
+        for k in range(len(elems)):
+            buckets.setdefault(frozenset(elems[:k] + elems[k + 1:]), []).append(i)
+        for x in p.modules:
+            containing[x] = containing.get(x, 0) | (1 << i)
+
+    # Fac(M_i) contains M_j iff no summand of M_j lies outside Fac(M_i)
+    full = (1 << nv) - 1
+    ge_rows = []
+    for i, p in enumerate(pairs):
+        sources = frozenset(p.modules)
+        outside = 0
+        for x, holders in containing.items():
+            if not inv.fac_contains(x, sources):
+                outside |= holders
+        ge_rows.append(full & ~outside & ~(1 << i))
+
     arrows = []
+    for completions in buckets.values():
+        if len(completions) != 2:
+            raise HasseError(
+                f"an almost complete pair has {len(completions)} completions, not 2 "
+                f"(AIR Thm 2.18): {', '.join(name(i) for i in completions)}")
+        a, b = completions
+        a_ge_b, b_ge_a = (ge_rows[a] >> b) & 1, (ge_rows[b] >> a) & 1
+        if a_ge_b == b_ge_a:
+            rel = "each above the other" if a_ge_b else "incomparable"
+            raise HasseError(f"mutations {name(a)} and {name(b)} are {rel} in the Fac order")
+        arrows.append((a, b) if a_ge_b else (b, a))
+    try:
+        pq = PosetQuiver(nv, tuple(sorted(arrows)))
+    except ValueError:
+        raise HasseError("the mutation arrows, oriented by the Fac order, form a cycle") from None
+
+    closure = pq.closure
     for i in range(nv):
-        blocked = 0
-        rest = ge_rows[i]
-        while rest:
-            k = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            blocked |= ge_rows[k]
-        covers = ge_rows[i] & ~blocked
-        while covers:
-            j = (covers & -covers).bit_length() - 1
-            covers &= covers - 1
-            arrows.append((i, j))
-    pq = PosetQuiver(nv, tuple(sorted(arrows)))
-    if pq.closure != ge_rows:
-        raise AssertionError("covers do not regenerate the Fac order")
+        if closure[i] != ge_rows[i]:
+            j = _lowest_bit(closure[i] ^ ge_rows[i])
+            has = "has" if (ge_rows[i] >> j) & 1 else "lacks"
+            raise HasseError(f"the Fac order {has} {name(i)} > {name(j)}, "
+                             "the mutation quiver does not")
+    succ = [0] * nv
+    for s, t in pq.arrows:
+        succ[s] |= 1 << t
+    for s, k in pq.arrows:
+        implied = succ[s] & closure[k]
+        if implied:
+            t = _lowest_bit(implied)
+            raise HasseError(f"the arrow {name(s)} -> {name(t)} is not a covering relation: "
+                             f"it passes through {name(k)}")
     return pq
 
 

@@ -6,6 +6,8 @@ import re
 import pytest
 
 import taured.cli
+import taured.reduction
+import taured.tilting
 from taured.cli import main
 from taured.errors import NotStringAlgebra
 from taured.emit import emit_dot
@@ -111,6 +113,18 @@ def test_verify_exit_zero(a3sq_file, capsys):
     out = capsys.readouterr().out
     assert "all checks passed" in out
     assert "oracle-equivalence" in out
+    assert ("[PASS] hasse-certificate: the mutation quiver is the covering relation "
+            "of the Fac order (18 arrows)\n") in out
+
+
+def test_verify_hasse_certificate_failure(a3sq_file, capsys, monkeypatch):
+    monkeypatch.setattr(taured.tilting.Inventory, "fac_contains", lambda self, j, s: True)
+    assert main(["verify", a3sq_file]) == 1
+    captured = capsys.readouterr()
+    assert re.search(r"^\[FAIL\] hasse-certificate: .*  \[mutations .* are each above "
+                     r"the other in the Fac order\]$", captured.out, re.M)
+    assert "all checks passed" not in captured.out
+    assert captured.err == "FAILED: hasse-certificate\n"
 
 
 def test_parse_error_exit_two(tmp_path, capsys):
@@ -132,6 +146,40 @@ def test_field_flag_and_env(a3sq_file, capsys, monkeypatch):
     assert main(["enumerate", a3sq_file, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["stpairs"]) == 12
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--field", "fp:4"], None), (["--field", "fp:x"], None), (["--field", "real"], None),
+    ([], "fp:x"), ([], "fp:4"),
+])
+def test_bad_field_override_exit_two(a3sq_file, capsys, monkeypatch, argv, env):
+    if env:
+        monkeypatch.setenv("TAURED_FIELD", env)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["enumerate", a3sq_file])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: taured")
+    assert "want rational or fp:<prime>" in err and "Traceback" not in err
+
+
+def test_reduce_builds_each_quotient_once(a3sq_file, capsys, monkeypatch):
+    calls = {"build_inventory": 0, "enumerate_stpairs": 0}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (taured.cli, taured.reduction):
+        counting(module, "build_inventory")
+    counting(taured.tilting, "enumerate_stpairs")
+    assert main(["reduce", a3sq_file]) == 0
+    # the ambient algebra and the quotients at its two projective-injectives
+    assert calls == {"build_inventory": 3, "enumerate_stpairs": 3}
 
 
 def test_reduce_second_anchor(a3sq_file, capsys):

@@ -166,6 +166,14 @@ end
         af.build()
 
 
+@pytest.mark.parametrize("dim", ["abc", "-1", "1.5"])
+def test_bad_module_dimension_located(dim):
+    with pytest.raises(ParseError) as exc:
+        parse(f"algebra x\nvertices 1\nmodule m\ndim 1 {dim}\nend\n")
+    assert (exc.value.line, exc.value.column) == (4, 6)
+    assert "not a nonnegative integer" in exc.value.message
+
+
 def test_unterminated_module():
     with pytest.raises(ParseError):
         parse("algebra x\nvertices 1\nmodule m\ndim 1 1\n")

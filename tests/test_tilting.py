@@ -94,6 +94,15 @@ def test_order_matches_rep_level_in_fac(a3sq_inv):
             assert order_ge(a3sq_inv, p1, p2) == in_fac(m2, m1)
 
 
+def test_fac_contains_matches_in_fac(corpus_invs):
+    # fac_contains answers summands and support mismatches without a rank test
+    for name, inv in corpus_invs.items():
+        for p in inv.pairs:
+            m = inv.sum_rep(p.modules)
+            for r in inv.records:
+                assert inv.fac_contains(r.id, frozenset(p.modules)) == in_fac(r.rep, m), name
+
+
 def test_hasse_counts(a3sq_inv):
     pairs = enumerate_stpairs(a3sq_inv)
     H = hasse(a3sq_inv, pairs)
