@@ -16,22 +16,31 @@ import sys
 from .algebra import extract_presentation
 from .dsl import AlgebraFile, emit as emit_dsl, parse_file
 from .emit import emit_dot, json_payload
-from .errors import HasseError, NoProjInjective, NotStringAlgebra, ParseError, TauredError
-from .linalg import field_from_name
-from .reduction import (
-    compute_nsets,
-    find_proj_injectives,
-    reconstruct_tau_tilt,
-    verify_reduction,
+from .errors import (
+    HasseError,
+    NoProjInjective,
+    NotStringAlgebra,
+    ParseError,
+    TauredError,
+    UsageError,
 )
+from .linalg import field_from_name
+from .reduction import Report, find_proj_injectives, reductions, verify_reduction
 from .series import closed_form, series_counts
 from .tilting import build_inventory, full_subquiver, oracle_stpairs_via_quotients
 
 
 def _field_override(args) -> str | None:
-    if getattr(args, "field", None):
-        return args.field
-    return os.environ.get("TAURED_FIELD") or None
+    """The --field or TAURED_FIELD mode, checked here: only commands that load a file read it."""
+    source, override = "--field", getattr(args, "field", None)
+    if not override:
+        source, override = "TAURED_FIELD", os.environ.get("TAURED_FIELD") or None
+    if override:
+        try:
+            field_from_name(override)
+        except ValueError as e:
+            raise UsageError(f"{source} {override!r}: {e}; want rational or fp:<prime>")
+    return override
 
 
 def _load(args):
@@ -102,9 +111,10 @@ def _cmd_reduce(args) -> int:
         print(f"P_{vertex} is not projective-injective; candidates: "
               f"{', '.join(v for v, _ in pis)}", file=sys.stderr)
         return 1
-    # the report's context for the vertex carries the quotient inventory and its pairs
-    report = verify_reduction(algebra, af.name, inv=inv)
-    ctx = report.contexts[vertex]
+    # keep the chosen vertex's reduction; the others are dropped once checked
+    report = Report(af.name)
+    chosen, = [r for r in reductions(algebra, report, inv) if r.ctx.vertex == vertex]
+    ctx, nsets = chosen.ctx, chosen.nsets
     print(f"projective-injectives: {', '.join(f'P_{v}~I_{w}' for v, w in pis)}")
     print(f"reducing at Q = P_{vertex}; socle lives at vertex {ctx.socle_vertex}; "
           f"Q is {'simple' if ctx.q_is_simple else 'not simple'}")
@@ -118,7 +128,6 @@ def _cmd_reduce(args) -> int:
             relations=list(rels),
         )
         print(emit_dsl(qf), end="")
-    nsets = compute_nsets(ctx)
     qinv = ctx.quotient_inventory()
 
     def fmt(mods):
@@ -129,7 +138,7 @@ def _cmd_reduce(args) -> int:
     print(f"swap ({len(nsets.swap)}):   " + "  ".join(fmt(m) for m in nsets.swap))
     print(f"surgery set ({len(nsets.surgery)}): "
           + "  ".join(qinv.pair_label(p) for p in nsets.surgery))
-    recon = reconstruct_tau_tilt(ctx, nsets)
+    recon = chosen.reconstructed
     print(f"reconstructed tau-tilting modules ({len(recon)}): "
           + "  ".join("+".join(sorted(inv.records[i].name for i in s)) for s in recon))
     for line in report.lines():
@@ -244,15 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    override = _field_override(args)
-    if override:
-        try:
-            field_from_name(override)
-        except ValueError as e:
-            source = "--field" if args.field else "TAURED_FIELD"
-            ap.error(f"{source} {override!r}: {e}; want rational or fp:<prime>")
     try:
         return args.func(args)
+    except UsageError as e:
+        ap.error(str(e))
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2

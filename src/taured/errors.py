@@ -69,6 +69,10 @@ class NonIntegerResult(TauredError):
     pass
 
 
+class UsageError(TauredError):
+    """A command-line value is invalid; the CLI prints its usage and exits 2."""
+
+
 class ParseError(TauredError):
     """Syntax or semantic error in an algebra description file."""
 

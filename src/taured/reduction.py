@@ -12,6 +12,7 @@ executably, one report entry per claim.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import Algebra, quotient_by_elements
@@ -295,8 +296,6 @@ class Check:
 class Report:
     algebra_name: str
     checks: list[Check] = dc_field(default_factory=list)
-    # the socle-quotient context of each projective-injective P_v, by v
-    contexts: dict[str, ReductionContext] = dc_field(default_factory=dict)
 
     def add(self, name: str, statement: str, passed: bool, witness: str = "") -> None:
         self.checks.append(Check(name, statement, bool(passed), witness))
@@ -330,13 +329,34 @@ def _iso_along_map(src: PosetQuiver, dst: PosetQuiver, vmap: list[int | None],
     return True, ""
 
 
+@dataclass
+class Reduction:
+    """The reduction at one projective-injective: its context, families and rebuild."""
+
+    ctx: ReductionContext
+    nsets: ReductionSets
+    reconstructed: list[frozenset]
+
+
 def verify_reduction(algebra: Algebra, name: str = "algebra",
                      inv: Inventory | None = None) -> Report:
     """Run every reduction claim for each projective-injective of the algebra."""
+    report = Report(name)
+    for _ in reductions(algebra, report, inv):
+        pass
+    return report
+
+
+def reductions(algebra: Algebra, report: Report,
+               inv: Inventory | None = None) -> Iterator[Reduction]:
+    """Check the reduction claims at each projective-injective P_v into ``report``.
+
+    Yields the Reduction at each P_v once its checks are in.  A caller that
+    keeps none of them holds one quotient inventory at a time.
+    """
     pis = find_proj_injectives(algebra)
     if not pis:
         raise NoProjInjective("no indecomposable projective-injective module")
-    report = Report(name)
     inv = inv or build_inventory(algebra)
     pairs = inv.pairs
     H = inv.hasse_quiver
@@ -353,7 +373,6 @@ def verify_reduction(algebra: Algebra, name: str = "algebra",
         tag = f"Q=P_{v}"
         ctx = socle_quotient(algebra, v)
         ctx.inv = inv
-        report.contexts[v] = ctx
         report.add(f"{tag}/socle-simple", "Soc(Q) is one dimensional", True)
         report.add(f"{tag}/socle-two-sided",
                    "the socle span is a two-sided ideal (arrow products vanish)", True)
@@ -453,10 +472,10 @@ def verify_reduction(algebra: Algebra, name: str = "algebra",
                        "exchanging Q for the top summand preserves tau-tilting, both ways",
                        swap_ok)
 
-        recon = set(reconstruct_tau_tilt(ctx, nsets))
+        recon = reconstruct_tau_tilt(ctx, nsets)
         report.add(f"{tag}/reconstruction",
                    "tau-tilt of the ambient algebra rebuilds from the quotient families",
-                   recon == tt_sets)
+                   set(recon) == tt_sets)
 
         report.add(f"{tag}/tau-tilt-sincere", "every tau-tilting module is sincere",
                    not insincere, f"insincere: {insincere[:3]}")
@@ -478,5 +497,4 @@ def verify_reduction(algebra: Algebra, name: str = "algebra",
         report.add(f"{tag}/surgery-isomorphism",
                    "the support Hasse quiver is the subposet surgery of the quotient's",
                    ok, wit)
-
-    return report
+        yield Reduction(ctx, nsets, recon)

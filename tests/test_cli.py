@@ -163,8 +163,16 @@ def test_bad_field_override_exit_two(a3sq_file, capsys, monkeypatch, argv, env):
     assert "want rational or fp:<prime>" in err and "Traceback" not in err
 
 
+def test_series_ignores_field_override(capsys, monkeypatch):
+    # series builds its own algebras over Q and never reads the override
+    monkeypatch.setenv("TAURED_FIELD", "fp:4")
+    assert main(["series", "--kind", "A", "--max", "5", "--closed-form"]) == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1].split()[:2] == ["5", "8"]
+
+
 def test_reduce_builds_each_quotient_once(a3sq_file, capsys, monkeypatch):
-    calls = {"build_inventory": 0, "enumerate_stpairs": 0}
+    calls = dict.fromkeys(["build_inventory", "enumerate_stpairs", "compute_nsets",
+                           "reconstruct_tau_tilt"], 0)
 
     def counting(module, name):
         fn = getattr(module, name)
@@ -174,12 +182,17 @@ def test_reduce_builds_each_quotient_once(a3sq_file, capsys, monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module in (taured.cli, taured.reduction):
-        counting(module, "build_inventory")
+    # every namespace that binds the name, so a call from the CLI counts too
+    for name in ("build_inventory", "compute_nsets", "reconstruct_tau_tilt"):
+        for module in (taured.cli, taured.reduction):
+            if hasattr(module, name):
+                counting(module, name)
     counting(taured.tilting, "enumerate_stpairs")
     assert main(["reduce", a3sq_file]) == 0
-    # the ambient algebra and the quotients at its two projective-injectives
-    assert calls == {"build_inventory": 3, "enumerate_stpairs": 3}
+    # the ambient algebra and the quotients at its two projective-injectives;
+    # the families and the rebuild once per projective-injective
+    assert calls == {"build_inventory": 3, "enumerate_stpairs": 3, "compute_nsets": 2,
+                     "reconstruct_tau_tilt": 2}
 
 
 def test_reduce_second_anchor(a3sq_file, capsys):
