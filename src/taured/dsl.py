@@ -57,7 +57,7 @@ class AlgebraFile:
                 for aname, rows in blk.maps.items():
                     arr = quiver.arrow(aname)
                     data = [[field.from_fraction(c) for c in row] for row in rows]
-                    maps[aname] = Matrix(len(data), len(data[0]) if data else 0, data, field)
+                    maps[aname] = Matrix(dims[arr.src], dims[arr.tgt], data, field)
                 rep = Representation(algebra, dims, maps)
                 rep.assert_valid()
                 supplied.append((blk.name, rep))
@@ -165,11 +165,24 @@ def _prime_field_mode(tok: str, line: int, col: int) -> str:
         raise ParseError(f"field characteristic {tok!r} is not a prime", line, col)
 
 
+def _check_map_shapes(blk: ModuleBlock, arrows, map_pos) -> None:
+    """Each map of a finished module block must be dim(src) rows of dim(tgt) entries."""
+    for name, src, tgt in arrows:
+        rows = blk.maps.get(name)
+        if rows is None:
+            continue
+        shape = (blk.dims.get(src, 0), blk.dims.get(tgt, 0))
+        if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
+            raise ParseError(f"map {name} of module {blk.name!r} must be a {shape[0]}x{shape[1]} "
+                             f"matrix, the dimensions at {src} and {tgt}", *map_pos[name])
+
+
 def parse(text: str) -> AlgebraFile:
     af = AlgebraFile()
     seen_vertices: set[str] = set()
     arrow_names: set[str] = set()
     current_module: ModuleBlock | None = None
+    map_pos: dict[str, tuple[int, int]] = {}  # arrow -> (line, column) of its map body
     got_algebra = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -231,6 +244,7 @@ def parse(text: str) -> AlgebraFile:
             if len(args) != 1:
                 raise ParseError("module takes one name", lineno, kcol)
             current_module = ModuleBlock(args[0][0])
+            map_pos = {}
         elif key == "dim":
             if current_module is None:
                 raise ParseError("dim outside a module block", lineno, kcol)
@@ -257,9 +271,11 @@ def parse(text: str) -> AlgebraFile:
                     continue
                 rows.append([_rational(x, lineno, acol) for x in chunk.split(",")])
             current_module.maps[aname] = rows
+            map_pos[aname] = (lineno, args[1][1])
         elif key == "end":
             if current_module is None:
                 raise ParseError("end outside a module block", lineno, kcol)
+            _check_map_shapes(current_module, af.arrows, map_pos)
             af.modules.append(current_module)
             current_module = None
         else:

@@ -172,9 +172,15 @@ def _names_for(algebra: Algebra, words) -> list[str]:
 
 
 def _is_local_endo_ring(rep: Representation) -> bool:
-    """Local endomorphism ring test via the trace form (char 0 criterion)."""
+    """Local endomorphism ring test.
+
+    A brick (End = K) is local over any field.  Otherwise the trace form is
+    used, a criterion that holds in characteristic 0 only.
+    """
     homs = hom_basis(rep, rep)
     n = len(homs)
+    if n == 1:
+        return True
     alg = rep.algebra
     field = alg.field
 

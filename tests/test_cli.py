@@ -288,6 +288,15 @@ def test_bad_field_exit_two(tmp_path, capsys, field):
     assert err.startswith("parse error: line 2, col 9:")
 
 
+def test_bad_module_map_exit_two(tmp_path, capsys):
+    path = _write(tmp_path, "algebra x\nvertices 1 2\narrow a 1 2\n"
+                            "module m\ndim 1 1\ndim 2 1\nmap a 1,1\nend\n")
+    assert main(["enumerate", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 7, col 6: map a of module 'm' must be a 1x1 matrix")
+    assert "Traceback" not in err
+
+
 def test_draw_example_quivers_script(tmp_path, capsys):
     script = os.path.join(os.path.dirname(__file__), "..", "scripts", "draw_example_quivers.py")
     spec = importlib.util.spec_from_file_location("draw_example_quivers", script)

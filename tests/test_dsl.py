@@ -174,6 +174,35 @@ def test_bad_module_dimension_located(dim):
     assert "not a nonnegative integer" in exc.value.message
 
 
+MAP_SHAPE = """\
+algebra x
+vertices 1 2
+arrow a 1 2
+module m
+{body}
+end
+"""
+
+
+@pytest.mark.parametrize("body, line", [
+    ("dim 1 1\ndim 2 1\nmap a 1,1", 7),
+    ("dim 1 1\nmap a 1;1\ndim 2 1", 6),
+    ("dim 1 2\ndim 2 2\nmap a 1,0;1", 7),
+    ("dim 2 1\nmap a 1", 6),
+], ids=["too-wide", "too-tall-dims-after", "ragged", "zero-source"])
+def test_bad_module_map_shape_located(body, line):
+    with pytest.raises(ParseError) as exc:
+        parse(MAP_SHAPE.format(body=body))
+    assert (exc.value.line, exc.value.column) == (line, 6)
+    assert "map a of module 'm' must be a" in exc.value.message
+
+
+def test_module_map_before_its_dims_builds():
+    af = parse(MAP_SHAPE.format(body="map a 1\ndim 1 1\ndim 2 1"))
+    _, supplied = af.build()
+    assert supplied[0][1].dim_vector == (1, 1)
+
+
 def test_unterminated_module():
     with pytest.raises(ParseError):
         parse("algebra x\nvertices 1\nmodule m\ndim 1 1\n")

@@ -4,10 +4,11 @@ import pytest
 
 from taured.algebra import Arrow, Quiver, Relation, build_algebra, quotient_by_elements
 from taured.corpus import hereditary_a, hereditary_d3
-from taured.errors import AlgebraMismatch, UnknownVertex, ZeroModule
-from taured.linalg import Matrix, QQ
+from taured.errors import AlgebraMismatch, InconsistentSum, UnknownVertex, ZeroModule
+from taured.linalg import Matrix, QQ, PrimeField
 from taured.reps import (
     Morphism,
+    ProjSum,
     Representation,
     bar,
     direct_sum,
@@ -269,3 +270,86 @@ def test_algebra_mismatch_errors(a3sq, named):
         is_iso(s, named["1"])
     with pytest.raises(AlgebraMismatch):
         direct_sum([s, named["1"]])
+
+
+def test_table_algebra_violation_rejected():
+    ka3 = build_algebra(Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3"))), [])
+    ab = next(i for i, b in enumerate(ka3.basis) if b.word == ("a", "b"))
+    quot = quotient_by_elements(ka3, [{ab: QQ.one}])
+    assert quot.relations is None
+    one = Matrix.identity(1, QQ)
+    bad = Representation(quot, {"1": 1, "2": 1, "3": 1}, {"a": one, "b": one})
+    with pytest.raises(ValueError, match="multiplication table"):
+        bad.assert_valid()
+
+
+def test_slot_sum_checks_its_bookkeeping(a3sq, monkeypatch):
+    import taured.reps as reps
+
+    assert ProjSum(a3sq, ["1", "1"]).rep.dim_vector == (2, 2, 0)
+    monkeypatch.setattr(reps, "projective", simple)
+    with pytest.raises(InconsistentSum):
+        ProjSum(a3sq, ["1"])
+
+
+@pytest.fixture()
+def searches(monkeypatch):
+    """Record each start of the randomized fallback search of is_iso."""
+    import random
+    import types
+
+    import taured.reps as reps
+
+    started = []
+
+    def record(seed):
+        started.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(reps, "random", types.SimpleNamespace(Random=record))
+    return started
+
+
+def _cyclic_nakayama(n, length, field):
+    verts = tuple(str(i) for i in range(n))
+    arrows = tuple(Arrow(f"c{i}", str(i), str((i + 1) % n)) for i in range(n))
+    rels = [Relation.monomial(tuple(f"c{(i + k) % n}" for k in range(length)))
+            for i in range(n)]
+    return build_algebra(Quiver(verts, arrows), rels, field=field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
+def test_is_iso_certifies_bricks_without_search(field, searches):
+    alg = _cyclic_nakayama(5, 5, field)
+    longest = [string_to_rep(alg, w) for w in enumerate_strings(alg)]
+    longest = [m for m in longest if m.total_dim == 5]
+    assert len(longest) == 5
+    assert {m.dim_vector for m in longest} == {(1, 1, 1, 1, 1)}
+    for i, m in enumerate(longest):
+        assert hom_dim(m, m) == 1
+        for j, n in enumerate(longest):
+            assert is_iso(m, n) == (i == j)
+    assert searches == []
+
+
+def test_is_iso_searches_only_off_bricks(named, searches):
+    left = direct_sum([named["1"], named["2/3"]])
+    right = direct_sum([named["1/2"], named["3"]])
+    assert left.dim_vector == right.dim_vector
+    assert hom_dim(left, left) == hom_dim(right, right) == 2
+    assert not is_iso(left, right)
+    assert len(searches) == 1
+    # 1/2 is a brick, so the answer needs no search
+    assert not is_iso(named["1/2"], direct_sum([named["1"], named["2"]]))
+    assert len(searches) == 1
+
+
+def test_is_iso_corpus_records_without_search(corpus_invs, searches):
+    for inv in corpus_invs.values():
+        recs = inv.records
+        for r in recs:
+            assert is_iso(r.rep, r.rep)
+            for s in recs:
+                if s.id != r.id and s.dim_vector == r.dim_vector:
+                    assert not is_iso(r.rep, s.rep), (r.name, s.name)
+    assert searches == []

@@ -242,6 +242,23 @@ def test_supplied_backend_warns_on_decomposable(a3sq, caplog):
     assert any("local-endomorphism" in r.message for r in caplog.records)
 
 
+def test_supplied_backend_bricks_pass_audit_over_f2(caplog):
+    import logging
+
+    from taured.algebra import Relation
+    from taured.linalg import PrimeField
+    from taured.strings import string_name
+
+    quiver = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")))
+    alg = build_algebra(quiver, [Relation.monomial(("a", "b"))], field=PrimeField(2))
+    supplied = [(string_name(alg, w), string_to_rep(alg, w)) for w in enumerate_strings(alg)]
+    assert "1/2" in dict(supplied)
+    with caplog.at_level(logging.WARNING):
+        inv = build_inventory(alg, backend="supplied", supplied=supplied)
+    assert not [r for r in caplog.records if "local-endomorphism" in r.message]
+    assert len(enumerate_stpairs(inv)) == 12
+
+
 def test_unique_maximum_by_order(corpus_invs):
     for name, inv in corpus_invs.items():
         pairs = enumerate_stpairs(inv)
