@@ -31,6 +31,8 @@ class ModuleBlock:
     name: str
     dims: dict[str, int] = dc_field(default_factory=dict)
     maps: dict[str, list[list[Fraction]]] = dc_field(default_factory=dict)
+    line: int = dc_field(default=0, compare=False)  # position of its `module` directive
+    column: int = dc_field(default=0, compare=False)
 
 
 @dataclass
@@ -59,7 +61,10 @@ class AlgebraFile:
                     data = [[field.from_fraction(c) for c in row] for row in rows]
                     maps[aname] = Matrix(dims[arr.src], dims[arr.tgt], data, field)
                 rep = Representation(algebra, dims, maps)
-                rep.assert_valid()
+                try:
+                    rep.assert_valid()
+                except ValueError as e:
+                    raise ParseError(f"module {blk.name!r}: {e}", blk.line, blk.column) from None
                 supplied.append((blk.name, rep))
         return algebra, supplied
 
@@ -243,7 +248,7 @@ def parse(text: str) -> AlgebraFile:
         elif key == "module":
             if len(args) != 1:
                 raise ParseError("module takes one name", lineno, kcol)
-            current_module = ModuleBlock(args[0][0])
+            current_module = ModuleBlock(args[0][0], line=lineno, column=kcol)
             map_pos = {}
         elif key == "dim":
             if current_module is None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .algebra import Algebra, vertex_subalgebra_quotient
 from .errors import HasseError, InventoryError, UnknownVertex
@@ -25,8 +26,10 @@ from .reps import (
     _images_fill,
     direct_sum,
     hom_basis,
+    inflate,
     is_iso,
     projective,
+    radical_subspaces,
     tau,
     zero_rep,
 )
@@ -77,6 +80,8 @@ class Inventory:
         self._hom_tau_cache: dict[tuple[int, int], int] = {}
         self._support_cache: dict[frozenset, frozenset] = {}
         self._proj_cache: dict[str, Representation] = {}
+        self._simple_top: dict[int, bool] = {}
+        self._generates: dict[tuple[int, int], bool] = {}
 
     @cached_property
     def pairs(self) -> list[STPair]:
@@ -128,14 +133,37 @@ class Inventory:
         return self.records[i].rep.dims[v]
 
     def fac_contains(self, j: int, sources: frozenset) -> bool:
-        """Is X_j generated by (in Fac of) the direct sum over ``sources``?"""
+        """Is X_j generated by (in Fac of) the direct sum over ``sources``?
+
+        When X_j has a simple top, its proper submodules all lie in its radical,
+        and so does any sum of them: the sources generate X_j only if one of
+        them does alone, a question asked once per (source, X_j).
+        """
         if j in sources:
             return True  # the identity map
         rep = self.records[j].rep
         support = self._support(sources)
         # no quotient of the sources is nonzero where every source is zero
-        return (all(v in support for v, d in rep.dims.items() if d)
-                and _images_fill(rep, [f for i in sources for f in self.hom(i, j)]))
+        if not all(v in support for v, d in rep.dims.items() if d):
+            return False
+        if self.has_simple_top(j):
+            return any(self.generates(i, j) for i in sources)
+        return _images_fill(rep, [f for i in sources for f in self.hom(i, j)])
+
+    def has_simple_top(self, j: int) -> bool:
+        """Is X_j / rad X_j one-dimensional?"""
+        if j not in self._simple_top:
+            rep = self.records[j].rep
+            rad = sum(m.rows for m in radical_subspaces(rep).values())
+            self._simple_top[j] = rep.total_dim - rad == 1
+        return self._simple_top[j]
+
+    def generates(self, i: int, j: int) -> bool:
+        """Is X_j in Fac(X_i)?  Asked once, so the Hom basis is not kept."""
+        if (i, j) not in self._generates:
+            target = self.records[j].rep
+            self._generates[(i, j)] = _images_fill(target, hom_basis(self.records[i].rep, target))
+        return self._generates[(i, j)]
 
     def _support(self, ids: frozenset) -> frozenset:
         """The vertices where the direct sum over ``ids`` is nonzero."""
@@ -339,8 +367,8 @@ def oracle_stpairs_via_quotients(inv: Inventory) -> list[STPair]:
     For each nonempty support set S the quotient A/AeA is built outright and
     its tau-tilting modules are found by testing Hom(M, tau M) = 0 over the
     quotient on all size-|S| summand sets; results are inflated back and
-    matched against the ambient inventory.  The empty support contributes the
-    zero pair.
+    matched against the ambient inventory, each quotient record once.  The
+    empty support contributes the zero pair.
     """
     algebra = inv.algebra
     verts = list(algebra.vertices)
@@ -348,33 +376,40 @@ def oracle_stpairs_via_quotients(inv: Inventory) -> list[STPair]:
     seen: dict = {}
     zero = STPair((), tuple(sorted(verts)))
     seen[zero.key()] = zero
-    from itertools import combinations
-
-    from .reps import inflate
 
     for size in range(1, n + 1):
         for support in combinations(verts, size):
             quot = vertex_subalgebra_quotient(algebra, set(support))
             qinv = build_inventory(quot)
-            cands = [r for r in qinv.candidates()]
+            cands = qinv.candidates()
             k = len(quot.vertices)
-            homtau = {}
-            for a in cands:
-                for b in cands:
-                    homtau[(a.id, b.id)] = len(hom_basis(a.rep, b.tau_rep))
-            for subset in combinations(cands, k):
-                if any(homtau[(a.id, b.id)] != 0 for a in subset for b in subset):
-                    continue
-                ids = []
-                for r in subset:
-                    lifted = inflate(r.rep)
-                    match = inv.find_iso(lifted)
+            # bit b of bad[a]: a and b cannot be summands of one tau-rigid module
+            bad = [0] * len(cands)
+            for a, ra in enumerate(cands):
+                if not ra.is_tau_rigid:
+                    bad[a] |= 1 << a
+                for b in range(a + 1, len(cands)):
+                    if qinv.hom_to_tau(ra.id, cands[b].id) or qinv.hom_to_tau(cands[b].id, ra.id):
+                        bad[a] |= 1 << b
+                        bad[b] |= 1 << a
+            lifted: dict[int, int] = {}
+
+            def lift(r: IndecRecord) -> int:
+                if r.id not in lifted:
+                    rep = inflate(r.rep)
+                    match = inv.find_iso(rep)
                     if match is None:
                         raise InventoryError(
-                            f"inflated module (dims {lifted.dim_vector}) missing from inventory")
-                    ids.append(match)
-                pair = STPair(tuple(sorted(ids)),
-                              tuple(sorted(v for v in verts if v not in support)))
+                            f"inflated module (dims {rep.dim_vector}) missing from inventory")
+                    lifted[r.id] = match
+                return lifted[r.id]
+
+            supports = tuple(sorted(v for v in verts if v not in support))
+            for subset in combinations(range(len(cands)), k):
+                bits = sum(1 << a for a in subset)
+                if any(bad[a] & bits for a in subset):
+                    continue
+                pair = STPair(tuple(sorted(lift(cands[a]) for a in subset)), supports)
                 seen[pair.key()] = pair
     out = list(seen.values())
     out.sort(key=inv.pair_sort_key)

@@ -29,6 +29,13 @@ def a3sq_inv(a3sq):
 
 
 @pytest.fixture(scope="session")
+def a3_sink_inv():
+    """Hereditary 1 -a-> 2 <-b- 3; its record 1>2<3 has top S1 + S3, not a simple top."""
+    quiver = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "3", "2")))
+    return build_inventory(build_algebra(quiver, []))
+
+
+@pytest.fixture(scope="session")
 def corpus():
     return standard_corpus()
 

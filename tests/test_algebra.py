@@ -7,6 +7,7 @@ from taured.algebra import (
     Arrow,
     Quiver,
     Relation,
+    _spot_check_associativity,
     build_algebra,
     extract_presentation,
     quotient_by_elements,
@@ -75,6 +76,17 @@ def test_full_associativity_small(a3sq):
                 left = a3sq.multiply(a3sq.multiply({i: one}, {j: one}), {k: one})
                 right = a3sq.multiply({i: one}, a3sq.multiply({j: one}, {k: one}))
                 assert left == right
+
+
+def test_spot_check_catches_a_corrupted_product():
+    alg = build_algebra(Quiver(("1", "2"), (Arrow("a", "1", "2"),)), [])
+    _spot_check_associativity(alg)
+    # double e * a: then (e e) a = 2a but e (e a) = 4a
+    key = next((i, j) for i, j in alg.mult
+               if alg.basis[i].is_idempotent and not alg.basis[j].is_idempotent)
+    alg.mult[key] = {k: 2 * c for k, c in alg.mult[key].items()}
+    with pytest.raises(AssertionError, match="associativity failure"):
+        _spot_check_associativity(alg)
 
 
 def test_monomial_basis_is_relation_avoiding_paths(corpus):

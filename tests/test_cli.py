@@ -9,7 +9,7 @@ import taured.cli
 import taured.reduction
 import taured.tilting
 from taured.cli import main
-from taured.errors import NotStringAlgebra
+from taured.errors import HasseError, NotStringAlgebra
 from taured.emit import emit_dot
 from taured.tilting import PosetQuiver
 
@@ -297,12 +297,46 @@ def test_bad_module_map_exit_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_draw_example_quivers_script(tmp_path, capsys):
-    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "draw_example_quivers.py")
-    spec = importlib.util.spec_from_file_location("draw_example_quivers", script)
+def test_module_breaking_relation_exit_two(tmp_path, capsys):
+    path = _write(tmp_path, "algebra x\nvertices 1 2 3\narrow a 1 2\narrow b 2 3\n"
+                            "relation a b\nmodule m\ndim 1 1\ndim 2 1\ndim 3 1\n"
+                            "map a 1\nmap b 1\nend\n")
+    assert main(["enumerate", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 6, col 0: module 'm': representation violates")
+    assert "Traceback" not in err
+
+
+def _script(name):
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    module.main(["--out", str(tmp_path)])
+    return module
+
+
+def test_verify_corpus_script_certifies_every_hasse_quiver(capsys):
+    assert _script("verify_corpus").main(["--skip-oracle"]) == 0
+    out = capsys.readouterr().out
+    # neither has a projective-injective, so verify_reduction never builds their quivers
+    for name in ("D3^2", "KD3"):
+        assert re.search(rf"^{re.escape(name)} +14 pairs, hasse ok \(21 arrows\), "
+                         "no projective-injective$", out, re.M)
+
+
+def test_verify_corpus_script_reports_hasse_failure(monkeypatch, capsys):
+    def fail(inv, pairs):
+        raise HasseError("the mutation arrows, oriented by the Fac order, form a cycle")
+
+    monkeypatch.setattr(taured.tilting, "hasse", fail)
+    assert _script("verify_corpus").main(["--skip-oracle"]) == 1
+    out = capsys.readouterr().out
+    assert "KD3          14 pairs, hasse FAILED\n" in out
+    assert "  KD3: hasse-certificate: the mutation arrows, oriented by" in out
+
+
+def test_draw_example_quivers_script(tmp_path, capsys):
+    _script("draw_example_quivers").main(["--out", str(tmp_path)])
     golden = os.path.join(os.path.dirname(__file__), "golden", "hasse_a3sq.dot")
     with open(golden, "r", encoding="utf-8") as f:
         assert (tmp_path / "hasse.dot").read_text(encoding="utf-8") == f.read()

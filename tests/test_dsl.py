@@ -162,8 +162,10 @@ map b 1
 end
 """
     af = parse(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError) as exc:
         af.build()
+    assert (exc.value.line, exc.value.column) == (6, 0)
+    assert exc.value.message == "module 'm': representation violates a relation"
 
 
 @pytest.mark.parametrize("dim", ["abc", "-1", "1.5"])

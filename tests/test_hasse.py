@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import taured.tilting
 from taured.algebra import Arrow, Quiver, Relation, build_algebra
 from taured.errors import HasseError
 from taured.linalg import QQ, PrimeField
@@ -72,6 +73,42 @@ def test_hasse_matches_order_builder(name):
     H = hasse(inv, inv.pairs)
     assert H.arrows == _hasse_by_order(inv, inv.pairs)
     assert 2 * len(H.arrows) == H.n * len(inv.algebra.vertices)
+
+
+def test_hasse_matches_order_builder_off_simple_tops(monkeypatch, a3_sink_inv):
+    # 1>2<3 is generated by 1/2 + 3/2 jointly but by neither alone: only the
+    # joint rank test of fac_contains sees it
+    inv = a3_sink_inv
+    expected = _hasse_by_order(inv, inv.pairs)
+    asked = {}
+    truth = inv.fac_contains
+    monkeypatch.setattr(inv, "fac_contains",
+                        lambda j, s: asked.setdefault((j, s), truth(j, s)))
+    assert hasse(inv, inv.pairs).arrows == expected
+    assert any(answer and not inv.has_simple_top(j) and j not in s
+               and not any(inv.generates(i, j) for i in s)
+               for (j, s), answer in asked.items())
+
+
+def test_fac_rank_tests_once_per_pair_of_records(monkeypatch):
+    # P*R Fac questions, answered from at most R^2 single-source rank tests
+    inv = build_inventory(_cyclic_nakayama(5, 5))
+    pairs = inv.pairs
+    records = len({x for p in pairs for x in p.modules})
+    calls = {"fac": 0, "fill": 0}
+    fac, fill = inv.fac_contains, taured.tilting._images_fill
+
+    def counted(key, f):
+        def wrapper(*args):
+            calls[key] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(inv, "fac_contains", counted("fac", fac))
+    monkeypatch.setattr(taured.tilting, "_images_fill", counted("fill", fill))
+    hasse(inv, pairs)
+    assert calls["fac"] == len(pairs) * records
+    assert 0 < calls["fill"] <= records ** 2
 
 
 def test_missing_pair_raises(a3sq_inv):

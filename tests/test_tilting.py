@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import taured.tilting
 from taured.algebra import Arrow, Quiver, build_algebra
 from taured.errors import UnknownVertex
 from taured.linalg import Matrix
 from taured.reps import in_fac, is_iso
+from taured.series import series_algebra
 from taured.strings import enumerate_strings, string_to_rep
 from taured.tilting import (
     PosetQuiver,
@@ -74,6 +76,16 @@ def test_oracle_equivalence_small(a3sq_inv, corpus):
         assert {p.key() for p in pairs} == {p.key() for p in oracle}
 
 
+def test_oracle_lifts_each_quotient_record_once(monkeypatch):
+    inv = build_inventory(series_algebra("A", 5))
+    lifted = []  # the quotient modules inflated, kept alive so no two share an id()
+    inflate = taured.tilting.inflate
+    monkeypatch.setattr(taured.tilting, "inflate", lambda M: lifted.append(M) or inflate(M))
+    oracle = oracle_stpairs_via_quotients(inv)
+    assert lifted and len({id(M) for M in lifted}) == len(lifted)
+    assert {p.key() for p in oracle} == {p.key() for p in inv.pairs}
+
+
 def test_order(a3sq_inv):
     pairs = enumerate_stpairs(a3sq_inv)
     by_label = {a3sq_inv.pair_label(p): p for p in pairs}
@@ -94,9 +106,11 @@ def test_order_matches_rep_level_in_fac(a3sq_inv):
             assert order_ge(a3sq_inv, p1, p2) == in_fac(m2, m1)
 
 
-def test_fac_contains_matches_in_fac(corpus_invs):
-    # fac_contains answers summands and support mismatches without a rank test
-    for name, inv in corpus_invs.items():
+def test_fac_contains_matches_in_fac(corpus_invs, a3_sink_inv):
+    # fac_contains answers summands and support mismatches without a rank test,
+    # and a module with a simple top from one source at a time
+    assert not all(a3_sink_inv.has_simple_top(r.id) for r in a3_sink_inv.records)
+    for name, inv in {**corpus_invs, "a3-sink": a3_sink_inv}.items():
         for p in inv.pairs:
             m = inv.sum_rep(p.modules)
             for r in inv.records:
@@ -175,7 +189,6 @@ def test_user_supplied_inventory_matches_strings(a3sq, a3sq_inv):
 
 def test_prime_field_enumeration_matches_rational(corpus):
     from taured.linalg import PrimeField
-    from taured.series import series_algebra
 
     for kind, n in (("A", 3), ("A", 4), ("D", 4)):
         inv_q = build_inventory(series_algebra(kind, n))
