@@ -150,9 +150,6 @@ class Algebra:
     def arrows(self) -> tuple[Arrow, ...]:
         return self.quiver.arrows
 
-    def vertex_index(self, v: str) -> int:
-        return self.vertices.index(v)
-
     def multiply(self, x: Vec, y: Vec) -> Vec:
         out: Vec = {}
         for i, ci in x.items():
@@ -184,9 +181,6 @@ class Algebra:
 
     def basis_from(self, src: str) -> list[int]:
         return [i for i, b in enumerate(self.basis) if b.src == src]
-
-    def basis_to(self, tgt: str) -> list[int]:
-        return [i for i, b in enumerate(self.basis) if b.tgt == tgt]
 
     def radical_indices(self) -> list[int]:
         return [i for i, b in enumerate(self.basis) if not b.is_idempotent]
@@ -507,33 +501,38 @@ def quotient_by_elements(alg: Algebra, gens: list[Vec]) -> Algebra:
 
 
 def _check_generated_by_quiver(alg: Algebra) -> None:
-    """The surviving idempotents and arrows must generate the quotient."""
+    """The surviving idempotents and arrows must generate the quotient.
+
+    Products are reduced against an echelon basis kept as it grows (row p has
+    leading index p and coefficient one there), and only the elements that
+    enlarged the span are multiplied by the arrows in the next round.
+    """
     field = alg.field
+    echelon: dict[int, Vec] = {}
 
-    def to_row(v: Vec):
-        row = [field.zero] * alg.dim
-        for i, c in v.items():
-            row[i] = c
-        return row
+    def enlarges(v: Vec) -> bool:
+        v = dict(v)
+        while v:
+            p = min(v)
+            row = echelon.get(p)
+            if row is None:
+                scale = field.one / v[p]
+                echelon[p] = {k: c * scale for k, c in v.items()}
+                return True
+            c = v[p]
+            for k, ck in row.items():
+                s = v.get(k, field.zero) - c * ck
+                if s:
+                    v[k] = s
+                else:
+                    v.pop(k, None)
+        return False
 
-    spanning: list[Vec] = [alg.element_of_vertex(v) for v in alg.vertices]
-    spanning += [alg.element_of_arrow(a.name) for a in alg.quiver.arrows]
-    rank = Matrix.from_rows([to_row(v) for v in spanning], alg.dim, field).rank()
-    changed = True
-    while changed:
-        changed = False
-        for x in list(spanning):
-            for a in alg.quiver.arrows:
-                p = alg.multiply(x, alg.element_of_arrow(a.name))
-                if not p:
-                    continue
-                rows = [to_row(v) for v in spanning] + [to_row(p)]
-                new_rank = Matrix.from_rows(rows, alg.dim, field).rank()
-                if new_rank > rank:
-                    spanning.append(p)
-                    rank = new_rank
-                    changed = True
-    if rank != alg.dim:
+    arrows = [alg.element_of_arrow(a.name) for a in alg.quiver.arrows]
+    new = [x for x in [alg.element_of_vertex(v) for v in alg.vertices] + arrows if enlarges(x)]
+    while new:
+        new = [p for x in new for a in arrows if (p := alg.multiply(x, a)) and enlarges(p)]
+    if len(echelon) != alg.dim:
         raise UnsupportedQuotient("quotient is not generated by its surviving quiver")
 
 

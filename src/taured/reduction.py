@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .algebra import Algebra, quotient_by_elements
 from .errors import NonSimpleSocle, NoProjInjective, NotProjInjective, UnknownVertex
@@ -77,7 +78,7 @@ class ReductionContext:
             self.quotient_inv = build_inventory(self.quotient)
         return self.quotient_inv
 
-    @property
+    @cached_property
     def qbar_id(self) -> int | None:
         """Quotient-inventory id of Q/Soc(Q); None when Q is simple."""
         if self.qbar_rep.is_zero():
@@ -87,7 +88,9 @@ class ReductionContext:
             raise NonSimpleSocle("Q/Soc(Q) missing from the quotient inventory")
         return i
 
+    @cached_property
     def q_id(self) -> int:
+        """Inventory id of Q; set ``inv`` before the first read."""
         i = self.inventory().find_iso(self.q_rep)
         if i is None:
             raise NotProjInjective("Q missing from the inventory")
@@ -240,7 +243,7 @@ def compute_nsets(ctx: ReductionContext) -> ReductionSets:
 def reconstruct_tau_tilt(ctx: ReductionContext, nsets: ReductionSets) -> list[frozenset]:
     """Assemble tau-tilt of the ambient algebra from the quotient families."""
     inv = ctx.inventory()
-    q = ctx.q_id()
+    q = ctx.q_id
     result: set[frozenset] = set()
     if ctx.q_is_simple:
         for mods in nsets.keep:
@@ -384,7 +387,7 @@ def reductions(algebra: Algebra, report: Report,
         q_index = {frozenset(p.modules): j for j, p in enumerate(qpairs)}
         q_tt_sets = {frozenset(p.modules) for p in qpairs if p.is_tau_tilting}
         nsets = compute_nsets(ctx)
-        q = ctx.q_id()
+        q = ctx.q_id
         bars = [bar_summands(ctx, frozenset(p.modules)) for p in pairs]
 
         bad = []

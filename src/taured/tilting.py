@@ -5,8 +5,9 @@ Two independent enumeration routes are provided and kept apart on purpose:
 * :func:`enumerate_stpairs` realizes pairs as size-n cliques in the pairwise
   compatibility graph (modules plus support-vertex tokens);
 * :func:`oracle_stpairs_via_quotients` follows the defining recipe directly:
-  for every support set build the vertex quotient, enumerate its tau-tilting
-  modules by brute force, and inflate back.
+  for every connected vertex set build the vertex quotient, enumerate its
+  tau-tilting modules by brute force, and inflate back; a support set's
+  pairs are the products of its connected components'.
 
 Their set equality on a given algebra is the central correctness check.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, product
 
 from .algebra import Algebra, vertex_subalgebra_quotient
 from .errors import HasseError, InventoryError, UnknownVertex
@@ -364,55 +365,82 @@ def tau_tilting_pairs(inv: Inventory) -> list[STPair]:
 def oracle_stpairs_via_quotients(inv: Inventory) -> list[STPair]:
     """The defining recipe: tau-tilting modules over every vertex quotient.
 
-    For each nonempty support set S the quotient A/AeA is built outright and
-    its tau-tilting modules are found by testing Hom(M, tau M) = 0 over the
-    quotient on all size-|S| summand sets; results are inflated back and
-    matched against the ambient inventory, each quotient record once.  The
-    empty support contributes the zero pair.
+    The pairs with support S (modules nonzero on S, support-projective
+    vertices V - S) are the tau-tilting modules over A/<e_{V-S}>.  Inside S a
+    path between two components of the arrows with both ends in S passes a
+    vertex outside S, so it lies in the ideal: the quotient is the product of
+    the blocks A/<e_{V-C}>, one per component C, for any relations, and its
+    tau-tilting modules are the sums of the blocks' (AIR, Sec. 2).  So each
+    connected vertex set is done once: :func:`_block_tau_tilting` builds its
+    quotient outright, and a support's pairs are the Cartesian product of its
+    components' lists.  The empty support contributes the zero pair.
     """
     algebra = inv.algebra
     verts = list(algebra.vertices)
-    n = len(verts)
-    seen: dict = {}
-    zero = STPair((), tuple(sorted(verts)))
-    seen[zero.key()] = zero
-
-    for size in range(1, n + 1):
+    blocks: dict[frozenset, list[tuple[int, ...]]] = {}
+    out = [STPair((), tuple(sorted(verts)))]
+    for size in range(1, len(verts) + 1):
         for support in combinations(verts, size):
-            quot = vertex_subalgebra_quotient(algebra, set(support))
-            qinv = build_inventory(quot)
-            cands = qinv.candidates()
-            k = len(quot.vertices)
-            # bit b of bad[a]: a and b cannot be summands of one tau-rigid module
-            bad = [0] * len(cands)
-            for a, ra in enumerate(cands):
-                if not ra.is_tau_rigid:
-                    bad[a] |= 1 << a
-                for b in range(a + 1, len(cands)):
-                    if qinv.hom_to_tau(ra.id, cands[b].id) or qinv.hom_to_tau(cands[b].id, ra.id):
-                        bad[a] |= 1 << b
-                        bad[b] |= 1 << a
-            lifted: dict[int, int] = {}
-
-            def lift(r: IndecRecord) -> int:
-                if r.id not in lifted:
-                    rep = inflate(r.rep)
-                    match = inv.find_iso(rep)
-                    if match is None:
-                        raise InventoryError(
-                            f"inflated module (dims {rep.dim_vector}) missing from inventory")
-                    lifted[r.id] = match
-                return lifted[r.id]
-
+            lists = []
+            for block in _components(algebra, support):
+                if block not in blocks:
+                    blocks[block] = _block_tau_tilting(inv, block)
+                lists.append(blocks[block])
             supports = tuple(sorted(v for v in verts if v not in support))
-            for subset in combinations(range(len(cands)), k):
-                bits = sum(1 << a for a in subset)
-                if any(bad[a] & bits for a in subset):
-                    continue
-                pair = STPair(tuple(sorted(lift(cands[a]) for a in subset)), supports)
-                seen[pair.key()] = pair
-    out = list(seen.values())
+            for parts in product(*lists):
+                out.append(STPair(tuple(sorted(chain.from_iterable(parts))), supports))
     out.sort(key=inv.pair_sort_key)
+    return out
+
+
+def _components(algebra: Algebra, support) -> list[frozenset]:
+    """The connected components of ``support`` under the arrows with both ends in it."""
+    comp = {v: frozenset({v}) for v in support}
+    for a in algebra.arrows:
+        if a.src in comp and a.tgt in comp:
+            merged = comp[a.src] | comp[a.tgt]
+            for v in merged:
+                comp[v] = merged
+    return list(dict.fromkeys(comp.values()))
+
+
+def _block_tau_tilting(inv: Inventory, block: frozenset) -> list[tuple[int, ...]]:
+    """The tau-tilting modules over A/<e_{V-block}>, as sorted ambient summand ids.
+
+    Hom(M, tau M) = 0 is tested over the quotient on all size-|block| summand
+    sets; each quotient record is inflated and matched in the ambient
+    inventory once.
+    """
+    quot = vertex_subalgebra_quotient(inv.algebra, block)
+    qinv = build_inventory(quot)
+    cands = qinv.candidates()
+    k = len(quot.vertices)
+    # bit b of bad[a]: a and b cannot be summands of one tau-rigid module
+    bad = [0] * len(cands)
+    for a, ra in enumerate(cands):
+        if not ra.is_tau_rigid:
+            bad[a] |= 1 << a
+        for b in range(a + 1, len(cands)):
+            if qinv.hom_to_tau(ra.id, cands[b].id) or qinv.hom_to_tau(cands[b].id, ra.id):
+                bad[a] |= 1 << b
+                bad[b] |= 1 << a
+    lifted: dict[int, int] = {}
+
+    def lift(r: IndecRecord) -> int:
+        if r.id not in lifted:
+            rep = inflate(r.rep)
+            match = inv.find_iso(rep)
+            if match is None:
+                raise InventoryError(
+                    f"inflated module (dims {rep.dim_vector}) missing from inventory")
+            lifted[r.id] = match
+        return lifted[r.id]
+
+    out = []
+    for subset in combinations(range(len(cands)), k):
+        bits = sum(1 << a for a in subset)
+        if not any(bad[a] & bits for a in subset):
+            out.append(tuple(sorted(lift(cands[a]) for a in subset)))
     return out
 
 

@@ -231,7 +231,7 @@ def test_criterion_7_property_suites():
         for v, _ in pis:
             ctx = socle_quotient(alg, v)
             ctx.inv = inv
-            q = ctx.q_id()
+            q = ctx.q_id
             for r in inv.candidates():
                 if r.id == q:
                     continue

@@ -4,17 +4,25 @@ from fractions import Fraction
 import pytest
 
 from taured.algebra import (
+    Algebra,
     Arrow,
+    BasisElement,
     Quiver,
     Relation,
+    _check_generated_by_quiver,
     _spot_check_associativity,
     build_algebra,
     extract_presentation,
     quotient_by_elements,
     vertex_subalgebra_quotient,
 )
-from taured.errors import EmptySupport, NotFiniteDimensional, UnknownVertex
-from taured.linalg import PrimeField
+from taured.errors import (
+    EmptySupport,
+    NotFiniteDimensional,
+    UnknownVertex,
+    UnsupportedQuotient,
+)
+from taured.linalg import QQ, PrimeField
 
 
 def commutative_square():
@@ -87,6 +95,24 @@ def test_spot_check_catches_a_corrupted_product():
     alg.mult[key] = {k: 2 * c for k, c in alg.mult[key].items()}
     with pytest.raises(AssertionError, match="associativity failure"):
         _spot_check_associativity(alg)
+
+
+def test_generation_check_rejects_an_element_outside_the_quiver():
+    # basis e1, e2, a, b with a the only arrow 1 -> 2: the products of
+    # idempotents and arrows span e1, e2, a but never b
+    quiver = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
+    basis = [BasisElement((), "1", "1"), BasisElement((), "2", "2"),
+             BasisElement(("a",), "1", "2"), BasisElement(("b",), "1", "2")]
+    one = QQ.one
+    mult = {(0, 0): {0: one}, (1, 1): {1: one}, (0, 2): {2: one}, (2, 1): {2: one},
+            (0, 3): {3: one}, (3, 1): {3: one}}
+    alg = Algebra(QQ, quiver, None, basis, mult, 2)
+    _spot_check_associativity(alg)
+    with pytest.raises(UnsupportedQuotient, match="not generated by its surviving quiver"):
+        _check_generated_by_quiver(alg)
+    # without b the same products span the whole basis
+    kept = {k: v for k, v in mult.items() if 3 not in k}
+    _check_generated_by_quiver(Algebra(QQ, quiver, None, basis[:3], kept, 2))
 
 
 def test_monomial_basis_is_relation_avoiding_paths(corpus):

@@ -1,15 +1,24 @@
-"""The Hasse quiver by mutation against the Fac order computed pair by pair."""
+"""Reference builders kept as test oracles: the Hasse quiver from the Fac order
+computed pair by pair, and the pairs from one vertex quotient per support set."""
 
 import time
+from itertools import combinations
 
 import pytest
 
 import taured.tilting
-from taured.algebra import Arrow, Quiver, Relation, build_algebra
+from taured.algebra import Arrow, Quiver, Relation, build_algebra, vertex_subalgebra_quotient
 from taured.errors import HasseError
 from taured.linalg import QQ, PrimeField
+from taured.reps import inflate
 from taured.series import series_algebra
-from taured.tilting import STPair, build_inventory, hasse, order_ge
+from taured.tilting import (
+    STPair,
+    build_inventory,
+    hasse,
+    oracle_stpairs_via_quotients,
+    order_ge,
+)
 
 
 class _MemoFac:
@@ -44,6 +53,26 @@ def _hasse_by_order(inv, pairs):
     return tuple(sorted(arrows))
 
 
+def _oracle_by_supports(inv):
+    """Reference: one vertex quotient per nonempty support set, its tau-tilting
+    summand sets found by brute force and inflated back."""
+    verts = list(inv.algebra.vertices)
+    pairs = [STPair((), tuple(sorted(verts)))]
+    for size in range(1, len(verts) + 1):
+        for support in combinations(verts, size):
+            qinv = build_inventory(vertex_subalgebra_quotient(inv.algebra, support))
+            cands = qinv.candidates()
+            supports = tuple(sorted(v for v in verts if v not in support))
+            for subset in combinations(cands, len(support)):
+                if all(a.is_tau_rigid for a in subset) and not any(
+                        qinv.hom_to_tau(a.id, b.id) or qinv.hom_to_tau(b.id, a.id)
+                        for a, b in combinations(subset, 2)):
+                    mods = tuple(sorted(inv.find_iso(inflate(a.rep)) for a in subset))
+                    assert None not in mods
+                    pairs.append(STPair(mods, supports))
+    return sorted(pairs, key=inv.pair_sort_key)
+
+
 def _cyclic_nakayama(n, length, field=QQ):
     """Cyclic quiver on 0..n-1 with every path of the given length zero."""
     verts = tuple(str(i) for i in range(n))
@@ -73,6 +102,20 @@ def test_hasse_matches_order_builder(name):
     H = hasse(inv, inv.pairs)
     assert H.arrows == _hasse_by_order(inv, inv.pairs)
     assert 2 * len(H.arrows) == H.n * len(inv.algebra.vertices)
+
+
+def test_block_oracle_matches_support_oracle_on_corpus(corpus_invs, a3_sink_inv):
+    for name, inv in {**corpus_invs, "a3-sink": a3_sink_inv}.items():
+        assert oracle_stpairs_via_quotients(inv) == _oracle_by_supports(inv), name
+
+
+@pytest.mark.parametrize("name", sorted(EXTRA) + ["nakayama-3-3-F3"])
+def test_block_oracle_matches_support_oracle(name):
+    alg = _cyclic_nakayama(3, 3, PrimeField(3)) if name == "nakayama-3-3-F3" else EXTRA[name]()
+    inv = build_inventory(alg)
+    oracle = oracle_stpairs_via_quotients(inv)
+    assert oracle == _oracle_by_supports(inv)
+    assert {p.key() for p in oracle} == {p.key() for p in inv.pairs}
 
 
 def test_hasse_matches_order_builder_off_simple_tops(monkeypatch, a3_sink_inv):

@@ -4,17 +4,20 @@ from hypothesis import given, settings, strategies as st
 from taured.corpus import hereditary_d3, ka2_times_k, selfinjective_nakayama2
 from taured.errors import NonSimpleSocle, NoProjInjective, NotProjInjective
 from taured.reduction import (
+    Report,
     ReductionSets,
     bar_summands,
     compute_nsets,
     find_proj_injectives,
     reconstruct_tau_tilt,
+    reductions,
     socle_quotient,
     surgery,
     verify_reduction,
 )
 from taured.series import series_algebra
 from taured.tilting import (
+    Inventory,
     PosetQuiver,
     build_inventory,
     enumerate_stpairs,
@@ -129,8 +132,20 @@ def test_reconstruct_simple_q():
     recon = reconstruct_tau_tilt(ctx, compute_nsets(ctx))
     tt = {frozenset(p.modules) for p in tau_tilting_pairs(inv)}
     assert set(recon) == tt
-    q = ctx.q_id()
+    q = ctx.q_id
     assert all(q in s for s in recon)
+
+
+def test_q_and_qbar_looked_up_once_per_reduction(monkeypatch, a3sq, a3sq_inv):
+    looked_up = []
+    find_iso = Inventory.find_iso
+    monkeypatch.setattr(Inventory, "find_iso",
+                        lambda inv, rep: looked_up.append(rep) or find_iso(inv, rep))
+    report = Report("a3sq")
+    red = next(reductions(a3sq, report, a3sq_inv))
+    assert report.passed and not red.ctx.q_is_simple
+    assert sum(rep is red.ctx.q_rep for rep in looked_up) == 1
+    assert sum(rep is red.ctx.qbar_rep for rep in looked_up) == 1
 
 
 def test_reconstruct_empty_sets(a3sq, a3sq_inv):

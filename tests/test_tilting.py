@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import taured.tilting
-from taured.algebra import Arrow, Quiver, build_algebra
+from taured.algebra import Arrow, Quiver, Relation, build_algebra
 from taured.errors import UnknownVertex
 from taured.linalg import Matrix
 from taured.reps import in_fac, is_iso
@@ -84,6 +84,69 @@ def test_oracle_lifts_each_quotient_record_once(monkeypatch):
     oracle = oracle_stpairs_via_quotients(inv)
     assert lifted and len({id(M) for M in lifted}) == len(lifted)
     assert {p.key() for p in oracle} == {p.key() for p in inv.pairs}
+
+
+def _connected_sets(algebra):
+    """Nonempty vertex sets that the arrows inside them connect, by brute force."""
+    verts = algebra.vertices
+    out = []
+    for mask in range(1, 1 << len(verts)):
+        chosen = {v for k, v in enumerate(verts) if mask >> k & 1}
+        reached = {min(chosen)}
+        grew = True
+        while grew:
+            grew = False
+            for a in algebra.arrows:
+                if {a.src, a.tgt} <= chosen and len({a.src, a.tgt} & reached) == 1:
+                    reached |= {a.src, a.tgt}
+                    grew = True
+        if reached == chosen:
+            out.append(frozenset(chosen))
+    return out
+
+
+@pytest.mark.parametrize("kind, n, expected", [("A", 5, 15), ("D", 4, 11)])
+def test_oracle_builds_one_quotient_per_connected_set(monkeypatch, kind, n, expected):
+    inv = build_inventory(series_algebra(kind, n))
+    built = {"quotient": [], "inventory": 0}
+    quotient, inventory = taured.tilting.vertex_subalgebra_quotient, taured.tilting.build_inventory
+
+    def counted_quotient(alg, support):
+        built["quotient"].append(frozenset(support))
+        return quotient(alg, support)
+
+    def counted_inventory(alg):
+        built["inventory"] += 1
+        return inventory(alg)
+
+    monkeypatch.setattr(taured.tilting, "vertex_subalgebra_quotient", counted_quotient)
+    monkeypatch.setattr(taured.tilting, "build_inventory", counted_inventory)
+    oracle = oracle_stpairs_via_quotients(inv)
+    connected = _connected_sets(inv.algebra)
+    assert len(connected) == expected
+    assert sorted(built["quotient"], key=sorted) == sorted(connected, key=sorted)
+    assert built["inventory"] == expected
+    assert {p.key() for p in oracle} == {p.key() for p in inv.pairs}
+
+
+def test_product_pairs_are_products_of_factor_pairs():
+    # rad-square-zero A3 (3 -> 2 -> 1) next to cyclic Nakayama (2, 3) on x, y
+    a3 = (("1", "2", "3"), (Arrow("a", "2", "1"), Arrow("b", "3", "2")), [("b", "a")])
+    nak = (("x", "y"), (Arrow("c", "x", "y"), Arrow("d", "y", "x")),
+           [("c", "d", "c"), ("d", "c", "d")])
+
+    def algebra(*parts):
+        verts = tuple(v for p in parts for v in p[0])
+        arrows = tuple(a for p in parts for a in p[1])
+        return build_algebra(Quiver(verts, arrows),
+                             [Relation.monomial(w) for p in parts for w in p[2]])
+
+    inv = build_inventory(algebra(a3, nak))
+    factors = [build_inventory(algebra(a3)), build_inventory(algebra(nak))]
+    assert {p.key() for p in inv.pairs} == {p.key() for p in oracle_stpairs_via_quotients(inv)}
+    assert len(inv.pairs) == len(factors[0].pairs) * len(factors[1].pairs)
+    tau_tilting = [sum(p.is_tau_tilting for p in f.pairs) for f in (inv, *factors)]
+    assert tau_tilting[0] == tau_tilting[1] * tau_tilting[2]
 
 
 def test_order(a3sq_inv):
