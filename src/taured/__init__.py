@@ -67,8 +67,6 @@ from .tilting import (
     full_subquiver,
     hasse,
     oracle_stpairs_via_quotients,
-    order_ge,
-    tau_tilting_pairs,
 )
 
 __version__ = "0.1.0"
@@ -87,5 +85,5 @@ __all__ = [
     "StringWord", "enumerate_strings", "is_string_algebra", "string_to_rep",
     "IndecRecord", "Inventory", "PosetQuiver", "STPair", "build_inventory",
     "compatible", "enumerate_stpairs", "full_subquiver", "hasse",
-    "oracle_stpairs_via_quotients", "order_ge", "tau_tilting_pairs",
+    "oracle_stpairs_via_quotients",
 ]

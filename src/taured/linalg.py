@@ -309,16 +309,5 @@ def solve_left(a: Matrix, b: Matrix) -> Matrix | None:
     return None if xt is None else xt.transpose()
 
 
-def same_rowspace(a: Matrix, b: Matrix) -> bool:
-    if a.cols != b.cols:
-        return False
-    ra = a.rank()
-    rb = b.rank()
-    if ra != rb:
-        return False
-    both = Matrix.stack([a, b], a.cols, a.field)
-    return both.rank() == ra
-
-
 def is_invertible(m: Matrix) -> bool:
     return m.rows == m.cols and m.rank() == m.rows

@@ -142,10 +142,13 @@ class ReductionContext:
 
 
 def socle_quotient(algebra: Algebra, v: str) -> ReductionContext:
-    """Quotient the algebra by Soc(P_v) for a projective-injective P_v."""
-    pi = dict(find_proj_injectives(algebra))
-    if v not in pi:
-        raise NotProjInjective(f"P_{v} is not projective-injective")
+    """Quotient the algebra by Soc(P_v) for a projective-injective P_v.
+
+    An indecomposable injective is I_s for its simple socle S_s, so P_v is
+    injective iff Soc(P_v) is one dimensional, at some s, and P_v is I_s.
+    """
+    if v not in algebra.vertices:
+        raise NotProjInjective(f"no vertex {v}")
     field = algebra.field
     # Soc(P_v) inside the algebra: elements of e_v . A killed by every arrow
     rows_idx = algebra.basis_from(v)
@@ -162,12 +165,13 @@ def socle_quotient(algebra: Algebra, v: str) -> ReductionContext:
     m = Matrix.from_rows(rows, cols, field)
     ker = Matrix.identity(len(rows_idx), field) if cols == 0 else left_nullspace(m)
     if ker.rows != 1:
-        raise NonSimpleSocle(f"Soc(P_{v}) has dimension {ker.rows}")
+        raise NotProjInjective(f"Soc(P_{v}) has dimension {ker.rows}")
+    # the socle is closed under each e_s, so one dimension means one vertex s
     soc_vec = {rows_idx[k]: c for k, c in enumerate(ker.data[0]) if c}
-    tgts = {algebra.basis[i].tgt for i in soc_vec}
-    if len(tgts) != 1:
-        raise NonSimpleSocle("socle element spreads over several vertices")
-    socle_vertex = tgts.pop()
+    socle_vertex = algebra.basis[next(iter(soc_vec))].tgt
+    q_rep = projective(algebra, v)
+    if not is_iso(q_rep, injective(algebra, socle_vertex)):
+        raise NotProjInjective(f"P_{v} is not projective-injective")
 
     # two-sidedness witness: arrows annihilate the socle element on both sides
     for a in algebra.arrows:
@@ -177,7 +181,6 @@ def socle_quotient(algebra: Algebra, v: str) -> ReductionContext:
 
     q_is_simple = all(algebra.basis[i].is_idempotent for i in soc_vec)
     quotient = quotient_by_elements(algebra, [soc_vec])
-    q_rep = projective(algebra, v)
     qbar = bar(q_rep, quotient)
     return ReductionContext(algebra, v, socle_vertex, soc_vec, quotient,
                             q_rep, qbar, q_is_simple)

@@ -100,12 +100,6 @@ class Inventory:
     def candidates(self) -> list[IndecRecord]:
         return [r for r in self.records if not r.external]
 
-    def record_by_name(self, name: str) -> IndecRecord:
-        for r in self.records:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
     def projective_rep(self, v: str) -> Representation:
         if v not in self._proj_cache:
             self._proj_cache[v] = projective(self.algebra, v)
@@ -358,10 +352,6 @@ def enumerate_stpairs(inv: Inventory) -> list[STPair]:
     return pairs
 
 
-def tau_tilting_pairs(inv: Inventory) -> list[STPair]:
-    return [p for p in enumerate_stpairs(inv) if p.is_tau_tilting]
-
-
 def oracle_stpairs_via_quotients(inv: Inventory) -> list[STPair]:
     """The defining recipe: tau-tilting modules over every vertex quotient.
 
@@ -444,12 +434,6 @@ def _block_tau_tilting(inv: Inventory, block: frozenset) -> list[tuple[int, ...]
     return out
 
 
-def order_ge(inv: Inventory, p1: STPair, p2: STPair) -> bool:
-    """Fac(M1) contains Fac(M2), tested summand by summand."""
-    src = frozenset(p1.modules)
-    return all(inv.fac_contains(j, src) for j in p2.modules)
-
-
 def _topological_order(n: int, arrows) -> tuple[list[int], list[list[int]]]:
     """Kahn's algorithm: an order of the vertices off any cycle, and the successor lists."""
     succ: list[list[int]] = [[] for _ in range(n)]
@@ -486,10 +470,6 @@ class PosetQuiver:
             for t in succ[i]:
                 reach[i] |= (1 << t) | reach[t]
         return reach
-
-    def reaches(self, i: int, j: int) -> bool:
-        """Strict reachability along arrows."""
-        return bool((self.closure[i] >> j) & 1)
 
 
 def _lowest_bit(mask: int) -> int:

@@ -1,0 +1,39 @@
+"""Small queries that only the tests ask of the library."""
+
+from taured.linalg import Matrix
+from taured.reps import hom_basis
+
+
+def hom_dim(M, N) -> int:
+    return len(hom_basis(M, N))
+
+
+def same_rowspace(a: Matrix, b: Matrix) -> bool:
+    if a.cols != b.cols:
+        return False
+    ra = a.rank()
+    if ra != b.rank():
+        return False
+    return Matrix.stack([a, b], a.cols, a.field).rank() == ra
+
+
+def record_by_name(inv, name: str):
+    for r in inv.records:
+        if r.name == name:
+            return r
+    raise KeyError(name)
+
+
+def tau_tilting_pairs(inv) -> list:
+    return [p for p in inv.pairs if p.is_tau_tilting]
+
+
+def order_ge(inv, p1, p2) -> bool:
+    """Fac(M1) contains Fac(M2), tested summand by summand."""
+    src = frozenset(p1.modules)
+    return all(inv.fac_contains(j, src) for j in p2.modules)
+
+
+def reaches(pq, i: int, j: int) -> bool:
+    """Strict reachability along the arrows of a PosetQuiver."""
+    return bool((pq.closure[i] >> j) & 1)

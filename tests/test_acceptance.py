@@ -21,7 +21,7 @@ from taured.reduction import (
     socle_quotient,
     verify_reduction,
 )
-from taured.reps import bar, hom_dim, inflate, is_iso, is_sincere, projective, tau
+from taured.reps import bar, inflate, is_iso, is_sincere, projective, tau
 from taured.series import closed_form, series_algebra, series_counts
 from taured.strings import enumerate_strings, string_to_rep
 from taured.tilting import (
@@ -29,8 +29,9 @@ from taured.tilting import (
     enumerate_stpairs,
     hasse,
     oracle_stpairs_via_quotients,
-    tau_tilting_pairs,
 )
+
+from helpers import hom_dim, tau_tilting_pairs
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 

@@ -17,8 +17,9 @@ from taured.tilting import (
     build_inventory,
     hasse,
     oracle_stpairs_via_quotients,
-    order_ge,
 )
+
+from helpers import order_ge, record_by_name
 
 
 class _MemoFac:
@@ -161,7 +162,7 @@ def test_missing_pair_raises(a3sq_inv):
 
 
 def _ids(inv, *names):
-    return frozenset(inv.record_by_name(n).id for n in names)
+    return frozenset(record_by_name(inv, n).id for n in names)
 
 
 @pytest.mark.parametrize("target, sources, message", [
@@ -176,7 +177,7 @@ def test_lying_fac_test_raises(monkeypatch, target, sources, message):
     if target is None:
         monkeypatch.setattr(inv, "fac_contains", lambda j, s: True)
     else:
-        key = (inv.record_by_name(target).id, _ids(inv, *sources))
+        key = (record_by_name(inv, target).id, _ids(inv, *sources))
         monkeypatch.setattr(inv, "fac_contains", lambda j, s: truth(j, s) != ((j, s) == key))
     with pytest.raises(HasseError, match=message):
         hasse(inv, inv.pairs)

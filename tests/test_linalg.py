@@ -13,10 +13,11 @@ from taured.linalg import (
     left_nullspace,
     nullspace,
     rank_and_rowbasis,
-    same_rowspace,
     solve_left,
     solve_right,
 )
+
+from helpers import same_rowspace
 
 
 def mat(rows, cols=None):

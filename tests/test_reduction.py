@@ -21,8 +21,9 @@ from taured.tilting import (
     PosetQuiver,
     build_inventory,
     enumerate_stpairs,
-    tau_tilting_pairs,
 )
+
+from helpers import record_by_name, tau_tilting_pairs
 
 
 def test_find_proj_injectives_a3sq(a3sq):
@@ -55,9 +56,26 @@ def test_socle_quotient_a3sq(a3sq):
 
 def test_socle_quotient_errors(a3sq):
     with pytest.raises(NotProjInjective):
-        socle_quotient(a3sq, "3")
+        socle_quotient(a3sq, "3")  # simple socle S3, but I_3 = 2/3
     with pytest.raises(NotProjInjective):
         socle_quotient(hereditary_d3(), "3")
+    with pytest.raises(NotProjInjective):
+        socle_quotient(a3sq, "9")
+
+
+def test_verify_finds_proj_injectives_once(monkeypatch):
+    import taured.reduction as reduction
+
+    calls = []
+    real = reduction.find_proj_injectives
+
+    def counted(algebra):
+        calls.append(algebra)
+        return real(algebra)
+
+    monkeypatch.setattr(reduction, "find_proj_injectives", counted)
+    assert verify_reduction(series_algebra("A", 5)).passed
+    assert len(calls) == 1
 
 
 def test_socle_quotient_series_products():
@@ -74,9 +92,9 @@ def test_socle_quotient_series_products():
 def test_bar_summands_merges_duplicates(a3sq, a3sq_inv):
     ctx = socle_quotient(a3sq, "1")
     ctx.inv = a3sq_inv
-    q = a3sq_inv.record_by_name("1/2").id
-    s1 = a3sq_inv.record_by_name("1").id
-    s3 = a3sq_inv.record_by_name("3").id
+    q = record_by_name(a3sq_inv, "1/2").id
+    s1 = record_by_name(a3sq_inv, "1").id
+    s3 = record_by_name(a3sq_inv, "3").id
     image = bar_summands(ctx, {q, s1, s3})
     qinv = ctx.quotient_inventory()
     assert sorted(qinv.records[i].name for i in image) == ["1", "3"]
@@ -227,6 +245,6 @@ def test_verify_no_proj_injective_raises():
 
 
 def test_socle_nonsimple_unreachable_via_api(corpus):
-    """Hereditary D3's P3 has a two-dimensional socle; the vertex gate rejects it."""
+    """Hereditary D3's P3 has a two-dimensional socle, so it is not projective-injective."""
     with pytest.raises(NotProjInjective):
         socle_quotient(hereditary_d3(), "3")

@@ -13,7 +13,6 @@ from taured.reps import (
     bar,
     direct_sum,
     hom_basis,
-    hom_dim,
     in_fac,
     inflate,
     injective,
@@ -25,7 +24,11 @@ from taured.reps import (
     tau,
     zero_rep,
 )
+from taured.reduction import find_proj_injectives, verify_reduction
 from taured.strings import enumerate_strings, string_name, string_to_rep
+from taured.tilting import build_inventory, oracle_stpairs_via_quotients
+
+from helpers import hom_dim
 
 
 @pytest.fixture(scope="module")
@@ -112,12 +115,12 @@ def test_tau(a3sq, named):
     assert tau(zero_rep(a3sq)).is_zero()
 
 
-def test_tau_additive(a3sq, named):
+def test_tau_additive(a3sq_inv, named):
     m = direct_sum([named["1"], named["2"]])
     t = tau(m)
     expected = direct_sum([tau(named["1"]), tau(named["2"])])
     assert t.dim_vector == expected.dim_vector
-    assert is_iso(t, expected)
+    assert _iso_by_hom_dims(a3sq_inv, t, expected)
 
 
 def test_tau_dimension_formula(a3sq, named):
@@ -292,22 +295,30 @@ def test_slot_sum_checks_its_bookkeeping(a3sq, monkeypatch):
         ProjSum(a3sq, ["1"])
 
 
-@pytest.fixture()
-def searches(monkeypatch):
-    """Record each start of the randomized fallback search of is_iso."""
-    import random
-    import types
+def _hom_dims(inv, M) -> list[int]:
+    return [hom_dim(r.rep, M) for r in inv.records]
 
+
+def _iso_by_hom_dims(inv, M, N) -> bool:
+    """Auslander's criterion: M and N are isomorphic iff dim Hom(X, M) = dim Hom(X, N)
+    for every indecomposable X.  ``inv`` must list every indecomposable."""
+    return _hom_dims(inv, M) == _hom_dims(inv, N)
+
+
+@pytest.fixture()
+def hom_calls(monkeypatch):
+    """Record each hom_basis call made inside taured.reps, as (M, N)."""
     import taured.reps as reps
 
-    started = []
+    calls = []
+    real = reps.hom_basis
 
-    def record(seed):
-        started.append(seed)
-        return random.Random(seed)
+    def counted(M, N):
+        calls.append((M, N))
+        return real(M, N)
 
-    monkeypatch.setattr(reps, "random", types.SimpleNamespace(Random=record))
-    return started
+    monkeypatch.setattr(reps, "hom_basis", counted)
+    return calls
 
 
 def _cyclic_nakayama(n, length, field):
@@ -319,7 +330,7 @@ def _cyclic_nakayama(n, length, field):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
-def test_is_iso_certifies_bricks_without_search(field, searches):
+def test_is_iso_certifies_bricks_without_search(field, hom_calls):
     alg = _cyclic_nakayama(5, 5, field)
     longest = [string_to_rep(alg, w) for w in enumerate_strings(alg)]
     longest = [m for m in longest if m.total_dim == 5]
@@ -329,27 +340,80 @@ def test_is_iso_certifies_bricks_without_search(field, searches):
         assert hom_dim(m, m) == 1
         for j, n in enumerate(longest):
             assert is_iso(m, n) == (i == j)
-    assert searches == []
+    assert len(hom_calls) == 25  # one Hom basis per test
 
 
-def test_is_iso_searches_only_off_bricks(named, searches):
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
+def test_is_iso_certifies_non_brick_indecomposables(field, hom_calls):
+    alg = _cyclic_nakayama(2, 4, field)
+    mods = [string_to_rep(alg, w) for w in enumerate_strings(alg)]
+    mods = [m for m in mods if hom_dim(m, m) == 2]
+    assert sorted(m.dim_vector for m in mods) == [(1, 2), (2, 1), (2, 2), (2, 2)]
+    for m in mods:
+        for n in mods:
+            hom_calls.clear()
+            assert is_iso(m, n) == (m is n)
+            assert len(hom_calls) == (m.dim_vector == n.dim_vector)
+
+
+def test_decomposables_compared_by_hom_dims(a3sq_inv, named, hom_calls):
     left = direct_sum([named["1"], named["2/3"]])
     right = direct_sum([named["1/2"], named["3"]])
     assert left.dim_vector == right.dim_vector
     assert hom_dim(left, left) == hom_dim(right, right) == 2
-    assert not is_iso(left, right)
-    assert len(searches) == 1
-    # 1/2 is a brick, so the answer needs no search
+    assert not _iso_by_hom_dims(a3sq_inv, left, right)
+    assert _iso_by_hom_dims(a3sq_inv, left, direct_sum([named["2/3"], named["1"]]))
+    # 1/2 is indecomposable, so one Hom basis decides it
     assert not is_iso(named["1/2"], direct_sum([named["1"], named["2"]]))
-    assert len(searches) == 1
+    assert len(hom_calls) == 1
 
 
-def test_is_iso_corpus_records_without_search(corpus_invs, searches):
+def test_is_iso_corpus_records_without_search(corpus_invs, hom_calls):
+    tests = 0
     for inv in corpus_invs.values():
         recs = inv.records
         for r in recs:
             assert is_iso(r.rep, r.rep)
+            tests += 1
             for s in recs:
                 if s.id != r.id and s.dim_vector == r.dim_vector:
                     assert not is_iso(r.rep, s.rep), (r.name, s.name)
-    assert searches == []
+                    tests += 1
+    assert len(hom_calls) == tests
+
+
+def test_is_iso_agrees_with_hom_dims_in_the_pipeline(corpus, monkeypatch):
+    """Every is_iso answer of the Hasse quiver, the oracle and the reduction
+    checks, against Auslander's criterion over a full inventory."""
+    import taured.reduction
+    import taured.reps
+    import taured.tilting
+
+    algebras = list(corpus.values()) + [_cyclic_nakayama(3, 5, QQ), _cyclic_nakayama(2, 4, QQ)]
+    answers = []
+
+    def recorded(M, N):
+        answers.append((M, N, is_iso(M, N)))
+        return answers[-1][2]
+
+    with monkeypatch.context() as m:
+        for mod in (taured.reps, taured.tilting, taured.reduction):
+            m.setattr(mod, "is_iso", recorded)
+        for alg in algebras:
+            inv = build_inventory(alg)
+            assert inv.hasse_quiver.n == len(inv.pairs)
+            oracle_stpairs_via_quotients(inv)
+            if find_proj_injectives(alg):
+                assert verify_reduction(alg).passed
+    assert len(answers) > 1000
+    invs, dims = {}, {}
+
+    def hom_dims(M):
+        if M.algebra not in invs:
+            invs[M.algebra] = build_inventory(M.algebra)
+        if id(M) not in dims:  # every M stays alive in ``answers``
+            dims[id(M)] = _hom_dims(invs[M.algebra], M)
+        return dims[id(M)]
+
+    for M, N, answer in answers:
+        assert answer == (hom_dims(M) == hom_dims(N)), (M, N)

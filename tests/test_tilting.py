@@ -17,9 +17,9 @@ from taured.tilting import (
     full_subquiver,
     hasse,
     oracle_stpairs_via_quotients,
-    order_ge,
-    tau_tilting_pairs,
 )
+
+from helpers import order_ge, reaches, record_by_name, tau_tilting_pairs
 
 
 def test_inventory_a3sq(a3sq_inv):
@@ -29,7 +29,7 @@ def test_inventory_a3sq(a3sq_inv):
     assert projs == {"1/2", "2/3", "3"}
     assert all(r.is_tau_rigid for r in a3sq_inv.records)
     # tau chain: 1 -> 2 -> 3
-    r1 = a3sq_inv.record_by_name("1")
+    r1 = record_by_name(a3sq_inv, "1")
     assert a3sq_inv.records[r1.tau_id].name == "2"
 
 
@@ -39,9 +39,9 @@ def test_inventory_counts(corpus):
 
 
 def test_compatible(a3sq_inv):
-    s2 = a3sq_inv.record_by_name("2")
-    m23 = a3sq_inv.record_by_name("2/3")
-    p1 = a3sq_inv.record_by_name("1/2")
+    s2 = record_by_name(a3sq_inv, "2")
+    m23 = record_by_name(a3sq_inv, "2/3")
+    p1 = record_by_name(a3sq_inv, "1/2")
     assert not compatible(a3sq_inv, s2, "2")       # Hom(P_2, S_2) != 0
     assert compatible(a3sq_inv, m23, "1")          # Hom(P_1, 2/3) = 0
     assert compatible(a3sq_inv, p1, m23)           # both projective
@@ -279,12 +279,12 @@ def random_dag(draw):
 def test_reachability_closure(pq):
     # arrows imply reachability; reachability is transitive
     for s, t in pq.arrows:
-        assert pq.reaches(s, t)
+        assert reaches(pq, s, t)
     for i in range(pq.n):
         for j in range(pq.n):
             for k in range(pq.n):
-                if pq.reaches(i, j) and pq.reaches(j, k):
-                    assert pq.reaches(i, k)
+                if reaches(pq, i, j) and reaches(pq, j, k):
+                    assert reaches(pq, i, k)
     # and nothing more: each vertex reaches exactly what a graph search finds
     for i in range(pq.n):
         seen, todo = set(), [i]
@@ -294,7 +294,7 @@ def test_reachability_closure(pq):
                 if s == u and t not in seen:
                     seen.add(t)
                     todo.append(t)
-        assert {j for j in range(pq.n) if pq.reaches(i, j)} == seen
+        assert {j for j in range(pq.n) if reaches(pq, i, j)} == seen
 
 
 def test_is_iso_reflexive_symmetric_on_inventory(a3sq_inv):
