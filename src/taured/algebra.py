@@ -344,27 +344,58 @@ def build_algebra(quiver: Quiver, relations, max_len: int = 30, field=QQ) -> Alg
                 mult[(i, j)] = dict(vec)
 
     alg = Algebra(field, quiver, relations, basis, mult, nil)
-    _spot_check_associativity(alg)
+    _check_associativity(alg)
     return alg
 
 
-def _spot_check_associativity(alg: Algebra, full_limit: int = 12) -> None:
-    import random
+def _check_associativity(alg: Algebra) -> None:
+    """Check the algebra axioms of the table on products with the generators.
 
-    n = alg.dim
-    if n <= full_limit:
-        triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-    else:
-        rng = random.Random(1729)
-        triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(200)]
-    one = alg.field.one
-    for i, j, k in triples:
-        if (i, j) not in alg.mult and (j, k) not in alg.mult:
-            continue  # both sides are zero
-        left = alg.multiply(alg.multiply({i: one}, {j: one}), {k: one})
-        right = alg.multiply({i: one}, alg.multiply({j: one}, {k: one}))
-        if left != right:
-            raise AssertionError(f"associativity failure at basis triple {(i, j, k)}")
+    Checked: the table is Peirce-graded (a nonzero product x y needs
+    tgt x = src y and lies in e_{src x} A e_{tgt y}); e_{src b} b = b =
+    b e_{tgt b} for each basis element b; each basis word of length >= 2 is the
+    table product ((a1 a2) ...) am of its arrows; and (x y) g = x (y g) for
+    basis elements x, y and every idempotent or arrow g.
+
+    That proves full associativity once the idempotents and arrows generate
+    the algebra, which the word check shows for :func:`build_algebra` (its
+    words are paths of its quiver) and :func:`_check_generated_by_quiver`
+    shows for a quotient.  Then every element z is a combination of the e_v
+    and of products w a, a an arrow and w a shorter product, and by
+    induction on that length
+    (x y)(w a) = ((x y) w) a = (x (y w)) a = x ((y w) a) = x (y (w a)).
+    The check is exact at every dimension.
+    """
+    basis, one = alg.basis, alg.field.one
+    for (i, j), vec in alg.mult.items():
+        src, tgt = basis[i].src, basis[j].tgt
+        if vec and (basis[i].tgt != basis[j].src
+                    or any((basis[k].src, basis[k].tgt) != (src, tgt) for k in vec)):
+            raise AssertionError(f"the product of basis elements {i} and {j} is not Peirce-graded")
+    ending: dict[str, list[int]] = {v: [] for v in alg.vertices}
+    for i, b in enumerate(basis):
+        ending[b.tgt].append(i)
+    for g in list(alg.e_idx.values()) + list(alg.arrow_idx.values()):
+        for j in ending[basis[g].src]:
+            yg = alg.mult.get((j, g))
+            for i in ending[basis[j].src]:
+                if (i, j) not in alg.mult and not yg:
+                    continue  # both sides are zero
+                left = alg.multiply(alg.mult.get((i, j), {}), {g: one})
+                right = alg.multiply({i: one}, yg or {})
+                if left != right:
+                    raise AssertionError(f"associativity failure at basis triple {(i, j, g)}")
+    for i, b in enumerate(basis):
+        unit = {i: one}
+        if (alg.mult.get((alg.e_idx[b.src], i)) != unit
+                or alg.mult.get((i, alg.e_idx[b.tgt])) != unit):
+            raise AssertionError(f"e_{b.src} and e_{b.tgt} are not units of basis element {i}")
+        if len(b.word) > 1:
+            prod = alg.element_of_arrow(b.word[0])
+            for name in b.word[1:]:
+                prod = alg.multiply(prod, alg.element_of_arrow(name))
+            if prod != unit:
+                raise AssertionError(f"basis element {i} is not the product of its arrows")
 
 
 def two_sided_ideal_slices(alg: Algebra, gens: list[Vec]):
@@ -496,7 +527,7 @@ def quotient_by_elements(alg: Algebra, gens: list[Vec]) -> Algebra:
     quoti = Algebra(field, new_quiver, None, new_basis, new_mult, alg.nil_index,
                     parent=alg, projection=projection, ideal_slices=slices)
     _check_generated_by_quiver(quoti)
-    _spot_check_associativity(quoti)
+    _check_associativity(quoti)
     return quoti
 
 

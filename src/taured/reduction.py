@@ -39,16 +39,43 @@ from .tilting import (
 
 
 def find_proj_injectives(algebra: Algebra) -> list[tuple[str, str]]:
-    """Vertices v with P_v injective, each with the matching injective vertex."""
+    """Vertices v with P_v injective, each with the matching injective vertex.
+
+    An indecomposable injective is I_s for its simple socle S_s, so P_v can
+    only be I_s for the vertex s of a one-dimensional Soc(P_v): one iso test
+    per v.
+    """
     out = []
-    projs = {v: projective(algebra, v) for v in algebra.vertices}
-    injs = {v: injective(algebra, v) for v in algebra.vertices}
     for v in algebra.vertices:
-        for w in algebra.vertices:
-            if projs[v].dim_vector == injs[w].dim_vector and is_iso(projs[v], injs[w]):
-                out.append((v, w))
-                break
+        soc = _socle(algebra, v)
+        if len(soc) == 1:
+            s = algebra.basis[next(iter(soc[0]))].tgt
+            if is_iso(projective(algebra, v), injective(algebra, s)):
+                out.append((v, s))
     return out
+
+
+def _socle(algebra: Algebra, v: str) -> list[dict]:
+    """A basis of Soc(P_v) inside the algebra: elements of e_v . A killed by every arrow.
+
+    The socle is closed under each e_s, so a one-dimensional socle lies at
+    one vertex s, the target of any of its basis paths.
+    """
+    field = algebra.field
+    rows_idx = algebra.basis_from(v)
+    cols = 0
+    rows = []
+    for bidx in rows_idx:
+        row = []
+        for a in algebra.arrows:
+            prod = algebra.multiply({bidx: field.one}, algebra.element_of_arrow(a.name))
+            for k in rows_idx:
+                row.append(prod.get(k, field.zero))
+        rows.append(row)
+        cols = len(row)
+    m = Matrix.from_rows(rows, cols, field)
+    ker = Matrix.identity(len(rows_idx), field) if cols == 0 else left_nullspace(m)
+    return [{rows_idx[k]: c for k, c in enumerate(krow) if c} for krow in ker.data]
 
 
 @dataclass
@@ -149,25 +176,10 @@ def socle_quotient(algebra: Algebra, v: str) -> ReductionContext:
     """
     if v not in algebra.vertices:
         raise NotProjInjective(f"no vertex {v}")
-    field = algebra.field
-    # Soc(P_v) inside the algebra: elements of e_v . A killed by every arrow
-    rows_idx = algebra.basis_from(v)
-    cols = 0
-    rows = []
-    for bidx in rows_idx:
-        row = []
-        for a in algebra.arrows:
-            prod = algebra.multiply({bidx: field.one}, algebra.element_of_arrow(a.name))
-            for k in algebra.basis_from(v):
-                row.append(prod.get(k, field.zero))
-        rows.append(row)
-        cols = len(row)
-    m = Matrix.from_rows(rows, cols, field)
-    ker = Matrix.identity(len(rows_idx), field) if cols == 0 else left_nullspace(m)
-    if ker.rows != 1:
-        raise NotProjInjective(f"Soc(P_{v}) has dimension {ker.rows}")
-    # the socle is closed under each e_s, so one dimension means one vertex s
-    soc_vec = {rows_idx[k]: c for k, c in enumerate(ker.data[0]) if c}
+    soc = _socle(algebra, v)
+    if len(soc) != 1:
+        raise NotProjInjective(f"Soc(P_{v}) has dimension {len(soc)}")
+    soc_vec = soc[0]
     socle_vertex = algebra.basis[next(iter(soc_vec))].tgt
     q_rep = projective(algebra, v)
     if not is_iso(q_rep, injective(algebra, socle_vertex)):

@@ -80,7 +80,16 @@ class Representation:
         return out
 
     def assert_valid(self) -> None:
-        """Check the defining equations of the algebra on this assignment."""
+        """Check the defining equations of the algebra on this assignment.
+
+        A presented algebra is checked on its relations.  For a table algebra
+        act(b) M_a = act(b a) is tested for basis elements b and arrows a
+        only.  That is the module axiom act(b) act(c) = act(b c) for all
+        basis b, c: the e_v are units, and for c = a1 ... am,
+        act(b) M_a1 ... M_am = act(((b a1) ...) am) = act(b c), since the
+        table is associative and c is the product of its arrows (both
+        checked by ``algebra._check_associativity``).
+        """
         alg = self.algebra
         if alg.relations is not None:
             for r in alg.relations:
@@ -93,17 +102,17 @@ class Representation:
                 if not acc.is_zero():
                     raise ValueError("representation violates a relation")
         else:
-            # table algebra: products of basis words must match the table
             act = [self.element_action({i: alg.field.one}, b.src, b.tgt)
                    for i, b in enumerate(alg.basis)]
-            for i, bi in enumerate(alg.basis):
-                for j, bj in enumerate(alg.basis):
-                    if bi.tgt != bj.src:
+            for a in alg.arrows:
+                g = alg.arrow_idx[a.name]
+                for i, b in enumerate(alg.basis):
+                    if b.tgt != a.src:
                         continue
-                    rhs = Matrix.zeros(self.dims[bi.src], self.dims[bj.tgt], alg.field)
-                    for k, c in alg.mult.get((i, j), {}).items():
+                    rhs = Matrix.zeros(self.dims[b.src], self.dims[a.tgt], alg.field)
+                    for k, c in alg.mult.get((i, g), {}).items():
                         rhs = rhs + act[k].scale(c)
-                    if not (act[i] @ act[j] - rhs).is_zero():
+                    if not (act[i] @ self.maps[a.name] - rhs).is_zero():
                         raise ValueError("representation violates the multiplication table")
 
     def __repr__(self):

@@ -82,7 +82,7 @@ class Inventory:
         self._support_cache: dict[frozenset, frozenset] = {}
         self._proj_cache: dict[str, Representation] = {}
         self._simple_top: dict[int, bool] = {}
-        self._generates: dict[tuple[int, int], bool] = {}
+        self._generators: dict[int, frozenset] = {}
 
     @cached_property
     def pairs(self) -> list[STPair]:
@@ -132,17 +132,17 @@ class Inventory:
 
         When X_j has a simple top, its proper submodules all lie in its radical,
         and so does any sum of them: the sources generate X_j only if one of
-        them does alone, a question asked once per (source, X_j).
+        them does alone, so the answer is read from :meth:`generators`.
         """
         if j in sources:
             return True  # the identity map
+        if self.has_simple_top(j):
+            return not self.generators(j).isdisjoint(sources)
         rep = self.records[j].rep
         support = self._support(sources)
         # no quotient of the sources is nonzero where every source is zero
         if not all(v in support for v, d in rep.dims.items() if d):
             return False
-        if self.has_simple_top(j):
-            return any(self.generates(i, j) for i in sources)
         return _images_fill(rep, [f for i in sources for f in self.hom(i, j)])
 
     def has_simple_top(self, j: int) -> bool:
@@ -153,12 +153,23 @@ class Inventory:
             self._simple_top[j] = rep.total_dim - rad == 1
         return self._simple_top[j]
 
+    def generators(self, j: int) -> frozenset:
+        """The records i != j with X_j in Fac(X_i); computed once per record.
+
+        A quotient of copies of X_i is zero where X_i is, so only the records
+        whose support contains that of X_j are tested, each by one rank test.
+        """
+        if j not in self._generators:
+            need = self._support(frozenset({j}))
+            self._generators[j] = frozenset(
+                i for i in range(len(self.records))
+                if i != j and need <= self._support(frozenset({i})) and self.generates(i, j))
+        return self._generators[j]
+
     def generates(self, i: int, j: int) -> bool:
-        """Is X_j in Fac(X_i)?  Asked once, so the Hom basis is not kept."""
-        if (i, j) not in self._generates:
-            target = self.records[j].rep
-            self._generates[(i, j)] = _images_fill(target, hom_basis(self.records[i].rep, target))
-        return self._generates[(i, j)]
+        """Is X_j in Fac(X_i)?  The Hom basis is not kept."""
+        target = self.records[j].rep
+        return _images_fill(target, hom_basis(self.records[i].rep, target))
 
     def _support(self, ids: frozenset) -> frozenset:
         """The vertices where the direct sum over ``ids`` is nonzero."""

@@ -37,3 +37,20 @@ def order_ge(inv, p1, p2) -> bool:
 def reaches(pq, i: int, j: int) -> bool:
     """Strict reachability along the arrows of a PosetQuiver."""
     return bool((pq.closure[i] >> j) & 1)
+
+
+def satisfies_table_by_all_pairs(rep) -> bool:
+    """Reference module check over a table algebra: act(b) act(c) = act(b c)
+    for every pair of composable basis elements b, c."""
+    alg = rep.algebra
+    act = [rep.element_action({i: alg.field.one}, b.src, b.tgt) for i, b in enumerate(alg.basis)]
+    for i, bi in enumerate(alg.basis):
+        for j, bj in enumerate(alg.basis):
+            if bi.tgt != bj.src:
+                continue
+            rhs = Matrix.zeros(rep.dims[bi.src], rep.dims[bj.tgt], alg.field)
+            for k, c in alg.mult.get((i, j), {}).items():
+                rhs = rhs + act[k].scale(c)
+            if not (act[i] @ act[j] - rhs).is_zero():
+                return False
+    return True

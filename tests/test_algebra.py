@@ -9,8 +9,8 @@ from taured.algebra import (
     BasisElement,
     Quiver,
     Relation,
+    _check_associativity,
     _check_generated_by_quiver,
-    _spot_check_associativity,
     build_algebra,
     extract_presentation,
     quotient_by_elements,
@@ -88,13 +88,49 @@ def test_full_associativity_small(a3sq):
 
 def test_spot_check_catches_a_corrupted_product():
     alg = build_algebra(Quiver(("1", "2"), (Arrow("a", "1", "2"),)), [])
-    _spot_check_associativity(alg)
+    _check_associativity(alg)
     # double e * a: then (e e) a = 2a but e (e a) = 4a
     key = next((i, j) for i, j in alg.mult
                if alg.basis[i].is_idempotent and not alg.basis[j].is_idempotent)
     alg.mult[key] = {k: 2 * c for k, c in alg.mult[key].items()}
     with pytest.raises(AssertionError, match="associativity failure"):
-        _spot_check_associativity(alg)
+        _check_associativity(alg)
+
+
+
+def test_associativity_check_catches_every_doubled_radical_product():
+    # cyclic Nakayama N(5, 5) has dimension 25 and 30 nonzero products of two
+    # non-idempotent basis elements; doubling any one of them must be caught
+    verts = tuple(str(i) for i in range(5))
+    arrows = tuple(Arrow(f"c{i}", str(i), str((i + 1) % 5)) for i in range(5))
+    rels = [Relation.monomial(tuple(f"c{(i + k) % 5}" for k in range(5))) for i in range(5)]
+    alg = build_algebra(Quiver(verts, arrows), rels)
+    table = alg.mult
+    keys = [(i, j) for i, j in table
+            if not alg.basis[i].is_idempotent and not alg.basis[j].is_idempotent]
+    assert alg.dim == 25 and len(keys) == 30
+    for key in keys:
+        alg.mult = {**table, key: {k: 2 * c for k, c in table[key].items()}}
+        with pytest.raises(AssertionError, match="associativity failure"):
+            _check_associativity(alg)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    # a a = e_1, although a ends at 2 and starts at 1
+    (lambda ix: {(ix["a"], ix["a"]): {ix["e1"]: QQ.one}}, "not Peirce-graded"),
+    # e_4 e_4 = 2 e_4 at the isolated vertex 4: associative, but not a unit
+    (lambda ix: {(ix["e4"], ix["e4"]): {ix["e4"]: 2 * QQ.one}}, "not units"),
+    # a b = 2 (a b) is still associative, but then the word a b is not a b
+    (lambda ix: {(ix["a"], ix["b"]): {ix["ab"]: 2 * QQ.one}}, "not the product of its arrows"),
+])
+def test_associativity_check_needs_grading_units_and_words(corrupt, message):
+    quiver = Quiver(("1", "2", "3", "4"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")))
+    alg = build_algebra(quiver, [])
+    ix = {"".join(b.word) or "e" + b.src: i for i, b in enumerate(alg.basis)}
+    _check_associativity(alg)
+    alg.mult = {**alg.mult, **corrupt(ix)}
+    with pytest.raises(AssertionError, match=message):
+        _check_associativity(alg)
 
 
 def test_generation_check_rejects_an_element_outside_the_quiver():
@@ -107,7 +143,7 @@ def test_generation_check_rejects_an_element_outside_the_quiver():
     mult = {(0, 0): {0: one}, (1, 1): {1: one}, (0, 2): {2: one}, (2, 1): {2: one},
             (0, 3): {3: one}, (3, 1): {3: one}}
     alg = Algebra(QQ, quiver, None, basis, mult, 2)
-    _spot_check_associativity(alg)
+    _check_associativity(alg)
     with pytest.raises(UnsupportedQuotient, match="not generated by its surviving quiver"):
         _check_generated_by_quiver(alg)
     # without b the same products span the whole basis

@@ -1,9 +1,17 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from taured.algebra import Arrow, Quiver, Relation, build_algebra, quotient_by_elements
-from taured.corpus import hereditary_a, hereditary_d3
+from taured.algebra import (
+    Arrow,
+    Quiver,
+    Relation,
+    build_algebra,
+    quotient_by_elements,
+    vertex_subalgebra_quotient,
+)
+from taured.corpus import hereditary_a, hereditary_d3, standard_corpus
 from taured.errors import AlgebraMismatch, InconsistentSum, UnknownVertex, ZeroModule
 from taured.linalg import Matrix, QQ, PrimeField
 from taured.reps import (
@@ -24,11 +32,11 @@ from taured.reps import (
     tau,
     zero_rep,
 )
-from taured.reduction import find_proj_injectives, verify_reduction
+from taured.reduction import find_proj_injectives, socle_quotient, verify_reduction
 from taured.strings import enumerate_strings, string_name, string_to_rep
 from taured.tilting import build_inventory, oracle_stpairs_via_quotients
 
-from helpers import hom_dim
+from helpers import hom_dim, satisfies_table_by_all_pairs
 
 
 @pytest.fixture(scope="module")
@@ -417,3 +425,53 @@ def test_is_iso_agrees_with_hom_dims_in_the_pipeline(corpus, monkeypatch):
 
     for M, N, answer in answers:
         assert answer == (hom_dims(M) == hom_dims(N)), (M, N)
+
+
+def _table_quotients(field):
+    """Every vertex quotient and socle quotient of the corpus, over ``field``."""
+    for alg in standard_corpus(field).values():
+        for size in range(1, len(alg.vertices) + 1):
+            for support in combinations(alg.vertices, size):
+                yield vertex_subalgebra_quotient(alg, support)
+        for v, _ in find_proj_injectives(alg):
+            yield socle_quotient(alg, v).quotient
+
+
+def _perturbed(rep):
+    """``rep`` with one added to the first entry of its first nonempty arrow map."""
+    field = rep.algebra.field
+    maps = {a: Matrix.from_rows([list(r) for r in m.data], m.cols, field)
+            for a, m in rep.maps.items()}
+    name = next((a for a, m in maps.items() if m.rows and m.cols), None)
+    if name is None:
+        return None
+    maps[name].data[0][0] = maps[name].data[0][0] + field.one
+    return Representation(rep.algebra, rep.dims, maps)
+
+
+def _accepts(rep) -> bool:
+    try:
+        rep.assert_valid()
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=str)
+def test_table_module_check_matches_all_pairs(field):
+    """On a table algebra, testing act(b) M_a = act(b a) for arrows a only
+    accepts and rejects exactly what the all-pairs reference does."""
+    verdicts = {True: 0, False: 0}
+    for quot in _table_quotients(field):
+        assert quot.relations is None
+        mods = [string_to_rep(quot, w) for w in enumerate_strings(quot)]
+        mods += [tau(m) for m in mods]
+        mods += [f(quot, v) for v in quot.vertices for f in (projective, injective)]
+        for m in mods:
+            assert _accepts(m) and satisfies_table_by_all_pairs(m)
+            bent = _perturbed(m)
+            if bent is not None:
+                accepted = _accepts(bent)
+                assert accepted == satisfies_table_by_all_pairs(bent), (quot, m)
+                verdicts[accepted] += 1
+    assert verdicts[True] and verdicts[False]

@@ -178,6 +178,10 @@ def test_fac_contains_matches_in_fac(corpus_invs, a3_sink_inv):
             m = inv.sum_rep(p.modules)
             for r in inv.records:
                 assert inv.fac_contains(r.id, frozenset(p.modules)) == in_fac(r.rep, m), name
+        for r in inv.records:
+            if inv.has_simple_top(r.id):
+                assert inv.generators(r.id) == {x.id for x in inv.records
+                                                if x.id != r.id and in_fac(r.rep, x.rep)}, name
 
 
 def test_hasse_counts(a3sq_inv):
