@@ -3,6 +3,8 @@
 
 Usage:
     python scripts/series_table.py --kind A --max 8 [--closed-form]
+
+The options are those of ``taured series``; the exit code is its exit code.
 """
 
 import os
@@ -12,5 +14,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from taured.cli import main as cli_main
 
+
+def main(argv=None):
+    return cli_main(["series"] + (sys.argv[1:] if argv is None else list(argv)))
+
+
 if __name__ == "__main__":
-    sys.exit(cli_main(["series"] + sys.argv[1:]))
+    sys.exit(main())

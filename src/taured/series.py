@@ -15,7 +15,7 @@ from .algebra import Algebra, Arrow, Quiver, Relation, build_algebra
 from .errors import BadIndex, NonIntegerResult
 from .linalg import QQ
 from .reduction import compute_nsets, find_proj_injectives, socle_quotient
-from .tilting import build_inventory, enumerate_stpairs
+from .tilting import Inventory, build_inventory
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,11 @@ def series_algebra(kind: str, n: int, field=QQ) -> Algebra:
     return build_algebra(quiver, rels, field=field)
 
 
-def tau_tilt_count(algebra: Algebra) -> int:
-    inv = build_inventory(algebra)
-    return sum(1 for p in enumerate_stpairs(inv) if p.is_tau_tilting)
+def tau_tilt_count(algebra: Algebra, inv: Inventory | None = None) -> int:
+    """The number of tau-tilting modules over ``algebra``; ``inv`` is its inventory if built."""
+    if inv is None:
+        inv = build_inventory(algebra)
+    return sum(1 for p in inv.pairs if p.is_tau_tilting)
 
 
 @dataclass
@@ -127,10 +129,12 @@ class SeriesReport:
                    and r.boundary_structure_checked is not False for r in self.rows)
 
 
-def _boundary_structure_check(kind: str, n: int, algebra: Algebra) -> bool:
-    """The boundary family equals {S_n + L : L tau-tilting over the (n-2) algebra}.
+def _boundary_structure_check(n: int, algebra: Algebra,
+                              smaller: set[frozenset[str]]) -> bool:
+    """The boundary family equals {S_n + L : L in ``smaller``}.
 
-    Compared by summand names, which are shared vertex-wise between the series
+    ``smaller`` holds the tau-tilting modules over the (n-2) algebra of the
+    series, by summand names, which are shared vertex-wise between the series
     algebras.
     """
     ctx = socle_quotient(algebra, str(n))
@@ -142,13 +146,7 @@ def _boundary_structure_check(kind: str, n: int, algebra: Algebra) -> bool:
         if str(n) not in names:
             return False
         got.add(names - {str(n)})
-    small = series_algebra(kind, n - 2, field=algebra.field)
-    sinv = build_inventory(small)
-    expected = set()
-    for p in enumerate_stpairs(sinv):
-        if p.is_tau_tilting:
-            expected.add(frozenset(sinv.records[i].name for i in p.modules))
-    return got == expected
+    return got == smaller
 
 
 def series_counts(kind: str, n_max: int, field=QQ, check_structure: bool = True,
@@ -157,7 +155,9 @@ def series_counts(kind: str, n_max: int, field=QQ, check_structure: bool = True,
 
     The recurrence is asserted only where both predecessors exist and P_n is
     projective-injective: n >= 3 for A, n >= 5 for D.  Enumeration refuses
-    past the desk budget (A: 10, D: 9 by default) instead of grinding.
+    past the desk budget (A: 10, D: 9 by default) instead of grinding.  Each
+    algebra is built and enumerated once: the boundary check of row n reads
+    the tau-tilting modules of row n - 2, kept by summand names.
     """
     kind = kind.upper()
     start = 1 if kind == "A" else 3
@@ -170,17 +170,22 @@ def series_counts(kind: str, n_max: int, field=QQ, check_structure: bool = True,
     guard = 3 if kind == "A" else 5
     rows: list[SeriesRow] = []
     counts: dict[int, int] = {}
+    tilting: dict[int, set[frozenset[str]]] = {}  # by names; row n checks against n - 2
     for n in range(start, n_max + 1):
         alg = series_algebra(kind, n, field=field)
-        c = tau_tilt_count(alg)
-        counts[n] = c
+        inv = build_inventory(alg)
+        c = counts[n] = tau_tilt_count(alg, inv)
+        if check_structure:
+            tilting[n] = {frozenset(inv.records[i].name for i in p.modules)
+                          for p in inv.pairs if p.is_tau_tilting}
+        del inv  # free this row's pairs before the socle quotient's are built
         rec = None
         if n >= guard:
             pis = {v for v, _ in find_proj_injectives(alg)}
             rec = (str(n) in pis) and (c == counts[n - 1] + counts[n - 2])
         struct = None
         if check_structure and n >= guard:
-            struct = _boundary_structure_check(kind, n, alg)
+            struct = _boundary_structure_check(n, alg, tilting.pop(n - 2))
         rows.append(SeriesRow(n, c, rec, struct))
     return SeriesReport(kind, rows)
 

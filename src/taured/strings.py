@@ -174,8 +174,11 @@ def enumerate_strings(alg: Algebra, cap: int | None = None) -> list[StringWord]:
                 extend(letters, start)
                 letters.pop()
 
-    for v in alg.vertices:
-        extend([], v)
+    try:
+        for v in alg.vertices:
+            extend([], v)
+    finally:
+        del extend  # the recursive closure is a reference cycle through its own cell
     return sorted(found.values(), key=lambda w: (len(w), _str_key(alg, w)))
 
 

@@ -15,6 +15,7 @@ Their set equality on a given algebra is the central correctness check.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
@@ -326,10 +327,18 @@ def compatible(inv: Inventory, x, y) -> bool:
 
 
 def enumerate_stpairs(inv: Inventory) -> list[STPair]:
-    """All size-n cliques in the compatibility graph, canonically ordered."""
+    """All size-n cliques in the compatibility graph, canonically ordered.
+
+    The elements are the tau-rigid candidates in id order, then the vertices
+    sorted by name, so a clique read in index order has its module ids
+    ascending and its supports sorted.  A branch stops once fewer elements
+    are allowed than summands are still needed.  Every clique is a tau-rigid
+    pair, a summand of a support tau-tilting pair (AIR Thm 2.10), so the
+    n-element cliques are exactly the maximal ones.
+    """
     n = len(inv.algebra.vertices)
     mods = [r for r in inv.candidates() if r.is_tau_rigid]
-    elements: list = list(mods) + list(inv.algebra.vertices)
+    elements: list = mods + sorted(inv.algebra.vertices)
     m = len(elements)
     adj = [0] * m
     for i in range(m):
@@ -337,30 +346,34 @@ def enumerate_stpairs(inv: Inventory) -> list[STPair]:
             if compatible(inv, elements[i], elements[j]):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-
+    members = [r.id for r in mods] + elements[len(mods):]
     pairs: list[STPair] = []
 
-    def extend(chosen: list[int], allowed: int, start: int):
-        if len(chosen) == n:
-            mods_sel = tuple(sorted(elements[i].id for i in chosen
-                                    if isinstance(elements[i], IndecRecord)))
-            sups = tuple(sorted(elements[i] for i in chosen
-                                if not isinstance(elements[i], IndecRecord)))
-            pairs.append(STPair(mods_sel, sups))
-            return
-        remaining = n - len(chosen)
-        for i in range(start, m):
-            if m - i < remaining:
-                break
-            if not (allowed >> i) & 1:
-                continue
-            chosen.append(i)
-            extend(chosen, allowed & adj[i], i + 1)
-            chosen.pop()
+    def leaf(chosen: tuple[int, ...]):
+        k = bisect_left(chosen, len(mods))
+        # tuples from lists are allocated at their size; from a generator they are not
+        pairs.append(STPair(tuple([members[i] for i in chosen[:k]]),
+                            tuple([members[i] for i in chosen[k:]])))
 
-    extend([], (1 << m) - 1, 0)
+    _cliques(adj, (1 << m) - 1, n, (), leaf)
     pairs.sort(key=inv.pair_sort_key)
     return pairs
+
+
+def _cliques(adj: list[int], allowed: int, need: int, chosen: tuple[int, ...], leaf) -> None:
+    """Call ``leaf`` on ``chosen`` plus each ``need`` set bits of ``allowed`` that form a clique.
+
+    The bits are walked from the lowest up, so each clique comes ascending; a
+    branch stops as soon as fewer than ``need`` bits are left to choose from.
+    """
+    if not need:
+        leaf(chosen)
+        return
+    while allowed.bit_count() >= need:
+        low = allowed & -allowed
+        allowed ^= low
+        i = low.bit_length() - 1
+        _cliques(adj, allowed & adj[i], need - 1, chosen + (i,), leaf)
 
 
 def oracle_stpairs_via_quotients(inv: Inventory) -> list[STPair]:
@@ -437,11 +450,28 @@ def _block_tau_tilting(inv: Inventory, block: frozenset) -> list[tuple[int, ...]
             lifted[r.id] = match
         return lifted[r.id]
 
+    return [tuple(sorted(lift(cands[a]) for a in subset))
+            for subset in _rigid_subsets(bad, k)]
+
+
+def _rigid_subsets(bad: list[int], k: int) -> list[tuple[int, ...]]:
+    """The k-subsets S of range(len(bad)), in lexicographic order, with no
+    bit b of bad[a] set for a, b in S (a == b included).
+
+    Sets grow by one index at a time on an explicit stack; an index is
+    offered only if it is clear of the masks of the chosen ones and its own
+    mask misses them and itself.
+    """
     out = []
-    for subset in combinations(range(len(cands)), k):
-        bits = sum(1 << a for a in subset)
-        if not any(bad[a] & bits for a in subset):
-            out.append(tuple(sorted(lift(cands[a]) for a in subset)))
+    stack = [((), 0, 0, 0)]  # chosen, their bits, the union of their masks, next index
+    while stack:
+        chosen, bits, masks, start = stack.pop()
+        if len(chosen) == k:
+            out.append(chosen)
+            continue
+        for a in reversed(range(start, len(bad) - k + len(chosen) + 1)):
+            if not (masks >> a) & 1 and not bad[a] & (bits | 1 << a):
+                stack.append((chosen + (a,), bits | 1 << a, masks | bad[a], a + 1))
     return out
 
 

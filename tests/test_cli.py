@@ -335,6 +335,12 @@ def test_verify_corpus_script_reports_hasse_failure(monkeypatch, capsys):
     assert "  KD3: hasse-certificate: the mutation arrows, oriented by" in out
 
 
+def test_series_table_script(capsys):
+    assert _script("series_table").main(["--kind", "A", "--max", "8"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [int(row.split()[1]) for row in rows] == [1, 2, 3, 5, 8, 13, 21, 34]
+
+
 def test_draw_example_quivers_script(tmp_path, capsys):
     _script("draw_example_quivers").main(["--out", str(tmp_path)])
     golden = os.path.join(os.path.dirname(__file__), "golden", "hasse_a3sq.dot")

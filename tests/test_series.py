@@ -3,6 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import taured.cli
+import taured.reduction
+import taured.series
+import taured.tilting
 from taured.errors import BadIndex, NonIntegerResult
 from taured.series import (
     ONE_MINUS,
@@ -125,3 +129,25 @@ def test_series_budget_guard():
         series_counts("D", 10)
     rep = series_counts("A", 11, budget=11, check_structure=False)
     assert rep.counts[-1] == 144
+
+
+def test_series_builds_each_inventory_once(monkeypatch):
+    calls = dict.fromkeys(["build_inventory", "enumerate_stpairs"], 0)
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    # every namespace that binds the name, so each call site counts
+    for name in calls:
+        for module in (taured.cli, taured.reduction, taured.series, taured.tilting):
+            if hasattr(module, name):
+                counting(module, name)
+    assert series_counts("A", 10).ok() and series_counts("D", 9).ok()
+    # one per row, and one per boundary check for its socle quotient; row
+    # n - 2 is read from its own row, not built again
+    assert calls == {"build_inventory": 10 + 7 + 8 + 5, "enumerate_stpairs": 30}

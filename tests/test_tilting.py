@@ -1,16 +1,22 @@
+import gc
+from itertools import combinations, combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import taured.tilting
 from taured.algebra import Arrow, Quiver, Relation, build_algebra
+from taured.dsl import parse
 from taured.errors import UnknownVertex
 from taured.linalg import Matrix
 from taured.reps import in_fac, is_iso
 from taured.series import series_algebra
 from taured.strings import enumerate_strings, string_to_rep
 from taured.tilting import (
+    IndecRecord,
     PosetQuiver,
     STPair,
+    _rigid_subsets,
     build_inventory,
     compatible,
     enumerate_stpairs,
@@ -67,6 +73,86 @@ def test_single_vertex_algebra():
     assert labels == ["0", "1"]
     H = hasse(inv, pairs)
     assert len(H.arrows) == 1
+
+
+def _cliques_by_brute_force(inv):
+    """Every size-n set of candidates and vertices that is pairwise compatible,
+    each element with itself included, as pairs in canonical order."""
+    n = len(inv.algebra.vertices)
+    pairs = []
+    for subset in combinations(inv.candidates() + list(inv.algebra.vertices), n):
+        if all(compatible(inv, x, y) for x, y in combinations_with_replacement(subset, 2)):
+            pairs.append(STPair(
+                tuple(sorted(x.id for x in subset if isinstance(x, IndecRecord))),
+                tuple(sorted(x for x in subset if not isinstance(x, IndecRecord)))))
+    return sorted(pairs, key=inv.pair_sort_key)
+
+
+UNSORTED_VERTICES = """\
+algebra unsorted
+field rational
+vertices 3 1 2
+arrow a 3 1
+arrow b 1 2
+relation a b
+"""
+
+
+def test_cliques_match_brute_force(corpus_invs, a3_sink_inv):
+    invs = dict(corpus_invs)
+    invs["1>2<3"] = a3_sink_inv
+    invs["vertex-0"] = build_inventory(
+        build_algebra(Quiver(("0", "1"), (Arrow("a", "0", "1"),)), []))
+    unsorted, _ = parse(UNSORTED_VERTICES).build()
+    assert list(unsorted.vertices) == ["3", "1", "2"]
+    invs["3 1 2"] = build_inventory(unsorted)
+    for name, inv in invs.items():
+        pairs = enumerate_stpairs(inv)
+        assert pairs == _cliques_by_brute_force(inv), name
+        for p in pairs:
+            assert list(p.modules) == sorted(p.modules), name
+            assert list(p.supports) == sorted(p.supports), name
+
+
+@st.composite
+def bad_masks(draw):
+    """Masks on up to 9 indices from random ordered bad pairs, self-pairs and
+    one-way pairs included, and a subset size."""
+    m = draw(st.integers(0, 9))
+    bad = [0] * m
+    if m:
+        for a, b in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                                  max_size=2 * m)):
+            bad[a] |= 1 << b
+    return bad, draw(st.integers(0, m + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bad_masks())
+def test_rigid_subsets_match_all_pairs_test(case):
+    bad, k = case
+    expected = [s for s in combinations(range(len(bad)), k)
+                if not any(bad[a] & sum(1 << b for b in s) for a in s)]
+    assert _rigid_subsets(bad, k) == expected
+
+
+@pytest.mark.parametrize("call", ["enumerate_stpairs", "enumerate_strings", "build_inventory",
+                                  "oracle_stpairs_via_quotients"])
+def test_discarded_results_need_no_cycle_collector(call):
+    alg = series_algebra("A", 8)
+    inv = build_inventory(alg)
+    run = {"enumerate_stpairs": lambda: enumerate_stpairs(inv),
+           "enumerate_strings": lambda: enumerate_strings(alg),
+           "build_inventory": lambda: build_inventory(alg),
+           "oracle_stpairs_via_quotients": lambda: oracle_stpairs_via_quotients(inv)}[call]
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        # reference counting alone frees everything the call made
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_oracle_equivalence_small(a3sq_inv, corpus):
