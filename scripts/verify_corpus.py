@@ -2,7 +2,7 @@
 """Run the full invariant suite over the built-in corpus of algebras.
 
 Usage:
-    python scripts/verify_corpus.py [--skip-oracle]
+    python scripts/verify_corpus.py [--skip-oracle] [--field rational|fp:<p>]
 
 Exit code 0 iff every check passes on every corpus member.
 """
@@ -16,6 +16,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from taured.corpus import standard_corpus
 from taured.errors import HasseError, NoProjInjective
+from taured.linalg import field_from_name
 from taured.reduction import verify_reduction
 from taured.tilting import build_inventory, oracle_stpairs_via_quotients
 
@@ -23,10 +24,12 @@ from taured.tilting import build_inventory, oracle_stpairs_via_quotients
 def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--skip-oracle", action="store_true")
+    ap.add_argument("--field", type=field_from_name, default="rational",
+                    help="rational (default) or fp:<p>")
     args = ap.parse_args(argv)
     bad = []
     t0 = time.perf_counter()
-    for name, algebra in standard_corpus().items():
+    for name, algebra in standard_corpus(field=args.field).items():
         inv = build_inventory(algebra)
         pairs = inv.pairs
         status = [f"{len(pairs)} pairs"]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptySupport, NotFiniteDimensional, UnsupportedQuotient
-from .linalg import QQ, Matrix, left_nullspace
+from .linalg import QQ, FpElement, Matrix, left_nullspace
 
 Vec = dict[int, object]  # sparse algebra element: basis index -> scalar
 
@@ -547,7 +547,7 @@ def _check_generated_by_quiver(alg: Algebra) -> None:
             p = min(v)
             row = echelon.get(p)
             if row is None:
-                scale = field.one / v[p]
+                scale = field.inverse(v[p])
                 echelon[p] = {k: c * scale for k, c in v.items()}
                 return True
             c = v[p]
@@ -635,7 +635,7 @@ def extract_presentation(alg: Algebra, max_extra: int = 1):
             terms = []
             for wi, c in enumerate(krow):
                 if c:
-                    lifted = Fraction(c) if isinstance(c, Fraction) else Fraction(c.v)
+                    lifted = Fraction(c.v) if isinstance(c, FpElement) else Fraction(c)
                     terms.append((lifted, words[wi]))
             if terms:
                 relations.append(Relation(terms=tuple(terms)))

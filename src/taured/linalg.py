@@ -1,9 +1,12 @@
 """Exact matrix arithmetic over the rationals or a prime field.
 
 Every downstream computation (Hom spaces, translates, factor-closure tests)
-reduces to rank / kernel questions answered here.  Entries are Python
-``Fraction`` objects in rational mode and ``FpElement`` objects in prime-field
-mode; both are exact, so ranks and solution spaces carry no numerical error.
+reduces to rank / kernel questions answered here.  In rational mode an entry
+is a Python ``int``, or a ``Fraction`` once a division by a non-unit has made
+one; mixed ``int``/``Fraction`` arithmetic is exact, and the only division,
+:meth:`RationalField.inverse`, returns an ``int`` or a ``Fraction``, so no
+``float`` ever arises.  In prime-field mode entries are ``FpElement`` objects.
+Ranks and solution spaces carry no numerical error.
 """
 
 from __future__ import annotations
@@ -53,15 +56,20 @@ class FpElement:
 class RationalField:
     name = "rational"
 
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return n
 
-    def from_fraction(self, f: Fraction) -> Fraction:
-        return f
+    def from_fraction(self, f: Fraction) -> int | Fraction:
+        return f.numerator if f.denominator == 1 else f
+
+    def inverse(self, x):
+        """1/x, exact: ±1 is its own inverse and stays an ``int``."""
+        if x == 1 or x == -1:
+            return x
+        return Fraction(1, x)
 
     def __repr__(self):
         return "QQ"
@@ -87,6 +95,9 @@ class PrimeField:
 
     def from_fraction(self, f: Fraction) -> FpElement:
         return FpElement(f.numerator, self.p) / FpElement(f.denominator, self.p)
+
+    def inverse(self, x: FpElement) -> FpElement:
+        return self.one / x
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -220,6 +231,7 @@ class Matrix:
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and the pivot column list."""
         m = [row[:] for row in self.data]
+        one = self.field.one
         pivots: list[int] = []
         r = 0
         for c in range(self.cols):
@@ -231,9 +243,10 @@ class Matrix:
             if pr is None:
                 continue
             m[r], m[pr] = m[pr], m[r]
-            inv = m[r][c]
-            if inv != self.field.one:
-                m[r] = [a / inv for a in m[r]]
+            lead = m[r][c]
+            if lead != one:
+                s = self.field.inverse(lead)
+                m[r] = [a * s if a else a for a in m[r]]
             for i in range(self.rows):
                 if i != r and m[i][c]:
                     f = m[i][c]

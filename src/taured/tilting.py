@@ -84,6 +84,15 @@ class Inventory:
         self._proj_cache: dict[str, Representation] = {}
         self._simple_top: dict[int, bool] = {}
         self._generators: dict[int, frozenset] = {}
+        self.by_dim_vector: dict[tuple, list[int]] = {}
+        for r in records:
+            self.by_dim_vector.setdefault(r.dim_vector, []).append(r.id)
+        self._name_rank: list[int] = []
+
+    def append(self, record: IndecRecord) -> None:
+        """Add a record (id ``len(self)``) and index it by dimension vector."""
+        self.records.append(record)
+        self.by_dim_vector.setdefault(record.dim_vector, []).append(record.id)
 
     @cached_property
     def pairs(self) -> list[STPair]:
@@ -107,9 +116,10 @@ class Inventory:
         return self._proj_cache[v]
 
     def find_iso(self, rep: Representation) -> int | None:
-        for r in self.records:
-            if r.dim_vector == rep.dim_vector and is_iso(r.rep, rep):
-                return r.id
+        """The least id of a record isomorphic to ``rep``; only its dimension vector is searched."""
+        for i in self.by_dim_vector.get(rep.dim_vector, ()):
+            if is_iso(self.records[i].rep, rep):
+                return i
         return None
 
     def hom(self, i: int, j: int) -> list:
@@ -188,7 +198,17 @@ class Inventory:
         return sep.join(sorted(self.records[i].name for i in pair.modules))
 
     def pair_sort_key(self, pair: STPair):
-        return (len(pair.supports), tuple(sorted(self.records[i].name for i in pair.modules)),
+        """Support count, then the sorted summand names, then the sorted supports.
+
+        Names are compared by their rank among the distinct names, which
+        orders as the names do (equal names share a rank).
+        """
+        rank = self._name_rank
+        if len(rank) != len(self.records):
+            names = sorted({r.name for r in self.records})
+            index = {n: k for k, n in enumerate(names)}
+            rank[:] = [index[r.name] for r in self.records]
+        return (len(pair.supports), tuple(sorted(map(rank.__getitem__, pair.modules))),
                 tuple(sorted(pair.supports)))
 
 
@@ -266,10 +286,7 @@ def build_inventory(algebra: Algebra, backend="strings",
     inv = Inventory(algebra, records)
 
     # audit: distinct records sharing a dim vector must be non-isomorphic
-    by_dv: dict[tuple, list[int]] = {}
-    for r in records:
-        by_dv.setdefault(r.dim_vector, []).append(r.id)
-    for ids in by_dv.values():
+    for ids in inv.by_dim_vector.values():
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
                 if is_iso(records[ids[i]].rep, records[ids[j]].rep):
@@ -295,7 +312,7 @@ def build_inventory(algebra: Algebra, backend="strings",
                 log.warning("tau of %s is not in the inventory; recording standalone", r.name)
                 extra = IndecRecord(len(records), f"tau({r.name})", t, zero_rep(algebra),
                                     False, False, external=True)
-                records.append(extra)
+                inv.append(extra)
                 match = extra.id
             r.tau_id = match
         r.is_tau_rigid = len(hom_basis(r.rep, r.tau_rep)) == 0

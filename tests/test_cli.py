@@ -9,6 +9,7 @@ import taured.cli
 import taured.reduction
 import taured.tilting
 from taured.cli import main
+from taured.corpus import standard_corpus
 from taured.errors import HasseError, NotStringAlgebra
 from taured.emit import emit_dot
 from taured.tilting import PosetQuiver
@@ -333,6 +334,17 @@ def test_verify_corpus_script_reports_hasse_failure(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "KD3          14 pairs, hasse FAILED\n" in out
     assert "  KD3: hasse-certificate: the mutation arrows, oriented by" in out
+
+
+def test_verify_corpus_script_over_f2_counts_as_over_q(capsys):
+    def counts(argv):
+        assert _script("verify_corpus").main(["--skip-oracle", *argv]) == 0
+        return re.findall(r"^(\S+) +(\d+) pairs, hasse ok \((\d+) arrows\)",
+                          capsys.readouterr().out, re.M)
+
+    rational = counts([])
+    assert len(rational) == len(standard_corpus())
+    assert counts(["--field", "fp:2"]) == rational
 
 
 def test_series_table_script(capsys):

@@ -170,3 +170,63 @@ def test_left_nullspace():
     ln = left_nullspace(m)
     assert ln.rows == 2
     assert (ln @ m).is_zero()
+
+
+def _exact_entries(m):
+    """Each entry of ``m`` is an int or a Fraction (so never a float)."""
+    return all(type(a) in (int, Fraction) for row in m.data for a in row)
+
+
+@st.composite
+def int_system(draw):
+    """An integer matrix whose first pivot is a non-unit, and a right-hand side."""
+    r = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 4))
+    rows = [[draw(small_entries) for _ in range(c)] for _ in range(r)]
+    rows[0][0] = draw(st.sampled_from([2, -2, 3, 4, -5, 6]))
+    rhs = [[draw(small_entries)] for _ in range(r)]
+    return Matrix.from_rows(rows, c, QQ), Matrix.from_rows(rhs, 1, QQ)
+
+
+def _as_fractions(m):
+    return Matrix.from_rows([[Fraction(a) for a in row] for row in m.data], m.cols, QQ)
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_system())
+def test_int_entries_agree_with_all_fraction_copy(system):
+    a, b = system
+    fa, fb = _as_fractions(a), _as_fractions(b)
+    reduced, pivots = a.rref()
+    assert (reduced, pivots) == fa.rref()
+    assert pivots[0] == 0 and _exact_entries(reduced)
+    assert a.rank() == fa.rank()
+    ns = nullspace(a)
+    assert ns == nullspace(fa) and _exact_entries(ns)
+    x = solve_right(a, b)
+    assert x == solve_right(fa, fb)
+    if x is not None:
+        assert _exact_entries(x) and a @ x == b
+
+
+def test_inverse_on_both_fields():
+    assert QQ.inverse(1) == 1 and type(QQ.inverse(1)) is int
+    assert QQ.inverse(-1) == -1 and type(QQ.inverse(-1)) is int
+    assert QQ.inverse(4) == Fraction(1, 4)
+    assert QQ.inverse(Fraction(-2, 3)) == Fraction(-3, 2)
+    f7 = PrimeField(7)
+    assert f7.inverse(f7.from_int(3)) * f7.from_int(3) == f7.one
+    for field in (QQ, f7):
+        with pytest.raises(ZeroDivisionError):
+            field.inverse(field.zero)
+
+
+def test_rational_scalars_are_ints_until_a_division():
+    assert (QQ.zero, QQ.one) == (0, 1) and type(QQ.one) is int
+    assert type(QQ.from_int(3)) is int
+    assert type(QQ.from_fraction(Fraction(6, 3))) is int
+    assert QQ.from_fraction(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(QQ.from_fraction(Fraction(1, 2))) is Fraction
+    reduced, pivots = Matrix.from_rows([[2, 1]], 2, QQ).rref()
+    assert reduced.data == [[1, Fraction(1, 2)]] and pivots == [0]
+    assert _exact_entries(reduced)

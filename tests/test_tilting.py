@@ -1,4 +1,5 @@
 import gc
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -476,3 +477,64 @@ def test_oracle_equivalence_random_orientations(alg):
     pairs = {p.key() for p in enumerate_stpairs(inv)}
     oracle = {p.key() for p in oracle_stpairs_via_quotients(inv)}
     assert pairs == oracle
+
+
+def test_rational_records_hold_ints_or_fractions(corpus_invs):
+    for inv in corpus_invs.values():
+        for r in inv.records:
+            for rep in (r.rep, r.tau_rep):
+                for m in rep.maps.values():
+                    assert all(type(a) in (int, Fraction) for row in m.data for a in row)
+
+
+def _find_iso_by_scan(inv, rep):
+    for r in inv.records:
+        if r.dim_vector == rep.dim_vector and is_iso(r.rep, rep):
+            return r.id
+    return None
+
+
+def test_find_iso_matches_linear_scan(corpus_invs):
+    lookups = 0
+    for inv in corpus_invs.values():
+        for r in inv.records:
+            if not r.is_projective:
+                assert inv.find_iso(r.tau_rep) == _find_iso_by_scan(inv, r.tau_rep) == r.tau_id
+                lookups += 1
+    assert lookups > 30
+
+
+def test_external_tau_record_is_found_by_dimension_vector(a3sq, a3sq_inv):
+    # S1 alone: its translates S2 and S3 are not supplied, so they are appended
+    s1, s2, s3 = (record_by_name(a3sq_inv, name).rep for name in ("1", "2", "3"))
+    inv = build_inventory(a3sq, backend="supplied", supplied=[("1", s1)])
+    assert [(r.name, r.external, r.tau_id) for r in inv.records] == \
+        [("1", False, 1), ("tau(1)", True, 2), ("tau(tau(1))", True, None)]
+    assert [inv.find_iso(s) for s in (s1, s2, s3)] == [0, 1, 2]
+
+
+def _pair_sort_key_by_names(inv, pair):
+    return (len(pair.supports), tuple(sorted(inv.records[i].name for i in pair.modules)),
+            tuple(sorted(pair.supports)))
+
+
+def _assert_same_pair_order(inv, pairs):
+    by_rank = [inv.pair_sort_key(p) for p in pairs]
+    by_name = [_pair_sort_key_by_names(inv, p) for p in pairs]
+    for i in range(len(pairs)):
+        for j in range(len(pairs)):
+            assert (by_rank[i] < by_rank[j]) == (by_name[i] < by_name[j])
+            assert (by_rank[i] == by_rank[j]) == (by_name[i] == by_name[j])
+
+
+def test_rank_pair_key_orders_as_names(corpus_invs, a3sq, a3sq_inv):
+    for name in ("A4^2", "D4^2", "KA3", "nakayama2", "KA2xK"):
+        inv = corpus_invs[name]
+        _assert_same_pair_order(inv, inv.pairs[::-1])
+    # duplicate names: the supplied backend keeps the names it is given
+    named = [(("x", "y", "x", "z", "y")[r.id], r.rep) for r in a3sq_inv.records]
+    inv = build_inventory(a3sq, backend="supplied", supplied=named)
+    assert len({r.name for r in inv.records}) < len(inv.records)
+    pairs = enumerate_stpairs(inv)
+    _assert_same_pair_order(inv, pairs)
+    assert pairs == sorted(pairs, key=lambda p: _pair_sort_key_by_names(inv, p))
