@@ -40,10 +40,9 @@ def main(argv=None):
         json.dump(json_payload(af.name, inv, pairs, H), f, indent=2, ensure_ascii=False)
 
     v = find_proj_injectives(algebra)[0][0]
-    ctx = socle_quotient(algebra, v)
-    ctx.inv = inv
+    ctx = socle_quotient(algebra, v, inv)
     nsets = compute_nsets(ctx)
-    qinv = ctx.quotient_inventory()
+    qinv = ctx.quotient_inv
     qpairs, QH = qinv.pairs, qinv.hasse_quiver
     qtt = {j for j, p in enumerate(qpairs) if p.is_tau_tilting}
     boundary = {j for j, p in enumerate(qpairs) if frozenset(p.modules) in nsets.extend}

@@ -29,7 +29,6 @@ from .reduction import (
     ReductionContext,
     ReductionSets,
     Report,
-    bar_summands,
     compute_nsets,
     find_proj_injectives,
     reconstruct_tau_tilt,
@@ -44,7 +43,6 @@ from .reps import (
     bar,
     direct_sum,
     hom_basis,
-    in_fac,
     inflate,
     injective,
     is_iso,
@@ -75,11 +73,11 @@ __all__ = [
     "Algebra", "Arrow", "Quiver", "Relation", "build_algebra",
     "extract_presentation", "quotient_by_elements", "vertex_subalgebra_quotient",
     "Matrix", "PrimeField", "QQ", "field_from_name", "nullspace", "rank_and_rowbasis",
-    "Check", "ReductionContext", "ReductionSets", "Report", "bar_summands",
-    "compute_nsets", "find_proj_injectives", "reconstruct_tau_tilt",
-    "socle_quotient", "surgery", "verify_reduction",
+    "Check", "ReductionContext", "ReductionSets", "Report", "compute_nsets",
+    "find_proj_injectives", "reconstruct_tau_tilt", "socle_quotient", "surgery",
+    "verify_reduction",
     "Morphism", "PresentationMap", "Representation", "bar", "direct_sum",
-    "hom_basis", "in_fac", "inflate", "injective", "is_iso", "is_sincere",
+    "hom_basis", "inflate", "injective", "is_iso", "is_sincere",
     "minimal_presentation", "projective", "simple", "tau",
     "QuadInt", "closed_form", "series_algebra", "series_counts", "tau_tilt_count",
     "StringWord", "enumerate_strings", "is_string_algebra", "string_to_rep",

@@ -272,21 +272,10 @@ def build_algebra(quiver: Quiver, relations, max_len: int = 30, field=QQ) -> Alg
                     row[col_pos[k]] = row[col_pos[k]] + c
             rows.append(row)
         span = Matrix.from_rows(rows, len(cols), field)
-        red, pivots = span.rref()
-
-        def reduces_to_zero(col: int) -> bool:
-            v = [field.zero] * len(cols)
-            v[col] = field.one
-            for i, pc in enumerate(pivots):
-                if v[pc]:
-                    f = v[pc]
-                    rrow = red.data[i]
-                    for j in range(pc, len(cols)):
-                        if rrow[j]:
-                            v[j] = v[j] - f * rrow[j]
-            return all(not x for x in v)
-
-        if all(reduces_to_zero(col_pos[(s, w)]) for w, s, _ in level_paths):
+        # a path lies in the span iff its column is a pivot whose RREF row has
+        # no other entry; the paths of length cand are the last columns, so
+        # when all of them are pivots, no row has another entry
+        if {col_pos[(s, w)] for w, s, _ in level_paths} <= set(span.rref()[1]):
             nil = cand
             break
     if nil is None:

@@ -46,11 +46,7 @@ def _field_override(args) -> str | None:
 def _load(args):
     af = parse_file(args.file)
     algebra, supplied = af.build(field_override=_field_override(args))
-    if supplied:
-        inv = build_inventory(algebra, backend="supplied", supplied=supplied)
-    else:
-        inv = build_inventory(algebra)
-    return af, algebra, inv
+    return af, algebra, build_inventory(algebra, supplied=supplied)
 
 
 def _cmd_enumerate(args) -> int:
@@ -128,7 +124,7 @@ def _cmd_reduce(args) -> int:
             relations=list(rels),
         )
         print(emit_dsl(qf), end="")
-    qinv = ctx.quotient_inventory()
+    qinv = ctx.quotient_inv
 
     def fmt(mods):
         return "+".join(sorted(qinv.records[i].name for i in mods)) or "0"

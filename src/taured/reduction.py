@@ -39,20 +39,31 @@ from .tilting import (
 
 
 def find_proj_injectives(algebra: Algebra) -> list[tuple[str, str]]:
-    """Vertices v with P_v injective, each with the matching injective vertex.
-
-    An indecomposable injective is I_s for its simple socle S_s, so P_v can
-    only be I_s for the vertex s of a one-dimensional Soc(P_v): one iso test
-    per v.
-    """
+    """Vertices v with P_v injective, each with the matching injective vertex."""
     out = []
     for v in algebra.vertices:
-        soc = _socle(algebra, v)
-        if len(soc) == 1:
-            s = algebra.basis[next(iter(soc[0]))].tgt
-            if is_iso(projective(algebra, v), injective(algebra, s)):
-                out.append((v, s))
+        try:
+            out.append((v, _proj_injective(algebra, v)[1]))
+        except NotProjInjective:
+            pass
     return out
+
+
+def _proj_injective(algebra: Algebra, v: str) -> tuple[dict, str, Representation]:
+    """The element spanning Soc(P_v), its vertex s and P_v, when P_v is I_s.
+
+    An indecomposable injective is I_s for its simple socle S_s, so P_v can
+    only be I_s for the vertex s of a one-dimensional Soc(P_v): one iso test.
+    Raises NotProjInjective otherwise.
+    """
+    soc = _socle(algebra, v)
+    if len(soc) != 1:
+        raise NotProjInjective(f"Soc(P_{v}) has dimension {len(soc)}")
+    s = algebra.basis[next(iter(soc[0]))].tgt
+    p = projective(algebra, v)
+    if not is_iso(p, injective(algebra, s)):
+        raise NotProjInjective(f"P_{v} is not projective-injective")
+    return soc[0], s, p
 
 
 def _socle(algebra: Algebra, v: str) -> list[dict]:
@@ -78,8 +89,24 @@ def _socle(algebra: Algebra, v: str) -> list[dict]:
     return [{rows_idx[k]: c for k, c in enumerate(krow) if c} for krow in ker.data]
 
 
-@dataclass
+def _find(inv: Inventory, rep: Representation, error: type, message: str) -> int:
+    """The id of the record of ``inv`` isomorphic to ``rep``; raise ``error`` if none is."""
+    i = inv.find_iso(rep)
+    if i is None:
+        raise error(message)
+    return i
+
+
+@dataclass(frozen=True)
 class ReductionContext:
+    """The reduction at Q = P_vertex: the quotient and the record maps between both sides.
+
+    Each map is computed in one pass on first read.  The quotient side
+    (``quotient_inv``, ``qbar_id``, ``hom_to_q``) never reads ``inv``, the
+    ambient inventory; the ambient side (``q_id``, ``bar_of``, ``lift_of``)
+    needs it.
+    """
+
     algebra: Algebra
     vertex: str                      # Q = P_vertex
     socle_vertex: str
@@ -87,103 +114,61 @@ class ReductionContext:
     quotient: Algebra                # ambient algebra modulo the socle span
     q_rep: Representation
     qbar_rep: Representation         # Q modulo its socle, over the quotient
-    q_is_simple: bool
-
     inv: Inventory | None = None
-    quotient_inv: Inventory | None = None
-    _bar_cache: dict = dc_field(default_factory=dict)
-    _hom_q_cache: dict = dc_field(default_factory=dict)
-    _lift_cache: dict = dc_field(default_factory=dict)
 
-    def inventory(self) -> Inventory:
-        if self.inv is None:
-            self.inv = build_inventory(self.algebra)
-        return self.inv
+    @property
+    def q_is_simple(self) -> bool:
+        return self.qbar_rep.is_zero()
 
-    def quotient_inventory(self) -> Inventory:
-        if self.quotient_inv is None:
-            self.quotient_inv = build_inventory(self.quotient)
-        return self.quotient_inv
+    @cached_property
+    def quotient_inv(self) -> Inventory:
+        return build_inventory(self.quotient)
 
     @cached_property
     def qbar_id(self) -> int | None:
-        """Quotient-inventory id of Q/Soc(Q); None when Q is simple."""
-        if self.qbar_rep.is_zero():
+        """Quotient id of Q/Soc(Q); None when Q is simple."""
+        if self.q_is_simple:
             return None
-        i = self.quotient_inventory().find_iso(self.qbar_rep)
-        if i is None:
-            raise NonSimpleSocle("Q/Soc(Q) missing from the quotient inventory")
-        return i
+        return _find(self.quotient_inv, self.qbar_rep, NonSimpleSocle,
+                     "Q/Soc(Q) missing from the quotient inventory")
+
+    @cached_property
+    def hom_to_q(self) -> dict[int, int]:
+        """dim Hom over the ambient algebra from each inflated quotient candidate to Q."""
+        return {r.id: len(hom_basis(inflate(r.rep), self.q_rep))
+                for r in self.quotient_inv.candidates()}
 
     @cached_property
     def q_id(self) -> int:
-        """Inventory id of Q; set ``inv`` before the first read."""
-        i = self.inventory().find_iso(self.q_rep)
-        if i is None:
-            raise NotProjInjective("Q missing from the inventory")
-        return i
+        return _find(self.inv, self.q_rep, NotProjInjective, "Q missing from the inventory")
 
-    def qbar_ambient_id(self) -> int | None:
-        """Ambient-inventory id of the inflated Q/Soc(Q); None when Q is simple."""
-        if self.qbar_id is None:
-            return None
-        return self.lift_record(self.qbar_id)
+    @cached_property
+    def bar_of(self) -> dict[int, int | None]:
+        """Quotient id of the image of each ambient candidate; None where the image is zero."""
+        out = {}
+        for r in self.inv.candidates():
+            image = bar(r.rep, self.quotient)
+            out[r.id] = None if image.is_zero() else _find(
+                self.quotient_inv, image, NonSimpleSocle,
+                "bar image missing from the quotient inventory")
+        return out
 
-    def bar_record(self, rec_id: int) -> int | None:
-        """Quotient id of the image of an ambient record (None if the image is zero)."""
-        if rec_id in self._bar_cache:
-            return self._bar_cache[rec_id]
-        rep = self.inventory().records[rec_id].rep
-        image = bar(rep, self.quotient)
-        match = None
-        if not image.is_zero():
-            match = self.quotient_inventory().find_iso(image)
-            if match is None:
-                raise NonSimpleSocle("bar image missing from the quotient inventory")
-        self._bar_cache[rec_id] = match
-        return match
-
-    def lift_record(self, quotient_rec_id: int) -> int:
-        """Ambient id of an inflated quotient record."""
-        if quotient_rec_id in self._lift_cache:
-            return self._lift_cache[quotient_rec_id]
-        rep = inflate(self.quotient_inventory().records[quotient_rec_id].rep)
-        match = self.inventory().find_iso(rep)
-        if match is None:
-            raise NonSimpleSocle("inflated summand missing from the ambient inventory")
-        self._lift_cache[quotient_rec_id] = match
-        return match
-
-    def lift_set(self, mods) -> frozenset:
-        return frozenset(self.lift_record(i) for i in mods)
-
-    def hom_to_q_dim(self, quotient_rec_id: int) -> int:
-        """dim Hom over the ambient algebra from an inflated quotient record to Q."""
-        if quotient_rec_id not in self._hom_q_cache:
-            rep = inflate(self.quotient_inventory().records[quotient_rec_id].rep)
-            self._hom_q_cache[quotient_rec_id] = len(hom_basis(rep, self.q_rep))
-        return self._hom_q_cache[quotient_rec_id]
-
-    def hom_set_to_q(self, mods) -> int:
-        return sum(self.hom_to_q_dim(i) for i in mods)
+    @cached_property
+    def lift_of(self) -> dict[int, int]:
+        """Ambient id of each inflated quotient candidate."""
+        return {r.id: _find(self.inv, inflate(r.rep), NonSimpleSocle,
+                            "inflated summand missing from the ambient inventory")
+                for r in self.quotient_inv.candidates()}
 
 
-def socle_quotient(algebra: Algebra, v: str) -> ReductionContext:
+def socle_quotient(algebra: Algebra, v: str, inv: Inventory | None = None) -> ReductionContext:
     """Quotient the algebra by Soc(P_v) for a projective-injective P_v.
 
-    An indecomposable injective is I_s for its simple socle S_s, so P_v is
-    injective iff Soc(P_v) is one dimensional, at some s, and P_v is I_s.
+    ``inv`` is the ambient inventory, which only the ambient-side maps read.
     """
     if v not in algebra.vertices:
         raise NotProjInjective(f"no vertex {v}")
-    soc = _socle(algebra, v)
-    if len(soc) != 1:
-        raise NotProjInjective(f"Soc(P_{v}) has dimension {len(soc)}")
-    soc_vec = soc[0]
-    socle_vertex = algebra.basis[next(iter(soc_vec))].tgt
-    q_rep = projective(algebra, v)
-    if not is_iso(q_rep, injective(algebra, socle_vertex)):
-        raise NotProjInjective(f"P_{v} is not projective-injective")
+    soc_vec, socle_vertex, q_rep = _proj_injective(algebra, v)
 
     # two-sidedness witness: arrows annihilate the socle element on both sides
     for a in algebra.arrows:
@@ -191,24 +176,9 @@ def socle_quotient(algebra: Algebra, v: str) -> ReductionContext:
         if algebra.multiply(soc_vec, ar) or algebra.multiply(ar, soc_vec):
             raise NonSimpleSocle("socle span is not a two-sided ideal")
 
-    q_is_simple = all(algebra.basis[i].is_idempotent for i in soc_vec)
     quotient = quotient_by_elements(algebra, [soc_vec])
-    qbar = bar(q_rep, quotient)
     return ReductionContext(algebra, v, socle_vertex, soc_vec, quotient,
-                            q_rep, qbar, q_is_simple)
-
-
-def bar_summands(ctx: ReductionContext, module_ids) -> frozenset:
-    """Image of a summand set under the quotient functor, made basic.
-
-    Zero images are dropped (arises only for a simple Q); duplicates merge.
-    """
-    out = set()
-    for i in module_ids:
-        b = ctx.bar_record(i)
-        if b is not None:
-            out.add(b)
-    return frozenset(out)
+                            q_rep, bar(q_rep, quotient), inv)
 
 
 @dataclass
@@ -232,23 +202,24 @@ class ReductionSets:
 
 
 def compute_nsets(ctx: ReductionContext) -> ReductionSets:
-    pairs = ctx.quotient_inventory().pairs
     nbar = len(ctx.quotient.vertices)
     qbar = ctx.qbar_id
+    hom_to_q = ctx.hom_to_q
     keep, extend, swap, surgery = [], [], [], []
-    for p in pairs:
+    for p in ctx.quotient_inv.pairs:
         mods = frozenset(p.modules)
         has_qbar = qbar is not None and qbar in mods
+        homless = not any(hom_to_q[i] for i in mods)
         if p.is_tau_tilting:
             if not has_qbar:
                 keep.append(mods)
-            elif ctx.hom_set_to_q(mods) != 0:
+            elif not homless:
                 swap.append(mods)
         if qbar is None:
             # simple Q: the zero module belongs to every additive closure
-            if ctx.hom_set_to_q(mods) == 0:
+            if homless:
                 surgery.append(p)
-        elif has_qbar and ctx.hom_set_to_q(mods) == 0:
+        elif has_qbar and homless:
             surgery.append(p)
             if len(mods) == nbar - 1:
                 extend.append(mods)
@@ -257,21 +228,25 @@ def compute_nsets(ctx: ReductionContext) -> ReductionSets:
 
 def reconstruct_tau_tilt(ctx: ReductionContext, nsets: ReductionSets) -> list[frozenset]:
     """Assemble tau-tilt of the ambient algebra from the quotient families."""
-    inv = ctx.inventory()
     q = ctx.q_id
+
+    def lift(mods):
+        return frozenset(ctx.lift_of[i] for i in mods)
+
     result: set[frozenset] = set()
     if ctx.q_is_simple:
         for mods in nsets.keep:
-            result.add(ctx.lift_set(mods) | {q})
+            result.add(lift(mods) | {q})
     else:
         qbar = ctx.qbar_id
         for mods in nsets.keep:
-            result.add(ctx.lift_set(mods))
+            result.add(lift(mods))
         for mods in nsets.extend:
-            result.add(ctx.lift_set(mods) | {q})
+            result.add(lift(mods) | {q})
         for mods in nsets.swap:
-            result.add(ctx.lift_set(mods - {qbar}) | {q})
-    return sorted(result, key=lambda s: tuple(sorted(inv.records[i].name for i in s)))
+            result.add(lift(mods - {qbar}) | {q})
+    records = ctx.inv.records
+    return sorted(result, key=lambda s: tuple(sorted(records[i].name for i in s)))
 
 
 def surgery(pq: PosetQuiver, members: list[int]) -> PosetQuiver:
@@ -389,13 +364,12 @@ def reductions(algebra: Algebra, report: Report,
 
     for v, _ in pis:
         tag = f"Q=P_{v}"
-        ctx = socle_quotient(algebra, v)
-        ctx.inv = inv
+        ctx = socle_quotient(algebra, v, inv)
         report.add(f"{tag}/socle-simple", "Soc(Q) is one dimensional", True)
         report.add(f"{tag}/socle-two-sided",
                    "the socle span is a two-sided ideal (arrow products vanish)", True)
 
-        qinv = ctx.quotient_inventory()
+        qinv = ctx.quotient_inv
         qpairs = qinv.pairs
         QH = qinv.hasse_quiver
         # a support tau-tilting pair is determined by its module part (AIR, Sec. 2)
@@ -403,15 +377,11 @@ def reductions(algebra: Algebra, report: Report,
         q_tt_sets = {frozenset(p.modules) for p in qpairs if p.is_tau_tilting}
         nsets = compute_nsets(ctx)
         q = ctx.q_id
-        bars = [bar_summands(ctx, frozenset(p.modules)) for p in pairs]
+        bar_of, lift_of = ctx.bar_of, ctx.lift_of
+        bars = [frozenset(bar_of[i] for i in p.modules) - {None} for p in pairs]
 
-        bad = []
-        for r in inv.candidates():
-            if r.id == q:
-                continue
-            b = ctx.bar_record(r.id)
-            if b is None or ctx.lift_record(b) != r.id:
-                bad.append(r.name)
+        bad = [r.name for r in inv.candidates()
+               if r.id != q and (bar_of[r.id] is None or lift_of[bar_of[r.id]] != r.id)]
         report.add(f"{tag}/bar-fixes-non-q",
                    "the socle quotient functor fixes every non-Q indecomposable",
                    not bad, f"moved: {bad[:3]}")
@@ -431,7 +401,7 @@ def reductions(algebra: Algebra, report: Report,
                        "Q simple: the tau-tilt quivers agree after dropping Q", ok, wit)
         else:
             qbar = ctx.qbar_id
-            qbar_amb = ctx.qbar_ambient_id()
+            qbar_amb = lift_of[qbar]
             m1 = [i for i in tau_idx if q not in pairs[i].modules
                   and qbar_amb not in pairs[i].modules]
             m2 = [i for i in tau_idx if q in pairs[i].modules and qbar_amb in pairs[i].modules]
@@ -474,18 +444,20 @@ def reductions(algebra: Algebra, report: Report,
             report.add(f"{tag}/no-tau-tilt-qbar-homless",
                        "no tau-tilting quotient module keeps the top summand yet "
                        "kills all maps to Q",
-                       not any(qbar in mods and ctx.hom_set_to_q(mods) == 0
+                       not any(qbar in mods and not any(ctx.hom_to_q[i] for i in mods)
                                for mods in q_tt_sets))
 
-            keep_ok = all(ctx.lift_set(mods) in tt_sets for mods in nsets.keep) and \
-                all(bars[i] in n_keep for i in m1)
+            keep_ok = all(frozenset(lift_of[i] for i in mods) in tt_sets
+                          for mods in nsets.keep) and all(bars[i] in n_keep for i in m1)
             report.add(f"{tag}/keep-cross-enumeration",
                        "modules without the top summand are tau-tilting over both algebras",
                        keep_ok)
 
-            swap_ok = all(bars[i] in q_tt_sets and ctx.hom_set_to_q(bars[i]) != 0 for i in m3)
+            swap_ok = all(bars[i] in q_tt_sets and any(ctx.hom_to_q[j] for j in bars[i])
+                          for i in m3)
             swap_ok = swap_ok and all(
-                (ctx.lift_set(mods - {qbar}) | {q}) in tt_sets for mods in nsets.swap)
+                (frozenset(lift_of[i] for i in mods - {qbar}) | {q}) in tt_sets
+                for mods in nsets.swap)
             report.add(f"{tag}/swap-cross-enumeration",
                        "exchanging Q for the top summand preserves tau-tilting, both ways",
                        swap_ok)

@@ -513,19 +513,6 @@ def tau(M: Representation) -> Representation:
     return K
 
 
-def in_fac(N: Representation, M: Representation) -> bool:
-    """Is N a factor of a finite direct sum of copies of M?
-
-    Decided exactly: the joint image of a Hom(M, N) basis must fill N at
-    every vertex.
-    """
-    if N.algebra is not M.algebra:
-        raise AlgebraMismatch("Fac test across different algebras")
-    if N.is_zero():
-        return True
-    return _images_fill(N, hom_basis(M, N))
-
-
 def _images_fill(N: Representation, homs) -> bool:
     """Does the joint image of the morphisms ``homs`` into N fill N at every vertex?"""
     alg = N.algebra
@@ -568,18 +555,15 @@ def _quotient_coords(space_dim: int, sub: Matrix, field):
     red, pivots = sub.rref()
     free = [c for c in range(space_dim) if c not in pivots]
     proj = Matrix.zeros(space_dim, len(free), field)
-    # reduce each unit vector modulo the subspace, read free coordinates
-    for d in range(space_dim):
-        v = [field.zero] * space_dim
-        v[d] = field.one
-        for i, pc in enumerate(pivots):
-            if v[pc]:
-                f = v[pc]
-                for j in range(space_dim):
-                    if red.data[i][j]:
-                        v[j] = v[j] - f * red.data[i][j]
+    # read off the RREF: a free unit vector is its own coset, and the unit
+    # vector at the pivot of row i reduces to minus row i on the free columns
+    for k, c in enumerate(free):
+        proj.data[c][k] = field.one
+    for i, pc in enumerate(pivots):
+        row = red.data[i]
         for k, c in enumerate(free):
-            proj.data[d][k] = v[c]
+            if row[c]:
+                proj.data[pc][k] = -row[c]
     lift = Matrix.zeros(len(free), space_dim, field)
     for k, c in enumerate(free):
         lift.data[k][c] = field.one

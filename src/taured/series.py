@@ -139,7 +139,7 @@ def _boundary_structure_check(n: int, algebra: Algebra,
     """
     ctx = socle_quotient(algebra, str(n))
     nsets = compute_nsets(ctx)
-    qinv = ctx.quotient_inventory()
+    qinv = ctx.quotient_inv
     got = set()
     for mods in nsets.extend:
         names = frozenset(qinv.records[i].name for i in mods)

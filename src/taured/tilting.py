@@ -81,7 +81,6 @@ class Inventory:
         self._hom_cache: dict[tuple[int, int], list] = {}
         self._hom_tau_cache: dict[tuple[int, int], int] = {}
         self._support_cache: dict[frozenset, frozenset] = {}
-        self._proj_cache: dict[str, Representation] = {}
         self._simple_top: dict[int, bool] = {}
         self._generators: dict[int, frozenset] = {}
         self.by_dim_vector: dict[tuple, list[int]] = {}
@@ -109,11 +108,6 @@ class Inventory:
 
     def candidates(self) -> list[IndecRecord]:
         return [r for r in self.records if not r.external]
-
-    def projective_rep(self, v: str) -> Representation:
-        if v not in self._proj_cache:
-            self._proj_cache[v] = projective(self.algebra, v)
-        return self._proj_cache[v]
 
     def find_iso(self, rep: Representation) -> int | None:
         """The least id of a record isomorphic to ``rep``; only its dimension vector is searched."""
@@ -256,29 +250,27 @@ def _is_local_endo_ring(rep: Representation) -> bool:
     return n - radical_dim == 1
 
 
-def build_inventory(algebra: Algebra, backend="strings",
+def build_inventory(algebra: Algebra,
                     supplied: list[tuple[str, Representation]] | None = None) -> Inventory:
     """Enumerate the indecomposables and precompute tau for each.
 
-    backend="strings" uses the string-module enumeration (complete for string
-    algebras); backend="supplied" trusts an explicit list, auditing each
-    module's endomorphism ring for local-ness.
+    Without ``supplied`` the string modules are enumerated (complete for
+    string algebras); otherwise the supplied (name, module) list is trusted,
+    auditing each module's endomorphism ring for local-ness.
     """
-    if backend == "strings":
+    if supplied is None:
         words = enumerate_strings(algebra)
         reps = [string_to_rep(algebra, w) for w in words]
         names = _names_for(algebra, words)
-    elif backend == "supplied":
+    else:
         if not supplied:
-            raise InventoryError("supplied backend needs modules")
+            raise InventoryError("a supplied inventory needs modules")
         names = [n for n, _ in supplied]
         reps = [r for _, r in supplied]
         for n, r in supplied:
             r.assert_valid()
             if not _is_local_endo_ring(r):
                 log.warning("supplied module %s fails the local-endomorphism audit", n)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
 
     records: list[IndecRecord] = []
     for i, (name, rep) in enumerate(zip(names, reps)):
@@ -293,20 +285,12 @@ def build_inventory(algebra: Algebra, backend="strings",
                     raise InventoryError(
                         f"records {records[ids[i]].name} and {records[ids[j]].name} are isomorphic")
 
-    proj_meta = {}
-    for v in algebra.vertices:
-        proj_meta[v] = inv.projective_rep(v)
-
+    # records is inv.records, so external tau records appended below are visited too
     for r in records:
         t = tau(r.rep)
         r.tau_rep = t
         r.is_projective = t.is_zero()
-        if r.is_projective:
-            for v in algebra.vertices:
-                if r.dim_vector == proj_meta[v].dim_vector and is_iso(r.rep, proj_meta[v]):
-                    r.projective_vertex = v
-                    break
-        else:
+        if not r.is_projective:
             match = inv.find_iso(t)
             if match is None:
                 log.warning("tau of %s is not in the inventory; recording standalone", r.name)
@@ -316,10 +300,10 @@ def build_inventory(algebra: Algebra, backend="strings",
                 match = extra.id
             r.tau_id = match
         r.is_tau_rigid = len(hom_basis(r.rep, r.tau_rep)) == 0
-    for r in records:
-        if r.external and r.tau_rep.is_zero() and not r.rep.is_zero():
-            r.tau_rep = tau(r.rep)
-            r.is_tau_rigid = len(hom_basis(r.rep, r.tau_rep)) == 0
+    for v in algebra.vertices:
+        i = inv.find_iso(projective(algebra, v))
+        if i is not None:
+            records[i].projective_vertex = v
     return inv
 
 

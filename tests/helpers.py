@@ -1,7 +1,8 @@
 """Small queries that only the tests ask of the library."""
 
+from taured.errors import AlgebraMismatch
 from taured.linalg import Matrix
-from taured.reps import hom_basis
+from taured.reps import _images_fill, hom_basis
 
 
 def hom_dim(M, N) -> int:
@@ -26,6 +27,19 @@ def record_by_name(inv, name: str):
 
 def tau_tilting_pairs(inv) -> list:
     return [p for p in inv.pairs if p.is_tau_tilting]
+
+
+def in_fac(N, M) -> bool:
+    """Is N a factor of a finite direct sum of copies of M?
+
+    Decided exactly: the joint image of a Hom(M, N) basis must fill N at
+    every vertex.
+    """
+    if N.algebra is not M.algebra:
+        raise AlgebraMismatch("Fac test across different algebras")
+    if N.is_zero():
+        return True
+    return _images_fill(N, hom_basis(M, N))
 
 
 def order_ge(inv, p1, p2) -> bool:

@@ -63,11 +63,10 @@ def test_criterion_1_example_reproduction():
     qinv = build_inventory(quot)
     n_quot_pairs = len(enumerate_stpairs(qinv))
 
-    ctx = socle_quotient(alg, "1")
-    ctx.inv = inv
+    ctx = socle_quotient(alg, "1", inv)
     nsets = compute_nsets(ctx)
     boundary = {frozenset(qinv2.name for qinv2 in
-                          (ctx.quotient_inventory().records[i] for i in mods))
+                          (ctx.quotient_inv.records[i] for i in mods))
                 for mods in nsets.extend}
 
     tt = sorted(inv.pair_label(p) for p in tau_tilting_pairs(inv))
@@ -149,8 +148,7 @@ def test_criterion_5_reconstruction():
         inv = build_inventory(alg)
         direct = {frozenset(p.modules) for p in tau_tilting_pairs(inv)}
         for v, _ in pis:
-            ctx = socle_quotient(alg, v)
-            ctx.inv = inv
+            ctx = socle_quotient(alg, v, inv)
             recon = set(reconstruct_tau_tilt(ctx, compute_nsets(ctx)))
             assert recon == direct, (name, v)
     elapsed = time.perf_counter() - t0
@@ -230,8 +228,7 @@ def test_criterion_7_property_suites():
             continue
         inv = build_inventory(alg)
         for v, _ in pis:
-            ctx = socle_quotient(alg, v)
-            ctx.inv = inv
+            ctx = socle_quotient(alg, v, inv)
             q = ctx.q_id
             for r in inv.candidates():
                 if r.id == q:
@@ -251,7 +248,7 @@ def test_criterion_8_boundary_structure(n):
     alg = series_algebra("A", n)
     ctx = socle_quotient(alg, str(n))
     nsets = compute_nsets(ctx)
-    qinv = ctx.quotient_inventory()
+    qinv = ctx.quotient_inv
 
     small = series_algebra("A", n - 2)
     sinv = build_inventory(small)

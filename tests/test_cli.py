@@ -91,6 +91,24 @@ def test_hasse_golden(a3sq_file, tmp_path, capsys):
         assert text == f.read()
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+with open(os.path.join(GOLDEN, "cli_exit_codes.json"), encoding="utf-8") as _f:
+    CLI_EXIT_CODES = json.load(_f)
+CLI_ARGV = {"verify": ["verify"], "reduce": ["reduce", "--emit-quotient"]}
+
+
+@pytest.mark.parametrize("name,command", [(name, command)
+                                          for name, codes in CLI_EXIT_CODES.items()
+                                          for command in codes])
+def test_cli_output_matches_golden(name, command, capsys, monkeypatch):
+    """Stdout and exit code of `verify` and `reduce --emit-quotient`, byte for byte."""
+    monkeypatch.delenv("TAURED_FIELD", raising=False)
+    code = main([*CLI_ARGV[command], os.path.join(GOLDEN, f"{name}.alg")])
+    with open(os.path.join(GOLDEN, f"{name}.{command}.out"), encoding="utf-8") as f:
+        assert capsys.readouterr().out == f.read()
+    assert code == CLI_EXIT_CODES[name][command]
+
+
 def test_reduce(a3sq_file, capsys):
     assert main(["reduce", a3sq_file, "--emit-quotient"]) == 0
     out = capsys.readouterr().out

@@ -142,7 +142,7 @@ def test_inventory_block_builds_and_enumerates():
     af = parse(WITH_INVENTORY)
     alg, supplied = af.build()
     assert supplied is not None and len(supplied) == 5
-    inv = build_inventory(alg, backend="supplied", supplied=supplied)
+    inv = build_inventory(alg, supplied=supplied)
     assert len(enumerate_stpairs(inv)) == 12
 
 

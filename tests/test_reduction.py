@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +8,6 @@ from taured.errors import NonSimpleSocle, NoProjInjective, NotProjInjective
 from taured.reduction import (
     Report,
     ReductionSets,
-    bar_summands,
     compute_nsets,
     find_proj_injectives,
     reconstruct_tau_tilt,
@@ -63,6 +64,36 @@ def test_socle_quotient_errors(a3sq):
         socle_quotient(a3sq, "9")
 
 
+def test_socle_quotient_names_each_failure(a3sq):
+    from taured.algebra import Arrow, Quiver, build_algebra
+
+    with pytest.raises(NotProjInjective, match="P_3 is not projective-injective"):
+        socle_quotient(a3sq, "3")
+    fork = build_algebra(Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "1", "3"))), [])
+    with pytest.raises(NotProjInjective, match=r"Soc\(P_1\) has dimension 2"):
+        socle_quotient(fork, "1")
+    assert find_proj_injectives(fork) == []
+
+
+def test_reduction_context_is_a_value(a3sq, a3sq_inv):
+    context = socle_quotient(a3sq, "1", a3sq_inv)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        context.inv = None
+    # the quotient side reads no ambient inventory
+    quotient_side = socle_quotient(a3sq, "1")
+    assert compute_nsets(quotient_side).extend == compute_nsets(context).extend
+    assert not {"q_id", "bar_of", "lift_of"} & set(vars(quotient_side))
+
+
+def test_bar_undoes_lift(corpus, corpus_invs):
+    for name, alg in corpus.items():
+        for v, _ in find_proj_injectives(alg):
+            ctx = socle_quotient(alg, v, corpus_invs[name])
+            assert set(ctx.lift_of) == set(ctx.hom_to_q), (name, v)
+            assert all(ctx.bar_of[a] == j for j, a in ctx.lift_of.items()), (name, v)
+            assert ctx.q_is_simple == (ctx.qbar_id is None), (name, v)
+
+
 def test_verify_finds_proj_injectives_once(monkeypatch):
     import taured.reduction as reduction
 
@@ -89,22 +120,26 @@ def test_socle_quotient_series_products():
     assert ctxd.quotient.dim == series_algebra("D", 4).dim + 1
 
 
-def test_bar_summands_merges_duplicates(a3sq, a3sq_inv):
-    ctx = socle_quotient(a3sq, "1")
-    ctx.inv = a3sq_inv
+def test_bar_of_merges_duplicates_and_drops_zero_images(a3sq, a3sq_inv):
+    ctx = socle_quotient(a3sq, "1", a3sq_inv)
     q = record_by_name(a3sq_inv, "1/2").id
     s1 = record_by_name(a3sq_inv, "1").id
     s3 = record_by_name(a3sq_inv, "3").id
-    image = bar_summands(ctx, {q, s1, s3})
-    qinv = ctx.quotient_inventory()
+    assert ctx.bar_of[q] == ctx.bar_of[s1]  # Q and S1 both go to S1
+    image = frozenset(ctx.bar_of[i] for i in (q, s1, s3)) - {None}
+    qinv = ctx.quotient_inv
     assert sorted(qinv.records[i].name for i in image) == ["1", "3"]
+    # a simple Q is the one summand whose image is zero
+    alg = ka2_times_k()
+    inv = build_inventory(alg)
+    simple = socle_quotient(alg, "3", inv)
+    assert [i for i, b in simple.bar_of.items() if b is None] == [simple.q_id]
 
 
 def test_nsets_example(a3sq, a3sq_inv):
-    ctx = socle_quotient(a3sq, "1")
-    ctx.inv = a3sq_inv
+    ctx = socle_quotient(a3sq, "1", a3sq_inv)
     ns = compute_nsets(ctx)
-    qinv = ctx.quotient_inventory()
+    qinv = ctx.quotient_inv
 
     def names(mods):
         return sorted(qinv.records[i].name for i in mods)
@@ -120,7 +155,7 @@ def test_nsets_a_series_structure():
         alg = series_algebra("A", n)
         ctx = socle_quotient(alg, str(n))
         ns = compute_nsets(ctx)
-        qinv = ctx.quotient_inventory()
+        qinv = ctx.quotient_inv
         small = series_algebra("A", n - 2)
         sinv = build_inventory(small)
         expected = {frozenset(sinv.records[i].name for i in p.modules)
@@ -134,8 +169,7 @@ def test_nsets_a_series_structure():
 
 
 def test_reconstruct_example(a3sq, a3sq_inv):
-    ctx = socle_quotient(a3sq, "1")
-    ctx.inv = a3sq_inv
+    ctx = socle_quotient(a3sq, "1", a3sq_inv)
     recon = reconstruct_tau_tilt(ctx, compute_nsets(ctx))
     labels = sorted("+".join(sorted(a3sq_inv.records[i].name for i in s)) for s in recon)
     assert labels == ["1+1/2+3", "1/2+2+2/3", "1/2+2/3+3"]
@@ -144,8 +178,7 @@ def test_reconstruct_example(a3sq, a3sq_inv):
 def test_reconstruct_simple_q():
     alg = ka2_times_k()
     inv = build_inventory(alg)
-    ctx = socle_quotient(alg, "3")
-    ctx.inv = inv
+    ctx = socle_quotient(alg, "3", inv)
     assert ctx.q_is_simple
     recon = reconstruct_tau_tilt(ctx, compute_nsets(ctx))
     tt = {frozenset(p.modules) for p in tau_tilting_pairs(inv)}
@@ -167,8 +200,7 @@ def test_q_and_qbar_looked_up_once_per_reduction(monkeypatch, a3sq, a3sq_inv):
 
 
 def test_reconstruct_empty_sets(a3sq, a3sq_inv):
-    ctx = socle_quotient(a3sq, "1")
-    ctx.inv = a3sq_inv
+    ctx = socle_quotient(a3sq, "1", a3sq_inv)
     empty = ReductionSets([], [], [], [])
     assert reconstruct_tau_tilt(ctx, empty) == []
 
@@ -234,8 +266,7 @@ def test_verify_moreover_clause_fires():
     fired = [c for c in rep.checks if c.name.endswith("socle-factor-forces-empty")]
     assert fired and all(c.passed for c in fired)
     # and the two tau-tilt posets really are in bijection
-    ctx = socle_quotient(alg, "1")
-    ctx.inv = inv
+    ctx = socle_quotient(alg, "1", inv)
     assert not compute_nsets(ctx).extend
 
 

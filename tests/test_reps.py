@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from taured.algebra import (
     Arrow,
@@ -18,10 +19,10 @@ from taured.reps import (
     Morphism,
     ProjSum,
     Representation,
+    _quotient_coords,
     bar,
     direct_sum,
     hom_basis,
-    in_fac,
     inflate,
     injective,
     is_iso,
@@ -36,7 +37,7 @@ from taured.reduction import find_proj_injectives, socle_quotient, verify_reduct
 from taured.strings import enumerate_strings, string_name, string_to_rep
 from taured.tilting import build_inventory, oracle_stpairs_via_quotients
 
-from helpers import hom_dim, satisfies_table_by_all_pairs
+from helpers import hom_dim, in_fac, satisfies_table_by_all_pairs
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +192,18 @@ def test_coxeter_transform_on_hereditary(maker):
                               len(alg.vertices), QQ)
         expected = dv @ phi
         assert [Fraction(d) for d in tau(m).dim_vector] == expected.data[0]
+
+
+@given(st.sampled_from([QQ, PrimeField(3)]), st.integers(0, 4), st.integers(1, 5), st.data())
+def test_quotient_coords_kill_the_subspace_and_split_the_lift(field, rows, dim, data):
+    entries = st.integers(-2, 2).map(field.from_int)
+    sub = Matrix.from_rows([[data.draw(entries) for _ in range(dim)] for _ in range(rows)],
+                           dim, field)
+    proj, lift = _quotient_coords(dim, sub, field)
+    assert proj.cols == dim - sub.rank()
+    if rows:
+        assert all(not x for row in (sub @ proj).data for x in row)
+    assert (lift @ proj).data == Matrix.identity(proj.cols, field).data
 
 
 def test_bar_examples(a3sq, named):

@@ -56,7 +56,7 @@ def square_inventory(square):
         ("(2+3)/4", rep("234", ["b", "d"])),
         ("1/(2+3)/4", rep("1234", ["a", "b", "c", "d"])),
     ]
-    return build_inventory(square, backend="supplied", supplied=supplied)
+    return build_inventory(square, supplied=supplied)
 
 
 def test_square_is_not_string_but_quotient_is(square):
@@ -101,8 +101,7 @@ def test_square_tau_tilting_count(square, square_inventory):
     # reduction recounts this independently through the string-algebra quotient
     from taured.reduction import compute_nsets, reconstruct_tau_tilt
 
-    ctx = socle_quotient(square, "1")
-    ctx.inv = square_inventory
+    ctx = socle_quotient(square, "1", square_inventory)
     recon = reconstruct_tau_tilt(ctx, compute_nsets(ctx))
     assert len(recon) == len(tts)
     assert set(recon) == {frozenset(p.modules) for p in tts}

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 import taured.tilting
 from taured.algebra import Arrow, Quiver, Relation, build_algebra
 from taured.dsl import parse
-from taured.errors import UnknownVertex
+from taured.errors import InventoryError, UnknownVertex
 from taured.linalg import Matrix
-from taured.reps import in_fac, is_iso
+from taured.reps import is_iso, projective
 from taured.series import series_algebra
 from taured.strings import enumerate_strings, string_to_rep
 from taured.tilting import (
@@ -26,7 +26,7 @@ from taured.tilting import (
     oracle_stpairs_via_quotients,
 )
 
-from helpers import order_ge, reaches, record_by_name, tau_tilting_pairs
+from helpers import in_fac, order_ge, reaches, record_by_name, tau_tilting_pairs
 
 
 def test_inventory_a3sq(a3sq_inv):
@@ -335,7 +335,7 @@ def test_user_supplied_inventory_matches_strings(a3sq, a3sq_inv):
 
     supplied = [(string_name(a3sq, w), string_to_rep(a3sq, w))
                 for w in enumerate_strings(a3sq)]
-    inv2 = build_inventory(a3sq, backend="supplied", supplied=supplied)
+    inv2 = build_inventory(a3sq, supplied=supplied)
     pairs1 = {frozenset(a3sq_inv.pair_label(p) for p in enumerate_stpairs(a3sq_inv))}
     pairs2 = {frozenset(inv2.pair_label(p) for p in enumerate_stpairs(inv2))}
     assert pairs1 == pairs2
@@ -404,8 +404,7 @@ def test_supplied_backend_warns_on_decomposable(a3sq, caplog):
 
     decomposable = direct_sum([simple(a3sq, "1"), simple(a3sq, "3")])
     with caplog.at_level(logging.WARNING):
-        build_inventory(a3sq, backend="supplied",
-                        supplied=[("fake", decomposable), ("s2", simple(a3sq, "2"))])
+        build_inventory(a3sq, supplied=[("fake", decomposable), ("s2", simple(a3sq, "2"))])
     assert any("local-endomorphism" in r.message for r in caplog.records)
 
 
@@ -421,7 +420,7 @@ def test_supplied_backend_bricks_pass_audit_over_f2(caplog):
     supplied = [(string_name(alg, w), string_to_rep(alg, w)) for w in enumerate_strings(alg)]
     assert "1/2" in dict(supplied)
     with caplog.at_level(logging.WARNING):
-        inv = build_inventory(alg, backend="supplied", supplied=supplied)
+        inv = build_inventory(alg, supplied=supplied)
     assert not [r for r in caplog.records if "local-endomorphism" in r.message]
     assert len(enumerate_stpairs(inv)) == 12
 
@@ -449,6 +448,20 @@ def test_projective_flag_matches_actual_projectives(corpus_invs):
             assert r.is_projective == matches, (name, r.name)
             if r.is_projective:
                 assert r.projective_vertex in alg.vertices
+
+
+def test_projective_vertex_names_the_projective(corpus, corpus_invs):
+    for name, alg in corpus.items():
+        inv = corpus_invs[name]
+        at = {r.projective_vertex: r for r in inv.records if r.projective_vertex is not None}
+        assert set(at) == set(alg.vertices), name
+        for v, r in at.items():
+            assert r.is_projective and is_iso(r.rep, projective(alg, v)), (name, v)
+
+
+def test_empty_supplied_list_raises(a3sq):
+    with pytest.raises(InventoryError):
+        build_inventory(a3sq, supplied=[])
 
 
 @st.composite
@@ -507,7 +520,7 @@ def test_find_iso_matches_linear_scan(corpus_invs):
 def test_external_tau_record_is_found_by_dimension_vector(a3sq, a3sq_inv):
     # S1 alone: its translates S2 and S3 are not supplied, so they are appended
     s1, s2, s3 = (record_by_name(a3sq_inv, name).rep for name in ("1", "2", "3"))
-    inv = build_inventory(a3sq, backend="supplied", supplied=[("1", s1)])
+    inv = build_inventory(a3sq, supplied=[("1", s1)])
     assert [(r.name, r.external, r.tau_id) for r in inv.records] == \
         [("1", False, 1), ("tau(1)", True, 2), ("tau(tau(1))", True, None)]
     assert [inv.find_iso(s) for s in (s1, s2, s3)] == [0, 1, 2]
@@ -533,7 +546,7 @@ def test_rank_pair_key_orders_as_names(corpus_invs, a3sq, a3sq_inv):
         _assert_same_pair_order(inv, inv.pairs[::-1])
     # duplicate names: the supplied backend keeps the names it is given
     named = [(("x", "y", "x", "z", "y")[r.id], r.rep) for r in a3sq_inv.records]
-    inv = build_inventory(a3sq, backend="supplied", supplied=named)
+    inv = build_inventory(a3sq, supplied=named)
     assert len({r.name for r in inv.records}) < len(inv.records)
     pairs = enumerate_stpairs(inv)
     _assert_same_pair_order(inv, pairs)
