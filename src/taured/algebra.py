@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptySupport, NotFiniteDimensional, UnsupportedQuotient
-from .linalg import QQ, FpElement, Matrix, left_nullspace
+from .linalg import QQ, FpElement, Matrix, left_nullspace, modulo, rank_and_rowbasis
 
 Vec = dict[int, object]  # sparse algebra element: basis index -> scalar
 
@@ -252,6 +252,9 @@ def build_algebra(quiver: Quiver, relations, max_len: int = 30, field=QQ) -> Alg
                     gens.append(vec)
         return gens
 
+    def path_preference(key):
+        return len(key[1]), key[1], key[0]
+
     max_avail = len(levels) - 1
     nil = None
     for cand in range(1, min(max_len, max_avail) + 1):
@@ -262,63 +265,24 @@ def build_algebra(quiver: Quiver, relations, max_len: int = 30, field=QQ) -> Alg
         gens = generator_products(cand)
         if not gens:
             continue
-        cols = [(s, w) for lv in levels[: cand + 1] for w, s, _ in lv]
-        col_pos = {k: i for i, k in enumerate(cols)}
-        rows = []
-        for g in gens:
-            row = [field.zero] * len(cols)
-            for k, c in g.items():
-                if len(k[1]) <= cand:
-                    row[col_pos[k]] = row[col_pos[k]] + c
-            rows.append(row)
-        span = Matrix.from_rows(rows, len(cols), field)
-        # a path lies in the span iff its column is a pivot whose RREF row has
-        # no other entry; the paths of length cand are the last columns, so
-        # when all of them are pivots, no row has another entry
-        if {col_pos[(s, w)] for w, s, _ in level_paths} <= set(span.rref()[1]):
+        # a path lies in the ideal iff its normal form is zero
+        _, normal = _normal_form([(s, w) for lv in levels[: cand + 1] for w, s, _ in lv],
+                                 [{k: c for k, c in g.items() if len(k[1]) <= cand}
+                                  for g in gens], field, path_preference)
+        if not any(normal[(s, w)] for w, s, _ in level_paths):
             nil = cand
             break
     if nil is None:
         raise NotFiniteDimensional(
             f"no nilpotency degree <= {max_len}; the ideal is not admissible at this bound")
 
-    # survivors below the nilpotency degree, eliminated against the ideal part
-    low_keys = [(s, w) for lv in levels[:nil] for w, s, _ in lv]
-    # column order: least-preferred first (longest, lexicographically largest)
-    cols = sorted(low_keys, key=lambda k: (len(k[1]), k[1], k[0]), reverse=True)
-    col_pos = {k: i for i, k in enumerate(cols)}
-    gens = generator_products(nil - 1)
-    rows = []
-    for g in gens:
-        row = [field.zero] * len(cols)
-        nontrivial = False
-        for k, c in g.items():
-            if len(k[1]) < nil:
-                row[col_pos[k]] = row[col_pos[k]] + c
-                nontrivial = True
-        if nontrivial:
-            rows.append(row)
-    span = Matrix.from_rows(rows, len(cols), field)
-    red, pivots = span.rref()
-    pivset = set(pivots)
-
-    survivors = sorted((cols[i] for i in range(len(cols)) if i not in pivset),
-                       key=lambda k: (len(k[1]), k[1], k[0]))
+    # the paths below the nilpotency degree that survive, and the basis
+    # coordinates of each such path
+    survivors, rewrite = _normal_form(
+        [(s, w) for lv in levels[:nil] for w, s, _ in lv],
+        [{k: c for k, c in g.items() if len(k[1]) < nil} for g in generator_products(nil - 1)],
+        field, path_preference)
     basis = [BasisElement(w, s, tgt_of[(s, w)]) for s, w in survivors]
-    basis_pos = {k: i for i, k in enumerate(survivors)}
-
-    # reduction of an arbitrary path of length < nil to basis coordinates
-    rewrite: dict[tuple, Vec] = {}
-    for k in survivors:
-        rewrite[k] = {basis_pos[k]: field.one}
-    for rix, pc in enumerate(pivots):
-        vec: Vec = {}
-        for j in range(pc + 1, len(cols)):
-            c = red.data[rix][j]
-            if c:
-                # tail columns are non-pivot in full rref
-                vec[basis_pos[cols[j]]] = -c
-        rewrite[cols[pc]] = vec
 
     mult: dict[tuple[int, int], Vec] = {}
     for i, bi in enumerate(basis):
@@ -335,6 +299,32 @@ def build_algebra(quiver: Quiver, relations, max_len: int = 30, field=QQ) -> Alg
     alg = Algebra(field, quiver, relations, basis, mult, nil)
     _check_associativity(alg)
     return alg
+
+
+def _normal_form(keys, vecs: list[dict], field, preference) -> tuple[list, dict]:
+    """Normal forms of ``keys`` modulo the span of ``vecs``, sparse vectors over them.
+
+    ``preference`` sorts keys from most to least preferred.  The span is
+    eliminated least-preferred key first, so the free columns of
+    :func:`modulo` are the surviving keys and each key rewrites into them.
+    Returns the survivors in preference order and, for every key, its normal
+    form as a Vec over their positions; a survivor is its own unit vector.
+    """
+    cols = sorted(keys, key=preference, reverse=True)
+    col_pos = {k: i for i, k in enumerate(cols)}
+    rows = []
+    for v in vecs:
+        row = [field.zero] * len(cols)
+        for k, c in v.items():
+            row[col_pos[k]] = row[col_pos[k]] + c
+        rows.append(row)
+    free, kernel = modulo(Matrix.from_rows(rows, len(cols), field))
+    survivors = sorted((cols[c] for c in free), key=preference)
+    position = {k: i for i, k in enumerate(survivors)}
+    labels = [position[cols[c]] for c in free]
+    normal = {k: {labels[r]: x for r, row in enumerate(kernel.data) if (x := row[c])}
+              for c, k in enumerate(cols)}
+    return survivors, normal
 
 
 def _check_associativity(alg: Algebra) -> None:
@@ -424,11 +414,8 @@ def two_sided_ideal_slices(alg: Algebra, gens: list[Vec]):
         for r, v in zip(rows, vecs):
             for i, c in v.items():
                 r[pos[i]] = r[pos[i]] + c
-        red, pivots = Matrix.from_rows(rows, len(cols), field).rref()
-        basis_rows = []
-        for k in range(len(pivots)):
-            vec = {cols[i]: red.data[k][i] for i in range(len(cols)) if red.data[k][i]}
-            basis_rows.append(vec)
+        _, basis = rank_and_rowbasis(Matrix.from_rows(rows, len(cols), field))
+        basis_rows = [{cols[i]: c for i, c in enumerate(row) if c} for row in basis.data]
         if basis_rows:
             out.append((u, w, basis_rows))
     return out
@@ -444,42 +431,12 @@ def quotient_by_elements(alg: Algebra, gens: list[Vec]) -> Algebra:
     field = alg.field
     slices = two_sided_ideal_slices(alg, gens)
 
-    ideal_vecs: list[Vec] = [v for _, _, rows in slices for v in rows]
-    # eliminate against the full basis, least-preferred columns first
-    order = sorted(range(alg.dim),
-                   key=lambda i: (len(alg.basis[i].word), alg.basis[i].word), reverse=True)
-    col_of = {b: i for i, b in enumerate(order)}
-    rows = []
-    for v in ideal_vecs:
-        row = [field.zero] * alg.dim
-        for i, c in v.items():
-            row[col_of[i]] = row[col_of[i]] + c
-        rows.append(row)
-    red, pivots = Matrix.from_rows(rows, alg.dim, field).rref()
-    pivset = set(pivots)
-
-    surviving = sorted(
-        (order[i] for i in range(alg.dim) if i not in pivset),
-        key=lambda i: (len(alg.basis[i].word), alg.basis[i].word),
-    )
+    surviving, projection = _normal_form(
+        range(alg.dim), [v for _, _, rows in slices for v in rows], field,
+        lambda i: (len(alg.basis[i].word), alg.basis[i].word))
     new_pos = {old: new for new, old in enumerate(surviving)}
 
-    projection: dict[int, Vec] = {}
-    for old in surviving:
-        projection[old] = {new_pos[old]: field.one}
-    for rix, pc in enumerate(pivots):
-        old = order[pc]
-        vec: Vec = {}
-        for j in range(pc + 1, alg.dim):
-            c = red.data[rix][j]
-            if c:
-                tail_old = order[j]
-                if tail_old not in new_pos:
-                    raise UnsupportedQuotient("rewrite tail hits an eliminated basis element")
-                vec[new_pos[tail_old]] = -c
-        projection[old] = vec
-
-    killed = {order[c] for c in pivots}
+    killed = set(range(alg.dim)).difference(new_pos)
     for old in killed:
         b = alg.basis[old]
         if b.is_idempotent and projection[old]:
@@ -570,7 +527,7 @@ def vertex_subalgebra_quotient(alg: Algebra, support) -> Algebra:
     return quotient_by_elements(alg, gens)
 
 
-def extract_presentation(alg: Algebra, max_extra: int = 1):
+def extract_presentation(alg: Algebra):
     """Recover (quiver, relations) presenting ``alg``.
 
     For presented algebras this is the stored data.  For quotient algebras the
@@ -581,7 +538,7 @@ def extract_presentation(alg: Algebra, max_extra: int = 1):
     if alg.relations is not None:
         return alg.quiver, list(alg.relations)
     max_word = max((len(b.word) for b in alg.basis), default=0)
-    bound = max_word + max_extra
+    bound = max_word + 1
 
     by_src: dict[str, list[Arrow]] = {v: [] for v in alg.vertices}
     for a in alg.quiver.arrows:

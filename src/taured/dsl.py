@@ -44,12 +44,12 @@ class AlgebraFile:
     relations: list[Relation] = dc_field(default_factory=list)
     modules: list[ModuleBlock] = dc_field(default_factory=list)
 
-    def build(self, field_override: str | None = None, max_len: int = 30):
+    def build(self, field_override: str | None = None):
         """Construct the algebra and, when present, the explicit inventory."""
         field = field_from_name(field_override or self.field_mode)
         quiver = Quiver(tuple(self.vertices),
                         tuple(Arrow(n, s, t) for n, s, t in self.arrows))
-        algebra = build_algebra(quiver, self.relations, max_len=max_len, field=field)
+        algebra = build_algebra(quiver, self.relations, field=field)
         supplied = None
         if self.modules:
             supplied = []

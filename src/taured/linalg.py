@@ -271,14 +271,19 @@ def rank_and_rowbasis(m: Matrix) -> tuple[int, Matrix]:
     return len(pivots), basis
 
 
-def nullspace(m: Matrix) -> Matrix:
-    """Basis (as rows) of ``{x : x . m^T = 0}``, the right kernel of ``m``.
+def modulo(m: Matrix) -> tuple[list[int], Matrix]:
+    """The free columns of m's RREF and the nullspace read off it.
 
-    Satisfies rank(nullspace(m)) + rank(m) = cols(m).
+    Row k of the nullspace is 1 at ``free[k]``, 0 at the other free columns
+    and minus the RREF entries of that column at the pivots.  So its column c
+    holds the coordinates of e_c modulo the row space of m, in the basis of
+    the free unit vectors, and a vector of the nullspace has its entries at
+    the free columns as coordinates.
     """
     r, pivots = m.rref()
     field = m.field
-    free = [c for c in range(m.cols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
     rows = []
     for fc in free:
         vec = [field.zero] * m.cols
@@ -286,40 +291,20 @@ def nullspace(m: Matrix) -> Matrix:
         for i, pc in enumerate(pivots):
             vec[pc] = -r.data[i][fc]
         rows.append(vec)
-    return Matrix.from_rows(rows, m.cols, field)
+    return free, Matrix.from_rows(rows, m.cols, field)
+
+
+def nullspace(m: Matrix) -> Matrix:
+    """Basis (as rows) of ``{x : x . m^T = 0}``, the right kernel of ``m``.
+
+    Satisfies rank(nullspace(m)) + rank(m) = cols(m).
+    """
+    return modulo(m)[1]
 
 
 def left_nullspace(m: Matrix) -> Matrix:
     """Basis (as rows) of ``{x : x @ m = 0}``."""
     return nullspace(m.transpose())
-
-
-def solve_right(a: Matrix, b: Matrix) -> Matrix | None:
-    """Some X with a @ X = b, or None if the system is inconsistent."""
-    if a.rows != b.rows:
-        raise ValueError("row mismatch in solve")
-    field = a.field
-    aug = Matrix(
-        a.rows,
-        a.cols + b.cols,
-        [ra[:] + rb[:] for ra, rb in zip(a.data, b.data)],
-        field,
-    )
-    r, pivots = aug.rref()
-    for c in pivots:
-        if c >= a.cols:
-            return None
-    x = Matrix.zeros(a.cols, b.cols, field)
-    for i, pc in enumerate(pivots):
-        for j in range(b.cols):
-            x.data[pc][j] = r.data[i][a.cols + j]
-    return x
-
-
-def solve_left(a: Matrix, b: Matrix) -> Matrix | None:
-    """Some X with X @ a = b, or None if inconsistent."""
-    xt = solve_right(a.transpose(), b.transpose())
-    return None if xt is None else xt.transpose()
 
 
 def is_invertible(m: Matrix) -> bool:

@@ -74,7 +74,6 @@ def _socle(algebra: Algebra, v: str) -> list[dict]:
     """
     field = algebra.field
     rows_idx = algebra.basis_from(v)
-    cols = 0
     rows = []
     for bidx in rows_idx:
         row = []
@@ -83,9 +82,7 @@ def _socle(algebra: Algebra, v: str) -> list[dict]:
             for k in rows_idx:
                 row.append(prod.get(k, field.zero))
         rows.append(row)
-        cols = len(row)
-    m = Matrix.from_rows(rows, cols, field)
-    ker = Matrix.identity(len(rows_idx), field) if cols == 0 else left_nullspace(m)
+    ker = left_nullspace(Matrix.from_rows(rows, len(algebra.arrows) * len(rows_idx), field))
     return [{rows_idx[k]: c for k, c in enumerate(krow) if c} for krow in ker.data]
 
 

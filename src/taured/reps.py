@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, Vec
 from .errors import AlgebraMismatch, InconsistentSum, QuotientMismatch, UnknownVertex, ZeroModule
-from .linalg import (
-    Matrix,
-    is_invertible,
-    left_nullspace,
-    nullspace,
-    rank_and_rowbasis,
-    solve_left,
-)
+from .linalg import Matrix, is_invertible, modulo, nullspace, rank_and_rowbasis
 
 
 class Representation:
@@ -31,8 +24,7 @@ class Representation:
 
     __slots__ = ("algebra", "dims", "maps")
 
-    def __init__(self, algebra: Algebra, dims: dict[str, int], maps: dict[str, Matrix],
-                 check: bool = False):
+    def __init__(self, algebra: Algebra, dims: dict[str, int], maps: dict[str, Matrix]):
         self.algebra = algebra
         self.dims = {v: int(dims.get(v, 0)) for v in algebra.vertices}
         self.maps = {}
@@ -44,8 +36,6 @@ class Representation:
             if (m.rows, m.cols) != (self.dims[a.src], self.dims[a.tgt]):
                 raise ValueError(f"map for arrow {a.name} has wrong shape")
             self.maps[a.name] = m
-        if check:
-            self.assert_valid()
 
     @property
     def dim_vector(self) -> tuple[int, ...]:
@@ -304,10 +294,7 @@ def radical_subspaces(M: Representation) -> dict[str, Matrix]:
     out = {}
     for v in alg.vertices:
         mats = [M.maps[a.name] for a in alg.arrows if a.tgt == v]
-        stacked = Matrix.stack(mats, M.dims[v], alg.field) if mats else \
-            Matrix.zeros(0, M.dims[v], alg.field)
-        _, basis = rank_and_rowbasis(stacked)
-        out[v] = basis
+        out[v] = rank_and_rowbasis(Matrix.stack(mats, M.dims[v], alg.field))[1]
     return out
 
 
@@ -320,9 +307,7 @@ def top_lifts(M: Representation) -> list[tuple[str, list]]:
         d = M.dims[v]
         if d == 0:
             continue
-        red, pivots = rad[v].rref()
-        free = [c for c in range(d) if c not in pivots]
-        for c in free:
+        for c in modulo(rad[v])[0]:
             row = [alg.field.zero] * d
             row[c] = alg.field.one
             out.append((v, row))
@@ -420,19 +405,26 @@ def projective_cover_map(M: Representation) -> tuple[ProjSum, Morphism]:
 
 
 def kernel_of(f: Morphism) -> tuple[Representation, Morphism]:
-    """Kernel subrepresentation with its inclusion."""
+    """Kernel subrepresentation with its inclusion.
+
+    A kernel vector's coordinates in the basis :func:`modulo` reads off are
+    its entries at the free columns, so each arrow map is read directly.
+    """
     M = f.source
     alg = M.algebra
-    field = alg.field
-    bases = {v: left_nullspace(f.blocks[v]) for v in alg.vertices}
+    free, bases = {}, {}
+    for v in alg.vertices:
+        free[v], bases[v] = modulo(f.blocks[v].transpose())
     dims = {v: bases[v].rows for v in alg.vertices}
     maps = {}
     for a in alg.arrows:
         moved = bases[a.src] @ M.maps[a.name]
-        sol = solve_left(bases[a.tgt], moved)
-        if sol is None:
+        cols = free[a.tgt]
+        coords = Matrix.from_rows([[row[c] for c in cols] for row in moved.data],
+                                  len(cols), alg.field)
+        if coords @ bases[a.tgt] != moved:
             raise AssertionError("kernel is not arrow-stable; morphism invalid")
-        maps[a.name] = sol
+        maps[a.name] = coords
     K = Representation(alg, dims, maps)
     incl = Morphism(K, M, {v: bases[v] for v in alg.vertices})
     return K, incl
@@ -520,9 +512,7 @@ def _images_fill(N: Representation, homs) -> bool:
         d = N.dims[v]
         if d == 0:
             continue
-        mats = [f.blocks[v] for f in homs]
-        stacked = Matrix.stack(mats, d, alg.field) if mats else Matrix.zeros(0, d, alg.field)
-        if rank_and_rowbasis(stacked)[0] != d:
+        if Matrix.stack([f.blocks[v] for f in homs], d, alg.field).rank() != d:
             return False
     return True
 
@@ -539,59 +529,31 @@ def module_times_ideal(M: Representation, slices) -> dict[str, Matrix]:
             for vec in vecs:
                 act = M.element_action(vec, u, w)
                 rows.append(act)
-        stacked = Matrix.stack(rows, M.dims[v], alg.field) if rows else \
-            Matrix.zeros(0, M.dims[v], alg.field)
-        _, basis = rank_and_rowbasis(stacked)
-        out[v] = basis
+        out[v] = rank_and_rowbasis(Matrix.stack(rows, M.dims[v], alg.field))[1]
     return out
 
 
-def _quotient_coords(space_dim: int, sub: Matrix, field):
-    """Projection data for K^d / rowspace(sub).
-
-    Returns (proj, lift): proj maps ambient rows to quotient coordinates,
-    lift embeds quotient coordinates as coset representatives.
-    """
-    red, pivots = sub.rref()
-    free = [c for c in range(space_dim) if c not in pivots]
-    proj = Matrix.zeros(space_dim, len(free), field)
-    # read off the RREF: a free unit vector is its own coset, and the unit
-    # vector at the pivot of row i reduces to minus row i on the free columns
-    for k, c in enumerate(free):
-        proj.data[c][k] = field.one
-    for i, pc in enumerate(pivots):
-        row = red.data[i]
-        for k, c in enumerate(free):
-            if row[c]:
-                proj.data[pc][k] = -row[c]
-    lift = Matrix.zeros(len(free), space_dim, field)
-    for k, c in enumerate(free):
-        lift.data[k][c] = field.one
-    return proj, lift
-
-
 def bar(M: Representation, quotient: Algebra) -> Representation:
-    """M / (M . J) as a module over the quotient algebra A/J."""
+    """M / (M . J) as a module over the quotient algebra A/J.
+
+    At each vertex the free unit vectors of :func:`modulo` of M . J are the
+    basis, and the nullspace's transpose projects onto it.
+    """
     if quotient.parent is not M.algebra:
         raise QuotientMismatch("quotient algebra does not come from this module's algebra")
     alg = M.algebra
-    field = alg.field
     mj = module_times_ideal(M, quotient.ideal_slices)
-    proj = {}
-    lift = {}
-    dims = {}
+    free, proj = {}, {}
     for v in alg.vertices:
-        p, l = _quotient_coords(M.dims[v], mj[v], field)
-        proj[v], lift[v] = p, l
-        dims[v] = p.cols
-    qdims = {v: dims.get(v, 0) for v in quotient.vertices}
-    for v in alg.vertices:
-        if v not in quotient.vertices and dims[v] != 0:
+        free[v], kernel = modulo(mj[v])
+        proj[v] = kernel.transpose()
+        if v not in quotient.vertices and free[v]:
             raise QuotientMismatch("quotient module lives on a killed vertex")
     maps = {}
     for a in quotient.arrows:
-        maps[a.name] = lift[a.src] @ M.maps[a.name] @ proj[a.tgt]
-    return Representation(quotient, qdims, maps)
+        rows = [M.maps[a.name].data[i] for i in free[a.src]]
+        maps[a.name] = Matrix.from_rows(rows, M.dims[a.tgt], alg.field) @ proj[a.tgt]
+    return Representation(quotient, {v: len(free[v]) for v in quotient.vertices}, maps)
 
 
 def inflate(M: Representation) -> Representation:

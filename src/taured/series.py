@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra, Arrow, Quiver, Relation, build_algebra
-from .errors import BadIndex, NonIntegerResult
+from .errors import BadIndex, NonIntegerResult, NotProjInjective
 from .linalg import QQ
-from .reduction import compute_nsets, find_proj_injectives, socle_quotient
+from .reduction import ReductionContext, compute_nsets, socle_quotient
 from .tilting import Inventory, build_inventory
 
 
@@ -129,15 +129,14 @@ class SeriesReport:
                    and r.boundary_structure_checked is not False for r in self.rows)
 
 
-def _boundary_structure_check(n: int, algebra: Algebra,
+def _boundary_structure_check(n: int, ctx: ReductionContext,
                               smaller: set[frozenset[str]]) -> bool:
-    """The boundary family equals {S_n + L : L in ``smaller``}.
+    """The boundary family of the reduction ``ctx`` at P_n equals {S_n + L : L in ``smaller``}.
 
     ``smaller`` holds the tau-tilting modules over the (n-2) algebra of the
     series, by summand names, which are shared vertex-wise between the series
     algebras.
     """
-    ctx = socle_quotient(algebra, str(n))
     nsets = compute_nsets(ctx)
     qinv = ctx.quotient_inv
     got = set()
@@ -179,13 +178,17 @@ def series_counts(kind: str, n_max: int, field=QQ, check_structure: bool = True,
             tilting[n] = {frozenset(inv.records[i].name for i in p.modules)
                           for p in inv.pairs if p.is_tau_tilting}
         del inv  # free this row's pairs before the socle quotient's are built
-        rec = None
+        rec = struct = None
         if n >= guard:
-            pis = {v for v, _ in find_proj_injectives(alg)}
-            rec = (str(n) in pis) and (c == counts[n - 1] + counts[n - 2])
-        struct = None
-        if check_structure and n >= guard:
-            struct = _boundary_structure_check(n, alg, tilting.pop(n - 2))
+            try:
+                ctx = socle_quotient(alg, str(n))
+            except NotProjInjective:
+                ctx = None
+            rec = ctx is not None and c == counts[n - 1] + counts[n - 2]
+            if check_structure:
+                smaller = tilting.pop(n - 2)
+                struct = ctx is not None and _boundary_structure_check(n, ctx, smaller)
+            del ctx  # free the quotient's pairs before the next row's are built
         rows.append(SeriesRow(n, c, rec, struct))
     return SeriesReport(kind, rows)
 

@@ -137,16 +137,15 @@ def _valid_extension(alg: Algebra, letters: list[Letter], new: Letter) -> bool:
     return len(path) < 2 or _path_nonzero(alg, path)
 
 
-def enumerate_strings(alg: Algebra, cap: int | None = None) -> list[StringWord]:
-    """All canonical strings of length <= cap (default 2 * dim).
+def enumerate_strings(alg: Algebra) -> list[StringWord]:
+    """All canonical strings of length <= cap = 2 * dim.
 
     Raises CapExceeded when a valid string of length cap + 1 exists.
     """
     ok, cert = is_string_algebra(alg)
     if not ok:
         raise NotStringAlgebra(f"not a string algebra: {cert}")
-    if cap is None:
-        cap = 2 * alg.dim
+    cap = 2 * alg.dim
     found: dict = {}
     for v in alg.vertices:
         w = StringWord((), v)

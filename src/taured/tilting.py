@@ -79,7 +79,6 @@ class Inventory:
         self.algebra = algebra
         self.records = records
         self._hom_cache: dict[tuple[int, int], list] = {}
-        self._hom_tau_cache: dict[tuple[int, int], int] = {}
         self._support_cache: dict[frozenset, frozenset] = {}
         self._simple_top: dict[int, bool] = {}
         self._generators: dict[int, frozenset] = {}
@@ -123,10 +122,7 @@ class Inventory:
 
     def hom_to_tau(self, i: int, j: int) -> int:
         """dim Hom(X_i, tau X_j)."""
-        if (i, j) not in self._hom_tau_cache:
-            self._hom_tau_cache[(i, j)] = len(
-                hom_basis(self.records[i].rep, self.records[j].tau_rep))
-        return self._hom_tau_cache[(i, j)]
+        return len(hom_basis(self.records[i].rep, self.records[j].tau_rep))
 
     def hom_proj_dim(self, v: str, i: int) -> int:
         """dim Hom(P_v, X_i) = dim X_i at v."""

@@ -18,6 +18,28 @@ def same_rowspace(a: Matrix, b: Matrix) -> bool:
     return Matrix.stack([a, b], a.cols, a.field).rank() == ra
 
 
+def solve_right(a: Matrix, b: Matrix) -> Matrix | None:
+    """Some X with a @ X = b, or None if the system is inconsistent."""
+    if a.rows != b.rows:
+        raise ValueError("row mismatch in solve")
+    field = a.field
+    aug = Matrix(
+        a.rows,
+        a.cols + b.cols,
+        [ra[:] + rb[:] for ra, rb in zip(a.data, b.data)],
+        field,
+    )
+    r, pivots = aug.rref()
+    for c in pivots:
+        if c >= a.cols:
+            return None
+    x = Matrix.zeros(a.cols, b.cols, field)
+    for i, pc in enumerate(pivots):
+        for j in range(b.cols):
+            x.data[pc][j] = r.data[i][a.cols + j]
+    return x
+
+
 def record_by_name(inv, name: str):
     for r in inv.records:
         if r.name == name:

@@ -31,7 +31,7 @@ from taured.tilting import (
     oracle_stpairs_via_quotients,
 )
 
-from helpers import hom_dim, tau_tilting_pairs
+from helpers import hom_dim, solve_right, tau_tilting_pairs
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -202,7 +202,7 @@ def test_criterion_7_property_suites():
     # Coxeter-transform oracle on hereditary inputs
     from fractions import Fraction
 
-    from taured.linalg import Matrix, QQ, solve_right
+    from taured.linalg import Matrix, QQ
 
     for alg in (hereditary_a(2), hereditary_d3()):
         n = len(alg.vertices)

@@ -11,13 +11,12 @@ from taured.linalg import (
     field_from_name,
     is_invertible,
     left_nullspace,
+    modulo,
     nullspace,
     rank_and_rowbasis,
-    solve_left,
-    solve_right,
 )
 
-from helpers import same_rowspace
+from helpers import same_rowspace, solve_right
 
 
 def mat(rows, cols=None):
@@ -66,13 +65,12 @@ def test_zero_by_n_matrices_behave():
     assert (a @ b).rows == 0 and (a @ b).cols == 0
     assert (b @ a).rows == 3 and (b @ a).cols == 3
     assert (b @ a).is_zero()
+    assert Matrix.stack([], 3, QQ) == a
+    assert left_nullspace(b) == Matrix.identity(3, QQ)
 
 
 def test_solve_left_right():
     a = mat([[1, 2], [0, 1]])
-    b = mat([[3, 8]])
-    x = solve_left(a, b)
-    assert (x @ a - b).is_zero()
     y = solve_right(a, mat([[1], [1]]))
     assert (a @ y - mat([[1], [1]])).is_zero()
 
@@ -111,6 +109,20 @@ def test_nullspace_annihilates(m):
     ns = nullspace(m)
     if ns.rows and m.rows:
         assert (ns @ m.transpose()).is_zero()
+
+
+@given(st.sampled_from([QQ, PrimeField(3)]), st.integers(0, 4), st.integers(0, 5), st.data())
+def test_modulo_kills_the_row_space_and_splits_off_the_free_columns(field, rows, cols, data):
+    entries = st.integers(-2, 2).map(field.from_int)
+    m = Matrix.from_rows([[data.draw(entries) for _ in range(cols)] for _ in range(rows)],
+                         cols, field)
+    free, kernel = modulo(m)
+    assert len(free) == kernel.rows == cols - m.rank()
+    if rows:
+        assert (m @ kernel.transpose()).is_zero()
+    at_free = Matrix.from_rows([[row[c] for c in free] for row in kernel.data], len(free), field)
+    assert at_free == Matrix.identity(len(free), field)
+    assert kernel == nullspace(m)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,7 +2,6 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
 
 from taured.algebra import (
     Arrow,
@@ -19,7 +18,6 @@ from taured.reps import (
     Morphism,
     ProjSum,
     Representation,
-    _quotient_coords,
     bar,
     direct_sum,
     hom_basis,
@@ -27,6 +25,7 @@ from taured.reps import (
     injective,
     is_iso,
     is_sincere,
+    kernel_of,
     minimal_presentation,
     projective,
     simple,
@@ -37,7 +36,7 @@ from taured.reduction import find_proj_injectives, socle_quotient, verify_reduct
 from taured.strings import enumerate_strings, string_name, string_to_rep
 from taured.tilting import build_inventory, oracle_stpairs_via_quotients
 
-from helpers import hom_dim, in_fac, satisfies_table_by_all_pairs
+from helpers import hom_dim, in_fac, satisfies_table_by_all_pairs, solve_right
 
 
 @pytest.fixture(scope="module")
@@ -172,8 +171,6 @@ def _coxeter_matrix(alg):
         p = projective(alg, v)
         for j, w in enumerate(alg.vertices):
             c.data[i][j] = Fraction(p.dims[w])
-    from taured.linalg import solve_right
-
     cinv = solve_right(c, Matrix.identity(n, QQ))
     phi = (cinv @ c.transpose()).scale(Fraction(-1))
     return phi
@@ -192,18 +189,6 @@ def test_coxeter_transform_on_hereditary(maker):
                               len(alg.vertices), QQ)
         expected = dv @ phi
         assert [Fraction(d) for d in tau(m).dim_vector] == expected.data[0]
-
-
-@given(st.sampled_from([QQ, PrimeField(3)]), st.integers(0, 4), st.integers(1, 5), st.data())
-def test_quotient_coords_kill_the_subspace_and_split_the_lift(field, rows, dim, data):
-    entries = st.integers(-2, 2).map(field.from_int)
-    sub = Matrix.from_rows([[data.draw(entries) for _ in range(dim)] for _ in range(rows)],
-                           dim, field)
-    proj, lift = _quotient_coords(dim, sub, field)
-    assert proj.cols == dim - sub.rank()
-    if rows:
-        assert all(not x for row in (sub @ proj).data for x in row)
-    assert (lift @ proj).data == Matrix.identity(proj.cols, field).data
 
 
 def test_bar_examples(a3sq, named):
@@ -257,6 +242,16 @@ def test_morphism_verify(a3sq, named):
               "3": Matrix.zeros(1, 0, f)}
     good = Morphism(named["2/3"], named["1/2"], blocks)
     assert good.verify()
+
+
+def test_kernel_of_a_non_morphism_is_refused():
+    """On P_2 over KA2, zero at 2 and the identity at 1 do not intertwine the
+    arrow 2 -> 1: the kernel at 2 is carried outside the kernel at 1."""
+    alg = hereditary_a(2)
+    p2 = projective(alg, "2")
+    f = Morphism(p2, p2, {"1": Matrix.identity(1, alg.field), "2": Matrix.zeros(1, 1, alg.field)})
+    with pytest.raises(AssertionError, match="kernel is not arrow-stable"):
+        kernel_of(f)
 
 
 def test_constructed_reps_satisfy_relations(corpus):
