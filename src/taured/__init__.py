@@ -55,10 +55,12 @@ from .reps import (
 from .series import QuadInt, closed_form, series_algebra, series_counts, tau_tilt_count
 from .strings import StringWord, enumerate_strings, is_string_algebra, string_to_rep
 from .tilting import (
+    BlockProduct,
     IndecRecord,
     Inventory,
     PosetQuiver,
     STPair,
+    box_product,
     build_inventory,
     compatible,
     enumerate_stpairs,
@@ -81,7 +83,7 @@ __all__ = [
     "minimal_presentation", "projective", "simple", "tau",
     "QuadInt", "closed_form", "series_algebra", "series_counts", "tau_tilt_count",
     "StringWord", "enumerate_strings", "is_string_algebra", "string_to_rep",
-    "IndecRecord", "Inventory", "PosetQuiver", "STPair", "build_inventory",
-    "compatible", "enumerate_stpairs", "full_subquiver", "hasse",
+    "BlockProduct", "IndecRecord", "Inventory", "PosetQuiver", "STPair", "box_product",
+    "build_inventory", "compatible", "enumerate_stpairs", "full_subquiver", "hasse",
     "oracle_stpairs_via_quotients",
 ]

@@ -30,20 +30,28 @@ from .reps import (
     projective,
 )
 from .tilting import (
+    Block,
+    BlockProduct,
     Inventory,
     PosetQuiver,
     STPair,
     build_inventory,
+    components,
     full_subquiver,
 )
 
 
 def find_proj_injectives(algebra: Algebra) -> list[tuple[str, str]]:
     """Vertices v with P_v injective, each with the matching injective vertex."""
-    out = []
+    return [(v, s) for v, (_, s, _) in _proj_injectives(algebra).items()]
+
+
+def _proj_injectives(algebra: Algebra) -> dict[str, tuple[dict, str, Representation]]:
+    """:func:`_proj_injective` of each vertex v with P_v projective-injective, by v."""
+    out = {}
     for v in algebra.vertices:
         try:
-            out.append((v, _proj_injective(algebra, v)[1]))
+            out[v] = _proj_injective(algebra, v)
         except NotProjInjective:
             pass
     return out
@@ -96,11 +104,13 @@ def _find(inv: Inventory, rep: Representation, error: type, message: str) -> int
 
 @dataclass(frozen=True)
 class ReductionContext:
-    """The reduction at Q = P_vertex: the quotient and the record maps between both sides.
+    """The reduction at Q = P_vertex: the quotient, its blocks and the record maps between both sides.
 
-    Each map is computed in one pass on first read.  The quotient side
-    (``quotient_inv``, ``qbar_id``, ``hom_to_q``) never reads ``inv``, the
-    ambient inventory; the ambient side (``q_id``, ``bar_of``, ``lift_of``)
+    The quotient is the product of its blocks, and ``quotient_inv`` is read
+    from theirs.  Each map is computed in one pass on first read.  The
+    quotient side (``blocks``, ``quotient_inv``, ``qbar_id``, ``hom_to_q``)
+    reads ``inv``, the ambient inventory, only for its cached blocks, and
+    works without it; the ambient side (``q_id``, ``bar_of``, ``lift_of``)
     needs it.
     """
 
@@ -118,16 +128,61 @@ class ReductionContext:
         return self.qbar_rep.is_zero()
 
     @cached_property
-    def quotient_inv(self) -> Inventory:
-        return build_inventory(self.quotient)
+    def blocks(self) -> list[Block]:
+        """The blocks B_C = quotient / <e_{V-C}>, one per component C of the quotient's quiver.
+
+        Each is a quotient of the ambient algebra.  If C misses Q's vertex or
+        the socle vertex, the socle element lies in <e_{V-C}> and B_C is the
+        vertex quotient A/<e_{V-C}>: the ambient inventory's cached block.
+        The block holding both is cut from A by the socle element and the
+        idempotents outside C, which is the quotient itself when it is
+        connected.  Without an ambient inventory there is no cache for a
+        split to share, and the quotient is one block.
+        """
+        if self.inv is None:
+            return [Block(build_inventory(self.quotient))]
+        out = []
+        for comp in components(self.quotient, self.quotient.vertices):
+            if {self.vertex, self.socle_vertex} <= comp:
+                outside = [self.algebra.element_of_vertex(u)
+                           for u in self.algebra.vertices if u not in comp]
+                algebra = (quotient_by_elements(self.algebra, [self.socle_element] + outside)
+                           if outside else self.quotient)
+                out.append(Block(build_inventory(algebra)))
+            else:
+                out.append(self.inv.block(comp))
+        return out
+
+    @cached_property
+    def quotient_inv(self) -> BlockProduct:
+        return BlockProduct([b.inv for b in self.blocks])
+
+    def _bar_id(self, rep: Representation) -> int | None:
+        """Quotient id of the image of ``rep``; None where the image is zero.
+
+        The image is the sum of its images in the blocks, which vanish in
+        the blocks that miss the support of ``rep``; it must meet one block.
+        """
+        found = None
+        for offset, b in zip(self.quotient_inv.offsets, self.blocks):
+            algebra = b.inv.algebra
+            if not any(rep.dims[v] for v in algebra.vertices):
+                continue
+            image = bar(rep, algebra)
+            if image.is_zero():
+                continue
+            if found is not None:
+                raise NonSimpleSocle("bar image meets two blocks of the quotient")
+            found = offset + _find(b.inv, image, NonSimpleSocle,
+                                   "bar image missing from the quotient inventory")
+        return found
 
     @cached_property
     def qbar_id(self) -> int | None:
         """Quotient id of Q/Soc(Q); None when Q is simple."""
         if self.q_is_simple:
             return None
-        return _find(self.quotient_inv, self.qbar_rep, NonSimpleSocle,
-                     "Q/Soc(Q) missing from the quotient inventory")
+        return self._bar_id(self.q_rep)
 
     @cached_property
     def hom_to_q(self) -> dict[int, int]:
@@ -142,30 +197,28 @@ class ReductionContext:
     @cached_property
     def bar_of(self) -> dict[int, int | None]:
         """Quotient id of the image of each ambient candidate; None where the image is zero."""
-        out = {}
-        for r in self.inv.candidates():
-            image = bar(r.rep, self.quotient)
-            out[r.id] = None if image.is_zero() else _find(
-                self.quotient_inv, image, NonSimpleSocle,
-                "bar image missing from the quotient inventory")
-        return out
+        return {r.id: self._bar_id(r.rep) for r in self.inv.candidates()}
 
     @cached_property
     def lift_of(self) -> dict[int, int]:
         """Ambient id of each inflated quotient candidate."""
-        return {r.id: _find(self.inv, inflate(r.rep), NonSimpleSocle,
-                            "inflated summand missing from the ambient inventory")
-                for r in self.quotient_inv.candidates()}
+        return {offset + r.id: self.inv.lift(b, r.id)
+                for offset, b in zip(self.quotient_inv.offsets, self.blocks)
+                for r in b.inv.candidates()}
 
 
-def socle_quotient(algebra: Algebra, v: str, inv: Inventory | None = None) -> ReductionContext:
+def socle_quotient(algebra: Algebra, v: str, inv: Inventory | None = None,
+                   found: tuple[dict, str, Representation] | None = None) -> ReductionContext:
     """Quotient the algebra by Soc(P_v) for a projective-injective P_v.
 
-    ``inv`` is the ambient inventory, which only the ambient-side maps read.
+    ``inv`` is the ambient inventory: the ambient-side maps read it, and its
+    cached blocks serve the quotient's.  ``found`` is the (socle element,
+    socle vertex, P_v) that the search for projective-injectives already
+    found at v, if any.
     """
     if v not in algebra.vertices:
         raise NotProjInjective(f"no vertex {v}")
-    soc_vec, socle_vertex, q_rep = _proj_injective(algebra, v)
+    soc_vec, socle_vertex, q_rep = found or _proj_injective(algebra, v)
 
     # two-sidedness witness: arrows annihilate the socle element on both sides
     for a in algebra.arrows:
@@ -341,10 +394,10 @@ def reductions(algebra: Algebra, report: Report,
                inv: Inventory | None = None) -> Iterator[Reduction]:
     """Check the reduction claims at each projective-injective P_v into ``report``.
 
-    Yields the Reduction at each P_v once its checks are in.  A caller that
-    keeps none of them holds one quotient inventory at a time.
+    Yields the Reduction at each P_v once its checks are in.  The quotients'
+    blocks stay in the ambient inventory's cache, which the oracle shares.
     """
-    pis = find_proj_injectives(algebra)
+    pis = _proj_injectives(algebra)
     if not pis:
         raise NoProjInjective("no indecomposable projective-injective module")
     inv = inv or build_inventory(algebra)
@@ -359,9 +412,9 @@ def reductions(algebra: Algebra, report: Report,
     def src_label(k):
         return inv.pair_label(pairs[tau_idx[k]])
 
-    for v, _ in pis:
+    for v, found in pis.items():
         tag = f"Q=P_{v}"
-        ctx = socle_quotient(algebra, v, inv)
+        ctx = socle_quotient(algebra, v, inv, found)
         report.add(f"{tag}/socle-simple", "Soc(Q) is one dimensional", True)
         report.add(f"{tag}/socle-two-sided",
                    "the socle span is a two-sided ideal (arrow products vanish)", True)

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product
+from math import prod
 
 from .algebra import Algebra, vertex_subalgebra_quotient
 from .errors import HasseError, InventoryError, UnknownVertex
@@ -72,7 +73,36 @@ class STPair:
         return (frozenset(self.modules), frozenset(self.supports))
 
 
-class Inventory:
+class _PairNames:
+    """Labels and the canonical order of pairs, read from ``records`` by summand name."""
+
+    records: list[IndecRecord]
+    _name_rank: list[int]
+
+    def candidates(self) -> list[IndecRecord]:
+        return [r for r in self.records if not r.external]
+
+    def pair_label(self, pair: STPair, sep: str = "+") -> str:
+        if not pair.modules:
+            return "0"
+        return sep.join(sorted(self.records[i].name for i in pair.modules))
+
+    def pair_sort_key(self, pair: STPair):
+        """Support count, then the sorted summand names, then the sorted supports.
+
+        Names are compared by their rank among the distinct names, which
+        orders as the names do (equal names share a rank).
+        """
+        rank = self._name_rank
+        if len(rank) != len(self.records):
+            names = sorted({r.name for r in self.records})
+            index = {n: k for k, n in enumerate(names)}
+            rank[:] = [index[r.name] for r in self.records]
+        return (len(pair.supports), tuple(sorted(map(rank.__getitem__, pair.modules))),
+                tuple(sorted(pair.supports)))
+
+
+class Inventory(_PairNames):
     """The universe of indecomposables over one algebra, with tau precomputed."""
 
     def __init__(self, algebra: Algebra, records: list[IndecRecord]):
@@ -86,6 +116,7 @@ class Inventory:
         for r in records:
             self.by_dim_vector.setdefault(r.dim_vector, []).append(r.id)
         self._name_rank: list[int] = []
+        self._blocks: dict[frozenset, Block] = {}
 
     def append(self, record: IndecRecord) -> None:
         """Add a record (id ``len(self)``) and index it by dimension vector."""
@@ -105,8 +136,33 @@ class Inventory:
     def __len__(self):
         return len(self.records)
 
-    def candidates(self) -> list[IndecRecord]:
-        return [r for r in self.records if not r.external]
+    def block(self, vertices: frozenset) -> Block:
+        """The block A/<e_{V-vertices}> of a connected vertex set.
+
+        It is kept for later calls when it can be a block of a socle
+        quotient: a proper vertex set that at most one arrow joins to the
+        others, since the quotient by a one-dimensional socle drops at most
+        one arrow.  Those are the blocks the reduction checks ask for.
+        """
+        block = self._blocks.get(vertices)
+        if block is None:
+            block = Block(build_inventory(vertex_subalgebra_quotient(self.algebra, vertices)))
+            crossing = sum((a.src in vertices) != (a.tgt in vertices)
+                           for a in self.algebra.arrows)
+            if crossing <= 1 and len(vertices) < len(self.algebra.vertices):
+                self._blocks[vertices] = block
+        return block
+
+    def lift(self, block: Block, i: int) -> int:
+        """The id of the record isomorphic to block record i inflated; kept in the block."""
+        if i not in block.lifted:
+            rep = inflate(block.inv.records[i].rep)
+            match = self.find_iso(rep)
+            if match is None:
+                raise InventoryError(
+                    f"inflated module (dims {rep.dim_vector}) missing from inventory")
+            block.lifted[i] = match
+        return block.lifted[i]
 
     def find_iso(self, rep: Representation) -> int | None:
         """The least id of a record isomorphic to ``rep``; only its dimension vector is searched."""
@@ -182,24 +238,67 @@ class Inventory:
     def sum_rep(self, ids) -> Representation:
         return direct_sum([self.records[i].rep for i in sorted(ids)], self.algebra)
 
-    def pair_label(self, pair: STPair, sep: str = "+") -> str:
-        if not pair.modules:
-            return "0"
-        return sep.join(sorted(self.records[i].name for i in pair.modules))
 
-    def pair_sort_key(self, pair: STPair):
-        """Support count, then the sorted summand names, then the sorted supports.
+@dataclass
+class Block:
+    """A quotient of an inventory's algebra: its own inventory, and the
+    inventory id of each of its records inflated so far (:meth:`Inventory.lift`)."""
 
-        Names are compared by their rank among the distinct names, which
-        orders as the names do (equal names share a rank).
-        """
-        rank = self._name_rank
-        if len(rank) != len(self.records):
-            names = sorted({r.name for r in self.records})
-            index = {n: k for k, n in enumerate(names)}
-            rank[:] = [index[r.name] for r in self.records]
-        return (len(pair.supports), tuple(sorted(map(rank.__getitem__, pair.modules))),
-                tuple(sorted(pair.supports)))
+    inv: Inventory
+    lifted: dict[int, int] = field(default_factory=dict)
+
+
+class BlockProduct(_PairNames):
+    """The pairs and Hasse quiver over a product of blocks, read from the blocks' own.
+
+    A module over B_1 x ... x B_k is a sum of modules over the blocks, and
+    Hom, tau and Fac act blockwise.  So a support tau-tilting pair is a tuple
+    of the blocks' pairs (AIR, Sec. 2), the Fac order is the product order,
+    and its covering quiver is the box product of the blocks' quivers.  Record
+    ids run through the blocks in turn: block k's record i is record
+    ``offsets[k] + i``.
+    """
+
+    def __init__(self, blocks: list[Inventory]):
+        self.blocks = blocks
+        self.offsets = list(accumulate((len(b.records) for b in blocks), initial=0))[:-1]
+        self.records = [
+            replace(r, id=o + r.id, tau_id=None if r.tau_id is None else o + r.tau_id)
+            for o, b in zip(self.offsets, blocks) for r in b.records]
+        self._name_rank: list[int] = []
+
+    @cached_property
+    def _sorted(self) -> tuple[list[STPair], list[int]]:
+        """The merged tuples of the blocks' pairs in :meth:`pair_sort_key` order, and the
+        position there of each tuple numbered as :func:`box_product` numbers them."""
+        shifted = [[(tuple([o + m for m in p.modules]), p.supports) for p in b.pairs]
+                   for o, b in zip(self.offsets, self.blocks)]
+        merged = []
+        for parts in product(*shifted):
+            modules, supports = (), ()
+            for m, s in parts:
+                modules += m
+                supports += s
+            merged.append(STPair(modules, tuple(sorted(supports))))
+        order = sorted(range(len(merged)), key=lambda c: self.pair_sort_key(merged[c]))
+        rank = [0] * len(order)
+        for i, c in enumerate(order):
+            rank[c] = i
+        return [merged[c] for c in order], rank
+
+    @cached_property
+    def pairs(self) -> list[STPair]:
+        """Every support tau-tilting pair of the product, in :meth:`pair_sort_key` order."""
+        if len(self.blocks) == 1:
+            return self.blocks[0].pairs  # the same ids, names and order
+        return self._sorted[0]
+
+    @cached_property
+    def hasse_quiver(self) -> PosetQuiver:
+        """The box product of the blocks' certified quivers; vertex i is ``pairs[i]``."""
+        if len(self.blocks) == 1:
+            return self.blocks[0].hasse_quiver
+        return box_product([b.hasse_quiver for b in self.blocks], self._sorted[1])
 
 
 def _names_for(algebra: Algebra, words) -> list[str]:
@@ -393,7 +492,7 @@ def oracle_stpairs_via_quotients(inv: Inventory) -> list[STPair]:
     for size in range(1, len(verts) + 1):
         for support in combinations(verts, size):
             lists = []
-            for block in _components(algebra, support):
+            for block in components(algebra, support):
                 if block not in blocks:
                     blocks[block] = _block_tau_tilting(inv, block)
                 lists.append(blocks[block])
@@ -404,7 +503,7 @@ def oracle_stpairs_via_quotients(inv: Inventory) -> list[STPair]:
     return out
 
 
-def _components(algebra: Algebra, support) -> list[frozenset]:
+def components(algebra: Algebra, support) -> list[frozenset]:
     """The connected components of ``support`` under the arrows with both ends in it."""
     comp = {v: frozenset({v}) for v in support}
     for a in algebra.arrows:
@@ -419,13 +518,14 @@ def _block_tau_tilting(inv: Inventory, block: frozenset) -> list[tuple[int, ...]
     """The tau-tilting modules over A/<e_{V-block}>, as sorted ambient summand ids.
 
     Hom(M, tau M) = 0 is tested over the quotient on all size-|block| summand
-    sets; each quotient record is inflated and matched in the ambient
-    inventory once.
+    sets.  The quotient and its inventory are :meth:`Inventory.block`, so the
+    reduction checks read the same ones, and each quotient record is inflated
+    and matched in the ambient inventory once.
     """
-    quot = vertex_subalgebra_quotient(inv.algebra, block)
-    qinv = build_inventory(quot)
+    blk = inv.block(block)
+    qinv = blk.inv
     cands = qinv.candidates()
-    k = len(quot.vertices)
+    k = len(block)
     # bit b of bad[a]: a and b cannot be summands of one tau-rigid module
     bad = [0] * len(cands)
     for a, ra in enumerate(cands):
@@ -435,19 +535,7 @@ def _block_tau_tilting(inv: Inventory, block: frozenset) -> list[tuple[int, ...]
             if qinv.hom_to_tau(ra.id, cands[b].id) or qinv.hom_to_tau(cands[b].id, ra.id):
                 bad[a] |= 1 << b
                 bad[b] |= 1 << a
-    lifted: dict[int, int] = {}
-
-    def lift(r: IndecRecord) -> int:
-        if r.id not in lifted:
-            rep = inflate(r.rep)
-            match = inv.find_iso(rep)
-            if match is None:
-                raise InventoryError(
-                    f"inflated module (dims {rep.dim_vector}) missing from inventory")
-            lifted[r.id] = match
-        return lifted[r.id]
-
-    return [tuple(sorted(lift(cands[a]) for a in subset))
+    return [tuple(sorted(inv.lift(blk, cands[a].id) for a in subset))
             for subset in _rigid_subsets(bad, k)]
 
 
@@ -523,7 +611,9 @@ def hasse(inv: Inventory, pairs: list[STPair]) -> PosetQuiver:
     is certified against the Fac order, computed from its definition: its
     reachability must be that order, and no arrow may be implied by a longer
     path, so it is the order's covering relation.  ``pairs`` must be every
-    support tau-tilting pair of the inventory; a failure raises HasseError.
+    support tau-tilting pair of the inventory, each with its module ids
+    ascending and its supports sorted, as :func:`enumerate_stpairs` gives
+    them; a failure raises HasseError.
     """
     nv = len(pairs)
 
@@ -533,13 +623,14 @@ def hasse(inv: Inventory, pairs: list[STPair]) -> PosetQuiver:
         return inv.pair_label(p) + sup
 
     # each pair under each of its almost complete parts (support vertices as
-    # ("s", v)), and the pairs that have each module as a summand
-    buckets: dict[frozenset, list[int]] = {}
+    # ("s", v)), and the pairs that have each module as a summand; modules
+    # ascending and supports sorted make the part's tuple its canonical key
+    buckets: dict[tuple, list[int]] = {}
     containing: dict[int, int] = {}
     for i, p in enumerate(pairs):
         elems = p.modules + tuple(("s", v) for v in p.supports)
         for k in range(len(elems)):
-            buckets.setdefault(frozenset(elems[:k] + elems[k + 1:]), []).append(i)
+            buckets.setdefault(elems[:k] + elems[k + 1:], []).append(i)
         for x in p.modules:
             containing[x] = containing.get(x, 0) | (1 << i)
 
@@ -588,6 +679,28 @@ def hasse(inv: Inventory, pairs: list[STPair]) -> PosetQuiver:
             raise HasseError(f"the arrow {name(s)} -> {name(t)} is not a covering relation: "
                              f"it passes through {name(k)}")
     return pq
+
+
+def box_product(quivers: list[PosetQuiver], rank) -> PosetQuiver:
+    """The covering quiver of the product of the orders the quivers cover.
+
+    An arrow moves one coordinate along an arrow of its factor, the others
+    fixed: one element covers another in a product order exactly when they
+    differ in one coordinate, which covers.  Vertex (j_1, ..., j_k) is
+    ``rank[c]``, where c is its index in the order :func:`itertools.product`
+    lists the tuples (the last coordinate fastest).
+    """
+    n = prod(q.n for q in quivers)
+    arrows = []
+    low = n
+    for q in quivers:
+        low //= q.n  # the number of tuples of the later coordinates
+        for base in range(0, n, q.n * low):
+            for s, t in q.arrows:
+                s0, t0 = base + s * low, base + t * low
+                arrows.extend([(rank[s0 + k], rank[t0 + k]) for k in range(low)])
+    arrows.sort()
+    return PosetQuiver(n, tuple(arrows))
 
 
 def full_subquiver(pq: PosetQuiver, keep: list[int]) -> PosetQuiver:

@@ -3,6 +3,7 @@
 from taured.errors import AlgebraMismatch
 from taured.linalg import Matrix
 from taured.reps import _images_fill, hom_basis
+from taured.tilting import build_inventory
 
 
 def hom_dim(M, N) -> int:
@@ -45,6 +46,11 @@ def record_by_name(inv, name: str):
         if r.name == name:
             return r
     raise KeyError(name)
+
+
+def direct_quotient_inventory(ctx):
+    """The inventory of a reduction's whole socle quotient, built directly rather than by blocks."""
+    return build_inventory(ctx.quotient)
 
 
 def tau_tilting_pairs(inv) -> list:

@@ -203,14 +203,15 @@ def test_reduce_builds_each_quotient_once(a3sq_file, capsys, monkeypatch):
 
     # every namespace that binds the name, so a call from the CLI counts too
     for name in ("build_inventory", "compute_nsets", "reconstruct_tau_tilt"):
-        for module in (taured.cli, taured.reduction):
+        for module in (taured.cli, taured.reduction, taured.tilting):
             if hasattr(module, name):
                 counting(module, name)
     counting(taured.tilting, "enumerate_stpairs")
     assert main(["reduce", a3sq_file]) == 0
-    # the ambient algebra and the quotients at its two projective-injectives;
-    # the families and the rebuild once per projective-injective
-    assert calls == {"build_inventory": 3, "enumerate_stpairs": 3, "compute_nsets": 2,
+    # the ambient algebra and the two blocks of the quotient at each of its two
+    # projective-injectives ({1} x {2, 3} at P_1, {1, 2} x {3} at P_2); the
+    # families and the rebuild once per projective-injective
+    assert calls == {"build_inventory": 5, "enumerate_stpairs": 5, "compute_nsets": 2,
                      "reconstruct_tau_tilt": 2}
 
 

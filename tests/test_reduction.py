@@ -1,9 +1,11 @@
 import dataclasses
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from taured.corpus import hereditary_d3, ka2_times_k, selfinjective_nakayama2
+from taured.dsl import parse_file
 from taured.errors import NonSimpleSocle, NoProjInjective, NotProjInjective
 from taured.reduction import (
     Report,
@@ -24,7 +26,9 @@ from taured.tilting import (
     enumerate_stpairs,
 )
 
-from helpers import record_by_name, tau_tilting_pairs
+from helpers import direct_quotient_inventory, record_by_name, tau_tilting_pairs
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def test_find_proj_injectives_a3sq(a3sq):
@@ -95,18 +99,15 @@ def test_bar_undoes_lift(corpus, corpus_invs):
 
 
 def test_verify_finds_proj_injectives_once(monkeypatch):
+    """Each vertex is tested once; each reduction reuses what its test found."""
     import taured.reduction as reduction
 
     calls = []
-    real = reduction.find_proj_injectives
-
-    def counted(algebra):
-        calls.append(algebra)
-        return real(algebra)
-
-    monkeypatch.setattr(reduction, "find_proj_injectives", counted)
+    real = reduction._proj_injective
+    monkeypatch.setattr(reduction, "_proj_injective",
+                        lambda algebra, v: calls.append(v) or real(algebra, v))
     assert verify_reduction(series_algebra("A", 5)).passed
-    assert len(calls) == 1
+    assert sorted(calls) == ["1", "2", "3", "4", "5"]
 
 
 def test_socle_quotient_series_products():
@@ -188,15 +189,20 @@ def test_reconstruct_simple_q():
 
 
 def test_q_and_qbar_looked_up_once_per_reduction(monkeypatch, a3sq, a3sq_inv):
+    next(reductions(a3sq, Report("a3sq"), a3sq_inv))  # the blocks are built and cached
     looked_up = []
     find_iso = Inventory.find_iso
     monkeypatch.setattr(Inventory, "find_iso",
-                        lambda inv, rep: looked_up.append(rep) or find_iso(inv, rep))
+                        lambda inv, rep: looked_up.append((inv, rep)) or find_iso(inv, rep))
     report = Report("a3sq")
     red = next(reductions(a3sq, report, a3sq_inv))
-    assert report.passed and not red.ctx.q_is_simple
-    assert sum(rep is red.ctx.q_rep for rep in looked_up) == 1
-    assert sum(rep is red.ctx.qbar_rep for rep in looked_up) == 1
+    ctx = red.ctx
+    assert report.passed and not ctx.q_is_simple
+    assert sum(rep is ctx.q_rep for _, rep in looked_up) == 1
+    # in the blocks: Q/Soc(Q) once for qbar_id, then one lookup per nonzero
+    # image of an ambient candidate (Q's among them)
+    in_blocks = [rep for inv, rep in looked_up if inv is not a3sq_inv]
+    assert len(in_blocks) == 1 + sum(i is not None for i in ctx.bar_of.values())
 
 
 def test_reconstruct_empty_sets(a3sq, a3sq_inv):
@@ -279,3 +285,44 @@ def test_socle_nonsimple_unreachable_via_api(corpus):
     """Hereditary D3's P3 has a two-dimensional socle, so it is not projective-injective."""
     with pytest.raises(NotProjInjective):
         socle_quotient(hereditary_d3(), "3")
+
+
+def _ka3_times_k():
+    """Hereditary A3 (3 -> 2 -> 1) next to an isolated vertex 4."""
+    from taured.algebra import Arrow, Quiver, build_algebra
+
+    arrows = (Arrow("a1", "2", "1"), Arrow("a2", "3", "2"))
+    return build_algebra(Quiver(("1", "2", "3", "4"), arrows), [])
+
+
+@pytest.mark.parametrize("name, block_counts", [
+    ("rsz_A7", {2}), ("rsz_D7", {2}),
+    # cyclic Nakayama quotients are connected: one block, the quotient itself
+    ("nakayama_5_4", {1}),
+    # at P_3 the block {1, 2, 3} holds Q's vertex and the socle vertex beside
+    # the block {4}; at the simple P_4 the one block is {1, 2, 3}
+    ("KA3xK", {1, 2}),
+])
+def test_block_route_matches_the_direct_route(name, block_counts):
+    """At every projective-injective, the quotient built by blocks has the pairs and
+    the Hasse arrows of the quotient's inventory built whole, matched by names."""
+    if name == "KA3xK":
+        algebra = _ka3_times_k()
+    else:
+        algebra, _ = parse_file(os.path.join(GOLDEN, f"{name}.alg")).build()
+    inv = build_inventory(algebra)
+    seen = set()
+    for v, _ in find_proj_injectives(algebra):
+        ctx = socle_quotient(algebra, v, inv)
+        blocked, direct = ctx.quotient_inv, direct_quotient_inventory(ctx)
+        seen.add(len(ctx.blocks))
+
+        def named(qinv):
+            return [(frozenset(qinv.records[i].name for i in p.modules), p.supports)
+                    for p in qinv.pairs]
+
+        assert named(blocked) == named(direct), (name, v)
+        # the same order, so the arrows match by index once the names do
+        assert blocked.hasse_quiver.arrows == direct.hasse_quiver.arrows, (name, v)
+    assert seen == block_counts
+    assert verify_reduction(algebra, name, inv=inv).passed

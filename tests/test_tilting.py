@@ -13,11 +13,14 @@ from taured.linalg import Matrix
 from taured.reps import is_iso, projective
 from taured.series import series_algebra
 from taured.strings import enumerate_strings, string_to_rep
+from taured.reduction import verify_reduction
 from taured.tilting import (
+    BlockProduct,
     IndecRecord,
     PosetQuiver,
     STPair,
     _rigid_subsets,
+    box_product,
     build_inventory,
     compatible,
     enumerate_stpairs,
@@ -208,12 +211,23 @@ def test_oracle_builds_one_quotient_per_connected_set(monkeypatch, kind, n, expe
 
     monkeypatch.setattr(taured.tilting, "vertex_subalgebra_quotient", counted_quotient)
     monkeypatch.setattr(taured.tilting, "build_inventory", counted_inventory)
+    monkeypatch.setattr(taured.reduction, "build_inventory", counted_inventory)
     oracle = oracle_stpairs_via_quotients(inv)
     connected = _connected_sets(inv.algebra)
     assert len(connected) == expected
     assert sorted(built["quotient"], key=sorted) == sorted(connected, key=sorted)
     assert built["inventory"] == expected
     assert {p.key() for p in oracle} == {p.key() for p in inv.pairs}
+    # the reduction checks read every block of their socle quotients from the
+    # oracle's cache: no quotient or inventory is built beyond the oracle's
+    assert verify_reduction(inv.algebra, inv=inv).passed
+    assert built["inventory"] == expected
+    assert len(built["quotient"]) == expected
+    # the cache keeps the proper connected sets that one arrow joins to the rest
+    kept = [c for c in connected if len(c) < n
+            and sum((a.src in c) != (a.tgt in c) for a in inv.algebra.arrows) == 1]
+    assert sorted(inv._blocks, key=sorted) == sorted(kept, key=sorted)
+    assert len(kept) == {"A": 8, "D": 6}[kind]
 
 
 def test_product_pairs_are_products_of_factor_pairs():
@@ -234,6 +248,26 @@ def test_product_pairs_are_products_of_factor_pairs():
     assert len(inv.pairs) == len(factors[0].pairs) * len(factors[1].pairs)
     tau_tilting = [sum(p.is_tau_tilting for p in f.pairs) for f in (inv, *factors)]
     assert tau_tilting[0] == tau_tilting[1] * tau_tilting[2]
+
+
+def test_box_product_is_the_hasse_quiver_of_the_product_algebra():
+    # rad-square-zero A2 (2 -> 1) next to A1 (vertex 3), and the two apart
+    def algebra(verts, arrows):
+        return build_algebra(Quiver(verts, arrows), [])
+
+    a2 = build_inventory(algebra(("1", "2"), (Arrow("a", "2", "1"),)))
+    a1 = build_inventory(algebra(("3",), ()))
+    both = build_inventory(algebra(("1", "2", "3"), (Arrow("a", "2", "1"),)))
+    box = box_product([a2.hasse_quiver, a1.hasse_quiver], range(10))
+    assert (a2.hasse_quiver.n, len(a2.hasse_quiver.arrows)) == (5, 5)
+    # P·n/2 arrows: each of the 5 arrows of A2 twice, the arrow of A1 five times
+    assert (box.n, len(box.arrows)) == (10, 5 * 2 + 1 * 5)
+    product_inv = BlockProduct([a2, a1])
+    labels = [(product_inv.pair_label(p), p.supports) for p in product_inv.pairs]
+    assert labels == [(both.pair_label(p), p.supports) for p in both.pairs]
+    # the same numbering as the product algebra's pairs, so the quivers are equal
+    assert product_inv.hasse_quiver == hasse(both, both.pairs)
+    assert box_product([a2.hasse_quiver], range(5)) == a2.hasse_quiver
 
 
 def test_order(a3sq_inv):
