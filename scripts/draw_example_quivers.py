@@ -39,7 +39,7 @@ def main(argv=None):
     with open(os.path.join(args.out, "hasse.json"), "w", encoding="utf-8") as f:
         json.dump(json_payload(af.name, inv, pairs, H), f, indent=2, ensure_ascii=False)
 
-    v = find_proj_injectives(algebra)[0][0]
+    v = next(iter(find_proj_injectives(algebra)))
     ctx = socle_quotient(algebra, v, inv)
     nsets = compute_nsets(ctx)
     qinv = ctx.quotient_inv

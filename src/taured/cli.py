@@ -102,16 +102,17 @@ def _cmd_reduce(args) -> int:
     if not pis:
         print("no indecomposable projective-injective module", file=sys.stderr)
         return 1
-    vertex = args.vertex or pis[0][0]
-    if vertex not in {v for v, _ in pis}:
+    vertex = args.vertex or next(iter(pis))
+    if vertex not in pis:
         print(f"P_{vertex} is not projective-injective; candidates: "
-              f"{', '.join(v for v, _ in pis)}", file=sys.stderr)
+              f"{', '.join(pis)}", file=sys.stderr)
         return 1
     # keep the chosen vertex's reduction; the others are dropped once checked
     report = Report(af.name)
-    chosen, = [r for r in reductions(algebra, report, inv) if r.ctx.vertex == vertex]
+    chosen, = [r for r in reductions(algebra, report, inv, pis) if r.ctx.vertex == vertex]
     ctx, nsets = chosen.ctx, chosen.nsets
-    print(f"projective-injectives: {', '.join(f'P_{v}~I_{w}' for v, w in pis)}")
+    print("projective-injectives: "
+          + ", ".join(f"P_{v}~I_{s}" for v, (_, s, _) in pis.items()))
     print(f"reducing at Q = P_{vertex}; socle lives at vertex {ctx.socle_vertex}; "
           f"Q is {'simple' if ctx.q_is_simple else 'not simple'}")
     if args.emit_quotient:

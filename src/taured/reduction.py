@@ -38,16 +38,15 @@ from .tilting import (
     build_inventory,
     components,
     full_subquiver,
+    vertex_block,
 )
 
 
-def find_proj_injectives(algebra: Algebra) -> list[tuple[str, str]]:
-    """Vertices v with P_v injective, each with the matching injective vertex."""
-    return [(v, s) for v, (_, s, _) in _proj_injectives(algebra).items()]
+def find_proj_injectives(algebra: Algebra) -> dict[str, tuple[dict, str, Representation]]:
+    """Vertices v with P_v projective-injective, each with :func:`_proj_injective` at v.
 
-
-def _proj_injectives(algebra: Algebra) -> dict[str, tuple[dict, str, Representation]]:
-    """:func:`_proj_injective` of each vertex v with P_v projective-injective, by v."""
+    That is the element spanning Soc(P_v), the vertex s with P_v = I_s, and P_v.
+    """
     out = {}
     for v in algebra.vertices:
         try:
@@ -133,14 +132,11 @@ class ReductionContext:
 
         Each is a quotient of the ambient algebra.  If C misses Q's vertex or
         the socle vertex, the socle element lies in <e_{V-C}> and B_C is the
-        vertex quotient A/<e_{V-C}>: the ambient inventory's cached block.
-        The block holding both is cut from A by the socle element and the
-        idempotents outside C, which is the quotient itself when it is
-        connected.  Without an ambient inventory there is no cache for a
-        split to share, and the quotient is one block.
+        vertex quotient A/<e_{V-C}>: the ambient inventory's cached block, or
+        built afresh without an ambient inventory.  The block holding both is
+        cut from A by the socle element and the idempotents outside C, which
+        is the quotient itself when it is connected.
         """
-        if self.inv is None:
-            return [Block(build_inventory(self.quotient))]
         out = []
         for comp in components(self.quotient, self.quotient.vertices):
             if {self.vertex, self.socle_vertex} <= comp:
@@ -149,6 +145,8 @@ class ReductionContext:
                 algebra = (quotient_by_elements(self.algebra, [self.socle_element] + outside)
                            if outside else self.quotient)
                 out.append(Block(build_inventory(algebra)))
+            elif self.inv is None:
+                out.append(vertex_block(self.algebra, comp))
             else:
                 out.append(self.inv.block(comp))
         return out
@@ -213,8 +211,8 @@ def socle_quotient(algebra: Algebra, v: str, inv: Inventory | None = None,
 
     ``inv`` is the ambient inventory: the ambient-side maps read it, and its
     cached blocks serve the quotient's.  ``found`` is the (socle element,
-    socle vertex, P_v) that the search for projective-injectives already
-    found at v, if any.
+    socle vertex, P_v) that :func:`find_proj_injectives` already found at v,
+    if any.
     """
     if v not in algebra.vertices:
         raise NotProjInjective(f"no vertex {v}")
@@ -390,14 +388,17 @@ def verify_reduction(algebra: Algebra, name: str = "algebra",
     return report
 
 
-def reductions(algebra: Algebra, report: Report,
-               inv: Inventory | None = None) -> Iterator[Reduction]:
+def reductions(algebra: Algebra, report: Report, inv: Inventory | None = None,
+               pis: dict[str, tuple[dict, str, Representation]] | None = None,
+               ) -> Iterator[Reduction]:
     """Check the reduction claims at each projective-injective P_v into ``report``.
 
     Yields the Reduction at each P_v once its checks are in.  The quotients'
     blocks stay in the ambient inventory's cache, which the oracle shares.
+    ``pis`` is :func:`find_proj_injectives` of the algebra, if already found.
     """
-    pis = _proj_injectives(algebra)
+    if pis is None:
+        pis = find_proj_injectives(algebra)
     if not pis:
         raise NoProjInjective("no indecomposable projective-injective module")
     inv = inv or build_inventory(algebra)

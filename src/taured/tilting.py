@@ -146,7 +146,7 @@ class Inventory(_PairNames):
         """
         block = self._blocks.get(vertices)
         if block is None:
-            block = Block(build_inventory(vertex_subalgebra_quotient(self.algebra, vertices)))
+            block = vertex_block(self.algebra, vertices)
             crossing = sum((a.src in vertices) != (a.tgt in vertices)
                            for a in self.algebra.arrows)
             if crossing <= 1 and len(vertices) < len(self.algebra.vertices):
@@ -246,6 +246,11 @@ class Block:
 
     inv: Inventory
     lifted: dict[int, int] = field(default_factory=dict)
+
+
+def vertex_block(algebra: Algebra, vertices) -> Block:
+    """The vertex quotient A/<e_{V-vertices}> as a block, with nothing lifted yet."""
+    return Block(build_inventory(vertex_subalgebra_quotient(algebra, vertices)))
 
 
 class BlockProduct(_PairNames):

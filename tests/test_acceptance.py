@@ -147,7 +147,7 @@ def test_criterion_5_reconstruction():
             continue
         inv = build_inventory(alg)
         direct = {frozenset(p.modules) for p in tau_tilting_pairs(inv)}
-        for v, _ in pis:
+        for v in pis:
             ctx = socle_quotient(alg, v, inv)
             recon = set(reconstruct_tau_tilt(ctx, compute_nsets(ctx)))
             assert recon == direct, (name, v)
@@ -227,7 +227,7 @@ def test_criterion_7_property_suites():
         if not pis:
             continue
         inv = build_inventory(alg)
-        for v, _ in pis:
+        for v in pis:
             ctx = socle_quotient(alg, v, inv)
             q = ctx.q_id
             for r in inv.candidates():

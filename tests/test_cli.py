@@ -190,8 +190,8 @@ def test_series_ignores_field_override(capsys, monkeypatch):
 
 
 def test_reduce_builds_each_quotient_once(a3sq_file, capsys, monkeypatch):
-    calls = dict.fromkeys(["build_inventory", "enumerate_stpairs", "compute_nsets",
-                           "reconstruct_tau_tilt"], 0)
+    calls = dict.fromkeys(["find_proj_injectives", "build_inventory", "enumerate_stpairs",
+                           "compute_nsets", "reconstruct_tau_tilt"], 0)
 
     def counting(module, name):
         fn = getattr(module, name)
@@ -202,16 +202,18 @@ def test_reduce_builds_each_quotient_once(a3sq_file, capsys, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     # every namespace that binds the name, so a call from the CLI counts too
-    for name in ("build_inventory", "compute_nsets", "reconstruct_tau_tilt"):
+    for name in ("find_proj_injectives", "build_inventory", "compute_nsets",
+                 "reconstruct_tau_tilt"):
         for module in (taured.cli, taured.reduction, taured.tilting):
             if hasattr(module, name):
                 counting(module, name)
     counting(taured.tilting, "enumerate_stpairs")
     assert main(["reduce", a3sq_file]) == 0
-    # the ambient algebra and the two blocks of the quotient at each of its two
-    # projective-injectives ({1} x {2, 3} at P_1, {1, 2} x {3} at P_2); the
-    # families and the rebuild once per projective-injective
-    assert calls == {"build_inventory": 5, "enumerate_stpairs": 5, "compute_nsets": 2,
+    # one search for projective-injectives; the ambient algebra and the two
+    # blocks of the quotient at each of its two projective-injectives
+    # ({1} x {2, 3} at P_1, {1, 2} x {3} at P_2); the families and the rebuild
+    # once per projective-injective
+    assert calls == {"find_proj_injectives": 1, "build_inventory": 5, "enumerate_stpairs": 5, "compute_nsets": 2,
                      "reconstruct_tau_tilt": 2}
 
 

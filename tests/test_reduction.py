@@ -1,5 +1,6 @@
 import dataclasses
 import os
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,22 +33,22 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def test_find_proj_injectives_a3sq(a3sq):
-    found = dict(find_proj_injectives(a3sq))
+    found = {v: s for v, (_, s, _) in find_proj_injectives(a3sq).items()}
     assert found["1"] == "2"          # P_1 is the injective at 2
     assert set(found) == {"1", "2"}   # P_2 = 2/3 is the injective at 3 as well
 
 
 def test_find_proj_injectives_series():
     a5 = series_algebra("A", 5)
-    found = dict(find_proj_injectives(a5))
+    found = {v: s for v, (_, s, _) in find_proj_injectives(a5).items()}
     assert found["5"] == "4"
     d5 = series_algebra("D", 5)
-    foundd = dict(find_proj_injectives(d5))
+    foundd = {v: s for v, (_, s, _) in find_proj_injectives(d5).items()}
     assert foundd["5"] == "4"
 
 
 def test_find_proj_injectives_kd3_empty():
-    assert find_proj_injectives(hereditary_d3()) == []
+    assert find_proj_injectives(hereditary_d3()) == {}
 
 
 def test_socle_quotient_a3sq(a3sq):
@@ -76,7 +77,7 @@ def test_socle_quotient_names_each_failure(a3sq):
     fork = build_algebra(Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "1", "3"))), [])
     with pytest.raises(NotProjInjective, match=r"Soc\(P_1\) has dimension 2"):
         socle_quotient(fork, "1")
-    assert find_proj_injectives(fork) == []
+    assert find_proj_injectives(fork) == {}
 
 
 def test_reduction_context_is_a_value(a3sq, a3sq_inv):
@@ -91,7 +92,7 @@ def test_reduction_context_is_a_value(a3sq, a3sq_inv):
 
 def test_bar_undoes_lift(corpus, corpus_invs):
     for name, alg in corpus.items():
-        for v, _ in find_proj_injectives(alg):
+        for v in find_proj_injectives(alg):
             ctx = socle_quotient(alg, v, corpus_invs[name])
             assert set(ctx.lift_of) == set(ctx.hom_to_q), (name, v)
             assert all(ctx.bar_of[a] == j for j, a in ctx.lift_of.items()), (name, v)
@@ -312,8 +313,9 @@ def test_block_route_matches_the_direct_route(name, block_counts):
         algebra, _ = parse_file(os.path.join(GOLDEN, f"{name}.alg")).build()
     inv = build_inventory(algebra)
     seen = set()
-    for v, _ in find_proj_injectives(algebra):
-        ctx = socle_quotient(algebra, v, inv)
+    # with the ambient inventory its cache serves the blocks; without, they are built
+    for v, ambient in product(find_proj_injectives(algebra), (inv, None)):
+        ctx = socle_quotient(algebra, v, ambient)
         blocked, direct = ctx.quotient_inv, direct_quotient_inventory(ctx)
         seen.add(len(ctx.blocks))
 
@@ -321,8 +323,8 @@ def test_block_route_matches_the_direct_route(name, block_counts):
             return [(frozenset(qinv.records[i].name for i in p.modules), p.supports)
                     for p in qinv.pairs]
 
-        assert named(blocked) == named(direct), (name, v)
+        assert named(blocked) == named(direct), (name, v, ambient)
         # the same order, so the arrows match by index once the names do
-        assert blocked.hasse_quiver.arrows == direct.hasse_quiver.arrows, (name, v)
+        assert blocked.hasse_quiver.arrows == direct.hasse_quiver.arrows, (name, v, ambient)
     assert seen == block_counts
     assert verify_reduction(algebra, name, inv=inv).passed

@@ -441,7 +441,7 @@ def _table_quotients(field):
         for size in range(1, len(alg.vertices) + 1):
             for support in combinations(alg.vertices, size):
                 yield vertex_subalgebra_quotient(alg, support)
-        for v, _ in find_proj_injectives(alg):
+        for v in find_proj_injectives(alg):
             yield socle_quotient(alg, v).quotient
 
 

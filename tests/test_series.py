@@ -148,6 +148,7 @@ def test_series_builds_each_inventory_once(monkeypatch):
             if hasattr(module, name):
                 counting(module, name)
     assert series_counts("A", 10).ok() and series_counts("D", 9).ok()
-    # one per row, and one per boundary check for its socle quotient; row
-    # n - 2 is read from its own row, not built again
-    assert calls == {"build_inventory": 10 + 7 + 8 + 5, "enumerate_stpairs": 30}
+    # one per row, and one per block of the socle quotient at each boundary
+    # check (A_{n-1} x A_1 for A, D_{n-1} x A_1 for D); row n - 2 is read from
+    # its own row, not built again
+    assert calls == {"build_inventory": 10 + 7 + 2 * (8 + 5), "enumerate_stpairs": 43}
