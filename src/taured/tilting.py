@@ -272,38 +272,35 @@ class BlockProduct(_PairNames):
             for o, b in zip(self.offsets, blocks) for r in b.records]
         self._name_rank: list[int] = []
 
-    @cached_property
-    def _sorted(self) -> tuple[list[STPair], list[int]]:
-        """The merged tuples of the blocks' pairs in :meth:`pair_sort_key` order, and the
-        position there of each tuple numbered as :func:`box_product` numbers them."""
+    def _merged(self) -> list[STPair]:
+        """The tuples of the blocks' pairs, merged, in the order :func:`itertools.product`
+        lists them (the last block fastest), which :func:`box_product` numbers by."""
         shifted = [[(tuple([o + m for m in p.modules]), p.supports) for p in b.pairs]
                    for o, b in zip(self.offsets, self.blocks)]
-        merged = []
+        out = []
         for parts in product(*shifted):
             modules, supports = (), ()
             for m, s in parts:
                 modules += m
                 supports += s
-            merged.append(STPair(modules, tuple(sorted(supports))))
-        order = sorted(range(len(merged)), key=lambda c: self.pair_sort_key(merged[c]))
-        rank = [0] * len(order)
-        for i, c in enumerate(order):
-            rank[c] = i
-        return [merged[c] for c in order], rank
+            out.append(STPair(modules, tuple(sorted(supports))))
+        return out
 
     @cached_property
     def pairs(self) -> list[STPair]:
         """Every support tau-tilting pair of the product, in :meth:`pair_sort_key` order."""
         if len(self.blocks) == 1:
             return self.blocks[0].pairs  # the same ids, names and order
-        return self._sorted[0]
+        return sorted(self._merged(), key=self.pair_sort_key)
 
     @cached_property
     def hasse_quiver(self) -> PosetQuiver:
         """The box product of the blocks' certified quivers; vertex i is ``pairs[i]``."""
         if len(self.blocks) == 1:
             return self.blocks[0].hasse_quiver
-        return box_product([b.hasse_quiver for b in self.blocks], self._sorted[1])
+        position = {p: i for i, p in enumerate(self.pairs)}
+        return box_product([b.hasse_quiver for b in self.blocks],
+                           [position[p] for p in self._merged()])
 
 
 def _names_for(algebra: Algebra, words) -> list[str]:
