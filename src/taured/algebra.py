@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, product
 
 from .errors import EmptySupport, NotFiniteDimensional, UnsupportedQuotient
 from .linalg import QQ, FpElement, Matrix, left_nullspace, modulo, rank_and_rowbasis
@@ -525,6 +526,71 @@ def vertex_subalgebra_quotient(alg: Algebra, support) -> Algebra:
     outside = [v for v in alg.vertices if v not in support]
     gens = [alg.element_of_vertex(v) for v in outside]
     return quotient_by_elements(alg, gens)
+
+
+def iso_invariants(alg: Algebra) -> tuple:
+    """Field, dimension, vertex and arrow counts and basis word lengths: equal for isomorphic algebras."""
+    return (alg.field, alg.dim, len(alg.vertices), len(alg.arrows),
+            tuple(sorted(len(b.word) for b in alg.basis)))
+
+
+def isomorphism(a: Algebra, b: Algebra) -> tuple[dict[str, str], dict[str, str]] | None:
+    """Vertex and arrow bijections a -> b that carry a's basis and table exactly onto b's.
+
+    Vertices are mapped in breadth-first order along the arrows, each onto
+    an unused vertex with the same arrow counts to and from every vertex
+    mapped so far; then each bundle of parallel arrows is matched in every
+    order.  A candidate is accepted only if every basis word of a maps to a
+    basis word of b and every structure constant of a's table is b's at the
+    image indices, which makes the induced linear map an algebra
+    isomorphism.  None when no candidate is accepted, as for non-isomorphic
+    algebras, and possibly for isomorphic ones whose bases were chosen apart.
+    """
+    if iso_invariants(a) != iso_invariants(b):
+        return None
+
+    def bundles(alg):
+        out: dict[tuple[str, str], list[str]] = {}
+        for x in alg.arrows:
+            out.setdefault((x.src, x.tgt), []).append(x.name)
+        return out
+
+    bund_a, bund_b = bundles(a), bundles(b)
+    index_b = {(w.src, w.word): k for k, w in enumerate(b.basis)}
+    order: list[str] = []
+    for start in a.vertices:
+        if start not in order:
+            order.append(start)
+            for u in order:  # the loop also visits what it appends
+                order.extend(dict.fromkeys(w for s, t in bund_a if u in (s, t)
+                                           for w in (s, t) if w not in order))
+
+    def fits(u, w, vmap):
+        return all(len(bund_a.get((u, x), ())) == len(bund_b.get((w, y), ()))
+                   and len(bund_a.get((x, u), ())) == len(bund_b.get((y, w), ()))
+                   for x, y in [*vmap.items(), (u, w)])
+
+    def accept(vmap, amap):
+        image = [index_b.get((vmap[w.src], tuple(amap[x] for x in w.word))) for w in a.basis]
+        return None not in image and len(a.mult) == len(b.mult) and all(
+            b.mult.get((image[i], image[j])) == {image[k]: c for k, c in vec.items()}
+            for (i, j), vec in a.mult.items())
+
+    stack: list[dict[str, str]] = [{}]
+    while stack:
+        vmap = stack.pop()
+        if len(vmap) < len(order):
+            u = order[len(vmap)]
+            stack.extend({**vmap, u: w} for w in reversed(b.vertices)
+                         if w not in vmap.values() and fits(u, w, vmap))
+            continue
+        choices = [[dict(zip(names, perm)) for perm in permutations(bund_b[(vmap[s], vmap[t])])]
+                   for (s, t), names in bund_a.items()]
+        for parts in product(*choices):
+            amap = {x: y for part in parts for x, y in part.items()}
+            if accept(vmap, amap):
+                return vmap, amap
+    return None
 
 
 def extract_presentation(alg: Algebra):

@@ -135,7 +135,8 @@ class ReductionContext:
         vertex quotient A/<e_{V-C}>: the ambient inventory's cached block, or
         built afresh without an ambient inventory.  The block holding both is
         cut from A by the socle element and the idempotents outside C, which
-        is the quotient itself when it is connected.
+        is the quotient itself when it is connected; its inventory comes from
+        the ambient inventory's isomorphism classes when there is one.
         """
         out = []
         for comp in components(self.quotient, self.quotient.vertices):
@@ -144,7 +145,8 @@ class ReductionContext:
                            for u in self.algebra.vertices if u not in comp]
                 algebra = (quotient_by_elements(self.algebra, [self.socle_element] + outside)
                            if outside else self.quotient)
-                out.append(Block(build_inventory(algebra)))
+                out.append(Block(build_inventory(algebra) if self.inv is None
+                                 else self.inv.inventory_of(algebra)))
             elif self.inv is None:
                 out.append(vertex_block(self.algebra, comp))
             else:

@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import accumulate, chain, combinations, product
 from math import prod
 
-from .algebra import Algebra, vertex_subalgebra_quotient
+from .algebra import Algebra, isomorphism, vertex_subalgebra_quotient
 from .errors import HasseError, InventoryError, UnknownVertex
 from .linalg import Matrix
 from .reps import (
@@ -36,7 +36,15 @@ from .reps import (
     tau,
     zero_rep,
 )
-from .strings import enumerate_strings, string_name, string_to_rep
+from .strings import (
+    Letter,
+    StringWord,
+    _str_key,
+    canonical,
+    enumerate_strings,
+    string_name,
+    string_to_rep,
+)
 
 log = logging.getLogger(__name__)
 
@@ -58,7 +66,7 @@ class IndecRecord:
         return self.rep.dim_vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class STPair:
     """A support tau-tilting pair: summand ids plus support-projective vertices."""
 
@@ -103,11 +111,19 @@ class _PairNames:
 
 
 class Inventory(_PairNames):
-    """The universe of indecomposables over one algebra, with tau precomputed."""
+    """The universe of indecomposables over one algebra, with tau precomputed.
 
-    def __init__(self, algebra: Algebra, records: list[IndecRecord]):
+    ``words`` are the strings of the records in id order when the records are
+    exactly the string modules; None otherwise (supplied modules, or a tau
+    recorded standalone).  Only such inventories are kept as the
+    representatives of :meth:`inventory_of`.
+    """
+
+    def __init__(self, algebra: Algebra, records: list[IndecRecord],
+                 words: list[StringWord] | None = None):
         self.algebra = algebra
         self.records = records
+        self.words = words
         self._hom_cache: dict[tuple[int, int], list] = {}
         self._support_cache: dict[frozenset, frozenset] = {}
         self._simple_top: dict[int, bool] = {}
@@ -117,6 +133,10 @@ class Inventory(_PairNames):
             self.by_dim_vector.setdefault(r.dim_vector, []).append(r.id)
         self._name_rank: list[int] = []
         self._blocks: dict[frozenset, Block] = {}
+        self._representatives: list[Inventory] = []
+        # (source inventory, own id of each source id, own vertex of each
+        # source vertex) when carried from an isomorphic algebra's inventory
+        self._source: tuple[Inventory, dict[int, int], dict[str, str]] | None = None
 
     def append(self, record: IndecRecord) -> None:
         """Add a record (id ``len(self)``) and index it by dimension vector."""
@@ -125,13 +145,67 @@ class Inventory(_PairNames):
 
     @cached_property
     def pairs(self) -> list[STPair]:
-        """:func:`enumerate_stpairs` of this inventory, computed once."""
-        return enumerate_stpairs(self)
+        """:func:`enumerate_stpairs` of this inventory, computed once, or the source's carried."""
+        if self._source is None:
+            return enumerate_stpairs(self)
+        return sorted(self._source_pairs(), key=self.pair_sort_key)
 
     @cached_property
     def hasse_quiver(self) -> PosetQuiver:
-        """:func:`hasse` of :attr:`pairs`, computed once."""
-        return hasse(self, self.pairs)
+        """:func:`hasse` of :attr:`pairs`, computed once, or the source's certified quiver carried."""
+        if self._source is None:
+            return hasse(self, self.pairs)
+        position = {p: k for k, p in enumerate(self.pairs)}
+        rank = [position[p] for p in self._source_pairs()]
+        return PosetQuiver(len(rank), tuple(sorted(
+            (rank[s], rank[t]) for s, t in self._source[0].hasse_quiver.arrows)))
+
+    def _source_pairs(self) -> list[STPair]:
+        """The source inventory's pairs with its ids and vertices replaced by their images here."""
+        src, own, vertex = self._source
+        return [STPair(tuple(sorted(own[i] for i in p.modules)),
+                       tuple(sorted(vertex[v] for v in p.supports))) for p in src.pairs]
+
+    @cached_property
+    def tilting_sets(self) -> list[tuple[int, ...]]:
+        """The tau-tilting modules by their definition, as ascending record ids (the oracle's route).
+
+        Hom(M, tau M) = 0 is tested on all size-|V| sets of candidates, listed
+        in lexicographic order; or the source inventory's sets are carried.
+        """
+        if self._source is not None:
+            src, own, _ = self._source
+            return sorted(tuple(sorted(own[i] for i in s)) for s in src.tilting_sets)
+        cands = self.candidates()
+        # bit b of bad[a]: a and b cannot be summands of one tau-rigid module
+        bad = [0] * len(cands)
+        for a, ra in enumerate(cands):
+            if not ra.is_tau_rigid:
+                bad[a] |= 1 << a
+            for b in range(a + 1, len(cands)):
+                if self.hom_to_tau(ra.id, cands[b].id) or self.hom_to_tau(cands[b].id, ra.id):
+                    bad[a] |= 1 << b
+                    bad[b] |= 1 << a
+        return [tuple(cands[a].id for a in subset)
+                for subset in _rigid_subsets(bad, len(self.algebra.vertices))]
+
+    def inventory_of(self, algebra: Algebra) -> Inventory:
+        """The string inventory of ``algebra``, carried from an isomorphic one kept here if any.
+
+        One inventory is kept per isomorphism class of algebras asked for,
+        the first one built in its class, and this one stands for its own
+        class.  Another member of a class gets the representative's inventory
+        carried along an exactly verified :func:`isomorphism`; where none is
+        found, its own is built.
+        """
+        for src in [self, *self._representatives]:
+            maps = src.words is not None and isomorphism(algebra, src.algebra)
+            if maps:
+                return _carry(src, algebra, *maps)
+        inv = build_inventory(algebra)
+        if inv.words is not None:
+            self._representatives.append(inv)
+        return inv
 
     def __len__(self):
         return len(self.records)
@@ -146,7 +220,7 @@ class Inventory(_PairNames):
         """
         block = self._blocks.get(vertices)
         if block is None:
-            block = vertex_block(self.algebra, vertices)
+            block = Block(self.inventory_of(vertex_subalgebra_quotient(self.algebra, vertices)))
             crossing = sum((a.src in vertices) != (a.tgt in vertices)
                            for a in self.algebra.arrows)
             if crossing <= 1 and len(vertices) < len(self.algebra.vertices):
@@ -362,6 +436,7 @@ def build_inventory(algebra: Algebra,
     else:
         if not supplied:
             raise InventoryError("a supplied inventory needs modules")
+        words = None
         names = [n for n, _ in supplied]
         reps = [r for _, r in supplied]
         for n, r in supplied:
@@ -372,7 +447,7 @@ def build_inventory(algebra: Algebra,
     records: list[IndecRecord] = []
     for i, (name, rep) in enumerate(zip(names, reps)):
         records.append(IndecRecord(i, name, rep, zero_rep(algebra), False, False))
-    inv = Inventory(algebra, records)
+    inv = Inventory(algebra, records, words)
 
     # audit: distinct records sharing a dim vector must be non-isomorphic
     for ids in inv.by_dim_vector.values():
@@ -397,10 +472,48 @@ def build_inventory(algebra: Algebra,
                 match = extra.id
             r.tau_id = match
         r.is_tau_rigid = len(hom_basis(r.rep, r.tau_rep)) == 0
+    if words is not None and len(words) != len(records):
+        inv.words = None
     for v in algebra.vertices:
         i = inv.find_iso(projective(algebra, v))
         if i is not None:
             records[i].projective_vertex = v
+    return inv
+
+
+def _carry(src: Inventory, algebra: Algebra, vertex: dict[str, str],
+           arrow: dict[str, str]) -> Inventory:
+    """``src`` carried onto ``algebra`` along the vertex and arrow maps of an isomorphism to src's.
+
+    The records get the ids and names a fresh :func:`build_inventory` gives:
+    the strings of ``algebra`` are enumerated, and each is matched to the
+    record of its image.  Modules and tau translates are relabelled, and the
+    pairs, Hasse quiver and tau-tilting sets are carried on first read.  An
+    algebra isomorphism carries Hom, tau, Fac and mutation, so the source's
+    Hasse certificate holds for the carried quiver as it is.
+    """
+    base = src.algebra
+    index = {_str_key(base, w): i for i, w in enumerate(src.words)}
+    words = enumerate_strings(algebra)
+    matched = [index[_str_key(base, canonical(base, StringWord(
+        tuple(Letter(arrow[x.arrow], x.inverse) for x in w.letters), vertex[w.base_vertex])))]
+        for w in words]
+    own = {i: k for k, i in enumerate(matched)}
+    back = {s: t for t, s in vertex.items()}
+
+    def relabel(rep: Representation) -> Representation:
+        return Representation(algebra, {v: rep.dims[vertex[v]] for v in algebra.vertices},
+                              {a.name: rep.maps[arrow[a.name]] for a in algebra.arrows})
+
+    records = []
+    for k, (name, i) in enumerate(zip(_names_for(algebra, words), matched)):
+        r = src.records[i]
+        records.append(IndecRecord(
+            k, name, relabel(r.rep), relabel(r.tau_rep), r.is_tau_rigid, r.is_projective,
+            None if r.projective_vertex is None else back[r.projective_vertex],
+            None if r.tau_id is None else own[r.tau_id]))
+    inv = Inventory(algebra, records, words)
+    inv._source = (src, own, back)
     return inv
 
 
@@ -519,26 +632,12 @@ def components(algebra: Algebra, support) -> list[frozenset]:
 def _block_tau_tilting(inv: Inventory, block: frozenset) -> list[tuple[int, ...]]:
     """The tau-tilting modules over A/<e_{V-block}>, as sorted ambient summand ids.
 
-    Hom(M, tau M) = 0 is tested over the quotient on all size-|block| summand
-    sets.  The quotient and its inventory are :meth:`Inventory.block`, so the
-    reduction checks read the same ones, and each quotient record is inflated
-    and matched in the ambient inventory once.
+    They are the :attr:`Inventory.tilting_sets` of the quotient's inventory,
+    :meth:`Inventory.block`, so the reduction checks read the same ones, and
+    each quotient record is inflated and matched in the ambient inventory once.
     """
     blk = inv.block(block)
-    qinv = blk.inv
-    cands = qinv.candidates()
-    k = len(block)
-    # bit b of bad[a]: a and b cannot be summands of one tau-rigid module
-    bad = [0] * len(cands)
-    for a, ra in enumerate(cands):
-        if not ra.is_tau_rigid:
-            bad[a] |= 1 << a
-        for b in range(a + 1, len(cands)):
-            if qinv.hom_to_tau(ra.id, cands[b].id) or qinv.hom_to_tau(cands[b].id, ra.id):
-                bad[a] |= 1 << b
-                bad[b] |= 1 << a
-    return [tuple(sorted(inv.lift(blk, cands[a].id) for a in subset))
-            for subset in _rigid_subsets(bad, k)]
+    return [tuple(sorted(inv.lift(blk, i) for i in s)) for s in blk.inv.tilting_sets]
 
 
 def _rigid_subsets(bad: list[int], k: int) -> list[tuple[int, ...]]:
@@ -562,39 +661,45 @@ def _rigid_subsets(bad: list[int], k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _topological_order(n: int, arrows) -> tuple[list[int], list[list[int]]]:
-    """Kahn's algorithm: an order of the vertices off any cycle, and the successor lists."""
+def _successors(n: int, arrows) -> list[list[int]]:
     succ: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
     for s, t in arrows:
         succ[s].append(t)
-        indeg[t] += 1
-    order = [i for i in range(n) if not indeg[i]]
-    for s in order:
-        for t in succ[s]:
-            indeg[t] -= 1
-            if not indeg[t]:
-                order.append(t)
-    return order, succ
+    return succ
 
 
 @dataclass(frozen=True)
 class PosetQuiver:
-    """A finite DAG on the vertices 0..n-1; for a quiver of pairs, vertex i is pairs[i]."""
+    """A finite DAG on the vertices 0..n-1; for a quiver of pairs, vertex i is pairs[i].
+
+    ``order`` is a topological order, found by Kahn's algorithm on construction.
+    """
 
     n: int
     arrows: tuple[tuple[int, int], ...]
+    order: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(_topological_order(self.n, self.arrows)[0]) != self.n:
+        succ = _successors(self.n, self.arrows)
+        indeg = [0] * self.n
+        for _, t in self.arrows:
+            indeg[t] += 1
+        order = [i for i in range(self.n) if not indeg[i]]
+        for s in order:
+            for t in succ[s]:
+                indeg[t] -= 1
+                if not indeg[t]:
+                    order.append(t)
+        if len(order) != self.n:
             raise ValueError("poset quiver contains a cycle")
+        object.__setattr__(self, "order", order)
 
     @cached_property
     def closure(self) -> list[int]:
         """Row i is the bitmask of the vertices strictly reachable from i."""
-        order, succ = _topological_order(self.n, self.arrows)
+        succ = _successors(self.n, self.arrows)
         reach = [0] * self.n
-        for i in reversed(order):
+        for i in reversed(self.order):
             for t in succ[i]:
                 reach[i] |= (1 << t) | reach[t]
         return reach

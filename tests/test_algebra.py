@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taured.algebra import (
     Algebra,
@@ -13,6 +14,8 @@ from taured.algebra import (
     _check_generated_by_quiver,
     build_algebra,
     extract_presentation,
+    iso_invariants,
+    isomorphism,
     quotient_by_elements,
     vertex_subalgebra_quotient,
 )
@@ -297,3 +300,76 @@ def test_presentation_extraction_cyclic_quotient(corpus):
     assert ("a", "b") in words
     rebuilt = build_algebra(quiver, rels)
     assert rebuilt.dim == ctx.quotient.dim == 5
+
+
+def three_vertices(arrows, relations):
+    """Vertices 0, 1, 2; arrows as (name, src, tgt); monomial relations."""
+    quiver = Quiver(("0", "1", "2"), tuple(Arrow(*a) for a in arrows))
+    return build_algebra(quiver, [Relation.monomial(w) for w in relations])
+
+
+def test_isomorphism_rejects_equal_invariants():
+    # rad-square-zero 0 -> 1 -> 2 and hereditary 0 -> 1 <- 2: dimension 5,
+    # three idempotents and two arrows each, but not isomorphic
+    rsz = three_vertices([("a", "0", "1"), ("b", "1", "2")], [("a", "b")])
+    hereditary = three_vertices([("a", "0", "1"), ("b", "2", "1")], [])
+    assert iso_invariants(rsz) == iso_invariants(hereditary)
+    assert isomorphism(rsz, hereditary) is None
+    assert isomorphism(hereditary, rsz) is None
+    # a commutative square and a square with one zero path: the same word
+    # lengths at every vertex and basis words that correspond, but a c d that
+    # is the basis path a b on one side and zero on the other
+    square = commutative_square()
+    one_zero = build_algebra(square.quiver, [Relation.monomial(("a", "b"))])
+    assert iso_invariants(square) == iso_invariants(one_zero)
+    assert isomorphism(square, one_zero) is None
+    # 2 -> 1 -> 0 is 0 -> 1 -> 2 with the vertices 0 and 2 exchanged
+    turned = three_vertices([("x", "2", "1"), ("y", "1", "0")], [("x", "y")])
+    assert isomorphism(rsz, turned) == ({"0": "2", "1": "1", "2": "0"}, {"a": "x", "b": "y"})
+
+
+@st.composite
+def relabelled_string_algebras(draw):
+    """A small string algebra and a copy with its vertices and arrows renamed and reordered."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):  # cyclic Nakayama: the paths of one length vanish
+        arrows = [(f"c{i}", i, (i + 1) % n) for i in range(n)]
+        length = draw(st.integers(2, n + 1))
+        words = [[arrows[(i + k) % n][0] for k in range(length)] for i in range(n)]
+    else:  # a linear quiver, any orientation, some paths of length two vanish
+        arrows = [(f"x{i}", *((i, i + 1) if draw(st.booleans()) else (i + 1, i)))
+                  for i in range(n - 1)]
+        words = [[x, y] for x, _, t in arrows for y, s, _ in arrows
+                 if t == s and draw(st.booleans())]
+    vertex_names = draw(st.permutations([str(i) for i in range(n)]))
+    arrow_names = draw(st.permutations([f"y{k}" for k in range(len(arrows))]))
+    vertex_order = draw(st.permutations(range(n)))
+    arrow_order = draw(st.permutations(range(len(arrows))))
+
+    def algebra(vname, aname, vorder, aorder):
+        quiver = Quiver(tuple(vname[v] for v in vorder),
+                        tuple(Arrow(aname[k], vname[arrows[k][1]], vname[arrows[k][2]])
+                              for k in aorder))
+        index = {a[0]: k for k, a in enumerate(arrows)}
+        return build_algebra(quiver, [Relation.monomial([aname[index[x]] for x in w])
+                                      for w in words])
+
+    natural = [str(i) for i in range(n)], [a[0] for a in arrows]
+    return (algebra(*natural, range(n), range(len(arrows))),
+            algebra(vertex_names, arrow_names, vertex_order, arrow_order))
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_string_algebras())
+def test_isomorphism_finds_a_relabelling(case):
+    a, b = case
+    found = isomorphism(a, b)
+    assert found is not None
+    vertex, arrow = found
+    assert sorted(vertex) == sorted(a.vertices) and sorted(vertex.values()) == sorted(b.vertices)
+    ends = {x.name: (x.src, x.tgt) for x in b.arrows}
+    assert sorted(arrow.values()) == sorted(ends)
+    assert all(ends[arrow[x.name]] == (vertex[x.src], vertex[x.tgt]) for x in a.arrows)
+    words = {(w.src, w.word) for w in b.basis}
+    assert all((vertex[w.src], tuple(arrow[x] for x in w.word)) in words for w in a.basis)
+    assert isomorphism(b, a) is not None

@@ -209,12 +209,13 @@ def test_reduce_builds_each_quotient_once(a3sq_file, capsys, monkeypatch):
                 counting(module, name)
     counting(taured.tilting, "enumerate_stpairs")
     assert main(["reduce", a3sq_file]) == 0
-    # one search for projective-injectives; the ambient algebra and the two
-    # blocks of the quotient at each of its two projective-injectives
-    # ({1} x {2, 3} at P_1, {1, 2} x {3} at P_2); the families and the rebuild
-    # once per projective-injective
-    assert calls == {"find_proj_injectives": 1, "build_inventory": 5, "enumerate_stpairs": 5, "compute_nsets": 2,
-                     "reconstruct_tau_tilt": 2}
+    # one search for projective-injectives; the ambient algebra and one block
+    # per isomorphism class among the blocks of the quotients at its two
+    # projective-injectives ({1} x {2, 3} at P_1, {1, 2} x {3} at P_2: A_1 and
+    # A_2, the second block of each class carried); the families and the
+    # rebuild once per projective-injective
+    assert calls == {"find_proj_injectives": 1, "build_inventory": 3, "enumerate_stpairs": 3,
+                     "compute_nsets": 2, "reconstruct_tau_tilt": 2}
 
 
 def test_reduce_second_anchor(a3sq_file, capsys):

@@ -1,6 +1,8 @@
 import gc
+import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from taured.reduction import verify_reduction
 from taured.tilting import (
     BlockProduct,
     IndecRecord,
+    Inventory,
     PosetQuiver,
     STPair,
     _rigid_subsets,
@@ -216,18 +219,84 @@ def test_oracle_builds_one_quotient_per_connected_set(monkeypatch, kind, n, expe
     connected = _connected_sets(inv.algebra)
     assert len(connected) == expected
     assert sorted(built["quotient"], key=sorted) == sorted(connected, key=sorted)
-    assert built["inventory"] == expected
+    # one inventory per isomorphism class of the proper blocks: A_1 .. A_4 for
+    # A_5; A_1, A_2, linear A_3 and 1 <- 3 -> 2 for D_4; the whole vertex set
+    # is carried from the ambient inventory
+    classes = {"A": 4, "D": 4}[kind]
+    assert built["inventory"] == classes
     assert {p.key() for p in oracle} == {p.key() for p in inv.pairs}
     # the reduction checks read every block of their socle quotients from the
     # oracle's cache: no quotient or inventory is built beyond the oracle's
     assert verify_reduction(inv.algebra, inv=inv).passed
-    assert built["inventory"] == expected
+    assert built["inventory"] == classes
     assert len(built["quotient"]) == expected
     # the cache keeps the proper connected sets that one arrow joins to the rest
     kept = [c for c in connected if len(c) < n
             and sum((a.src in c) != (a.tgt in c) for a in inv.algebra.arrows) == 1]
     assert sorted(inv._blocks, key=sorted) == sorted(kept, key=sorted)
     assert len(kept) == {"A": 8, "D": 6}[kind]
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+@pytest.mark.parametrize("name, classes", [("rsz_A7", 7), ("rsz_D7", 11),
+                                           ("nakayama_5_4", 6), ("nakayama_5_5", 6)])
+def test_carried_inventories_match_fresh_builds(monkeypatch, name, classes, shuffled):
+    af = parse((Path(__file__).parent / "golden" / f"{name}.alg").read_text())
+    if shuffled:
+        rng = random.Random(name)
+        for part in (af.vertices, af.arrows, af.relations):
+            rng.shuffle(part)
+    algebra, _ = af.build()
+    inv = build_inventory(algebra)
+    served = []
+    inventory_of = Inventory.inventory_of
+
+    def recorded(self, alg):
+        served.append(inventory_of(self, alg))
+        return served[-1]
+
+    # every block and socle quotient that `verify` reads
+    monkeypatch.setattr(Inventory, "inventory_of", recorded)
+    oracle_stpairs_via_quotients(inv)
+    assert verify_reduction(algebra, inv=inv).passed
+    carried = [got for got in served if got._source is not None]
+    # one inventory built per isomorphism class, the ambient one included
+    assert 1 + len(served) - len(carried) == classes
+    for got in carried:
+        fresh = build_inventory(got.algebra)
+        assert ([(r.name, r.tau_id, r.projective_vertex, r.is_tau_rigid) for r in got.records]
+                == [(r.name, r.tau_id, r.projective_vertex, r.is_tau_rigid)
+                    for r in fresh.records])
+        assert all(is_iso(g.rep, f.rep) for g, f in zip(got.records, fresh.records))
+        assert got.pairs == fresh.pairs
+        assert got.hasse_quiver.arrows == fresh.hasse_quiver.arrows
+        assert got.tilting_sets == fresh.tilting_sets
+
+
+def test_inventory_of_builds_where_no_isomorphism_is_found(monkeypatch):
+    def algebra(vertices, arrows, relations):
+        return build_algebra(Quiver(vertices, tuple(Arrow(*a) for a in arrows)),
+                             [Relation.monomial(w) for w in relations])
+
+    # rad-square-zero 0 -> 1 -> 2 and hereditary 0 -> 1 <- 2 share the cheap
+    # invariants (dimension 5, three vertices, two arrows) but are not isomorphic
+    rsz = algebra(("0", "1", "2"), [("a", "0", "1"), ("b", "1", "2")], [("a", "b")])
+    hereditary = algebra(("0", "1", "2"), [("a", "0", "1"), ("b", "2", "1")], [])
+    inv = build_inventory(rsz)
+    built = []
+    build = taured.tilting.build_inventory
+    monkeypatch.setattr(taured.tilting, "build_inventory",
+                        lambda alg: built.append(alg) or build(alg))
+    got = inv.inventory_of(hereditary)
+    assert built == [hereditary] and got._source is None
+    assert [r.name for r in got.records] == [r.name for r in build(hereditary).records]
+    # a renamed copy of the ambient algebra is carried from it, and a second
+    # hereditary one from the first
+    turned = algebra(("2", "1", "0"), [("y", "1", "0"), ("x", "2", "1")], [("x", "y")])
+    assert inv.inventory_of(turned)._source[0] is inv
+    assert inv.inventory_of(algebra(("0", "1", "2"), [("b", "2", "1"), ("a", "0", "1")], [])
+                            )._source[0] is got
+    assert built == [hereditary]
 
 
 def test_product_pairs_are_products_of_factor_pairs():
