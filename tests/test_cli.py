@@ -95,15 +95,19 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 with open(os.path.join(GOLDEN, "cli_exit_codes.json"), encoding="utf-8") as _f:
     CLI_EXIT_CODES = json.load(_f)
 CLI_ARGV = {"verify": ["verify"], "reduce": ["reduce", "--emit-quotient"]}
+# `series` reads no input file: rsz_A10 is the A series up to n = 10, and so on
+SERIES_ARGV = {"rsz_A10": ["series", "--kind", "A", "--max", "10", "--closed-form"],
+               "rsz_D9": ["series", "--kind", "D", "--max", "9", "--closed-form"]}
 
 
 @pytest.mark.parametrize("name,command", [(name, command)
                                           for name, codes in CLI_EXIT_CODES.items()
                                           for command in codes])
 def test_cli_output_matches_golden(name, command, capsys, monkeypatch):
-    """Stdout and exit code of `verify` and `reduce --emit-quotient`, byte for byte."""
+    """Stdout and exit code of `verify`, `reduce --emit-quotient` and `series`, byte for byte."""
     monkeypatch.delenv("TAURED_FIELD", raising=False)
-    code = main([*CLI_ARGV[command], os.path.join(GOLDEN, f"{name}.alg")])
+    code = main(SERIES_ARGV[name] if command == "series"
+                else [*CLI_ARGV[command], os.path.join(GOLDEN, f"{name}.alg")])
     with open(os.path.join(GOLDEN, f"{name}.{command}.out"), encoding="utf-8") as f:
         assert capsys.readouterr().out == f.read()
     assert code == CLI_EXIT_CODES[name][command]
