@@ -150,16 +150,14 @@ def _cmd_series(args) -> int:
         header += f"  {'closed':>8}"
     print(header)
     ok = True
+    mark = {None: "-", True: "ok", False: "FAIL"}
     for row in rep.rows:
-        rec = "-" if row.recurrence_checked is None else ("ok" if row.recurrence_checked else "FAIL")
-        st = "-" if row.boundary_structure_checked is None else (
-            "ok" if row.boundary_structure_checked else "FAIL")
+        rec, st = mark[row.recurrence_checked], mark[row.boundary_structure_checked]
         line = f"{row.n:>3}  {row.count:>8}  {rec:>10}  {st:>8}"
         if args.closed_form:
             cf = closed_form(args.kind, row.n)
             line += f"  {cf:>8}"
-            if cf != row.count:
-                ok = False
+            ok = ok and cf == row.count
         print(line)
     if not rep.ok() or not ok:
         print("series check FAILED", file=sys.stderr)

@@ -38,7 +38,6 @@ from .tilting import (
     build_inventory,
     components,
     full_subquiver,
-    vertex_block,
 )
 
 
@@ -109,8 +108,8 @@ class ReductionContext:
     from theirs.  Each map is computed in one pass on first read.  The
     quotient side (``blocks``, ``quotient_inv``, ``qbar_id``, ``hom_to_q``)
     reads ``inv``, the ambient inventory, only for its cached blocks, and
-    works without it; the ambient side (``q_id``, ``bar_of``, ``lift_of``)
-    needs it.
+    ``classes`` for the blocks' isomorphism classes, and works without either;
+    the ambient side (``q_id``, ``bar_of``, ``lift_of``) needs ``inv``.
     """
 
     algebra: Algebra
@@ -121,6 +120,7 @@ class ReductionContext:
     q_rep: Representation
     qbar_rep: Representation         # Q modulo its socle, over the quotient
     inv: Inventory | None = None
+    classes: Inventory | None = None  # Inventory.inventory_of serves the blocks
 
     @property
     def q_is_simple(self) -> bool:
@@ -130,27 +130,25 @@ class ReductionContext:
     def blocks(self) -> list[Block]:
         """The blocks B_C = quotient / <e_{V-C}>, one per component C of the quotient's quiver.
 
-        Each is a quotient of the ambient algebra.  If C misses Q's vertex or
-        the socle vertex, the socle element lies in <e_{V-C}> and B_C is the
-        vertex quotient A/<e_{V-C}>: the ambient inventory's cached block, or
-        built afresh without an ambient inventory.  The block holding both is
-        cut from A by the socle element and the idempotents outside C, which
-        is the quotient itself when it is connected; its inventory comes from
-        the ambient inventory's isomorphism classes when there is one.
+        Each is cut from the ambient algebra A by the socle element and the
+        idempotents outside C; it is the quotient itself when that is
+        connected.  If C misses Q's vertex or the socle vertex, the socle
+        element lies in <e_{V-C}> and B_C is the vertex quotient A/<e_{V-C}>,
+        the ambient inventory's cached block when there is one.  Any other
+        block's inventory is carried from the isomorphism classes of
+        ``classes``, or built where there are none.
         """
         out = []
         for comp in components(self.quotient, self.quotient.vertices):
-            if {self.vertex, self.socle_vertex} <= comp:
-                outside = [self.algebra.element_of_vertex(u)
-                           for u in self.algebra.vertices if u not in comp]
-                algebra = (quotient_by_elements(self.algebra, [self.socle_element] + outside)
-                           if outside else self.quotient)
-                out.append(Block(build_inventory(algebra) if self.inv is None
-                                 else self.inv.inventory_of(algebra)))
-            elif self.inv is None:
-                out.append(vertex_block(self.algebra, comp))
-            else:
+            if self.inv is not None and not {self.vertex, self.socle_vertex} <= comp:
                 out.append(self.inv.block(comp))
+                continue
+            outside = [self.algebra.element_of_vertex(u)
+                       for u in self.algebra.vertices if u not in comp]
+            algebra = (quotient_by_elements(self.algebra, [self.socle_element] + outside)
+                       if outside else self.quotient)
+            out.append(Block(build_inventory(algebra) if self.classes is None
+                             else self.classes.inventory_of(algebra)))
         return out
 
     @cached_property
@@ -208,13 +206,15 @@ class ReductionContext:
 
 
 def socle_quotient(algebra: Algebra, v: str, inv: Inventory | None = None,
-                   found: tuple[dict, str, Representation] | None = None) -> ReductionContext:
+                   found: tuple[dict, str, Representation] | None = None,
+                   classes: Inventory | None = None) -> ReductionContext:
     """Quotient the algebra by Soc(P_v) for a projective-injective P_v.
 
     ``inv`` is the ambient inventory: the ambient-side maps read it, and its
     cached blocks serve the quotient's.  ``found`` is the (socle element,
     socle vertex, P_v) that :func:`find_proj_injectives` already found at v,
-    if any.
+    if any.  The other blocks are carried from the isomorphism classes of
+    ``classes`` (:meth:`Inventory.inventory_of`), by default ``inv``.
     """
     if v not in algebra.vertices:
         raise NotProjInjective(f"no vertex {v}")
@@ -228,7 +228,7 @@ def socle_quotient(algebra: Algebra, v: str, inv: Inventory | None = None,
 
     quotient = quotient_by_elements(algebra, [soc_vec])
     return ReductionContext(algebra, v, socle_vertex, soc_vec, quotient,
-                            q_rep, bar(q_rep, quotient), inv)
+                            q_rep, bar(q_rep, quotient), inv, inv if classes is None else classes)
 
 
 @dataclass
@@ -252,28 +252,32 @@ class ReductionSets:
 
 
 def compute_nsets(ctx: ReductionContext) -> ReductionSets:
+    """The quotient families in pair order, read from the blocks' pairs, not the product's.
+
+    Hom, tau and Fac act blockwise: a tuple of the blocks' pairs is
+    tau-tilting, or Hom-less to Q, when each part is, and it holds Q/Soc(Q)
+    when its part in block k, the one of Q/Soc(Q), does.
+    """
+    qinv, qbar, hom_to_q = ctx.quotient_inv, ctx.qbar_id, ctx.hom_to_q
+    k = -1 if qbar is None else sum(o <= qbar for o in qinv.offsets) - 1
+    shifted = qinv.shifted()
+
+    def tuples(tilting: bool, holds: bool) -> list[STPair]:
+        """The tau-tilting (else Hom-less) tuples whose part in block k holds Q/Soc(Q) or not."""
+        return sorted(qinv.merged([[(m, s) for m, s in parts
+                                    if (not s if tilting else not any(hom_to_q[i] for i in m))
+                                    and (j != k or (qbar in m) == holds)]
+                                   for j, parts in enumerate(shifted)]), key=qinv.pair_sort_key)
+
+    # simple Q (no block k): the zero module belongs to every additive closure
+    surgery = tuples(False, k >= 0)
     nbar = len(ctx.quotient.vertices)
-    qbar = ctx.qbar_id
-    hom_to_q = ctx.hom_to_q
-    keep, extend, swap, surgery = [], [], [], []
-    for p in ctx.quotient_inv.pairs:
-        mods = frozenset(p.modules)
-        has_qbar = qbar is not None and qbar in mods
-        homless = not any(hom_to_q[i] for i in mods)
-        if p.is_tau_tilting:
-            if not has_qbar:
-                keep.append(mods)
-            elif not homless:
-                swap.append(mods)
-        if qbar is None:
-            # simple Q: the zero module belongs to every additive closure
-            if homless:
-                surgery.append(p)
-        elif has_qbar and homless:
-            surgery.append(p)
-            if len(mods) == nbar - 1:
-                extend.append(mods)
-    return ReductionSets(keep, extend, swap, surgery)
+    return ReductionSets(
+        [frozenset(p.modules) for p in tuples(True, False)],
+        [frozenset(p.modules) for p in surgery if k >= 0 and len(p.modules) == nbar - 1],
+        [frozenset(p.modules) for p in (tuples(True, True) if k >= 0 else [])
+         if any(hom_to_q[i] for i in p.modules)],
+        surgery)
 
 
 def reconstruct_tau_tilt(ctx: ReductionContext, nsets: ReductionSets) -> list[frozenset]:

@@ -137,15 +137,9 @@ def _boundary_structure_check(n: int, ctx: ReductionContext,
     series, by summand names, which are shared vertex-wise between the series
     algebras.
     """
-    nsets = compute_nsets(ctx)
-    qinv = ctx.quotient_inv
-    got = set()
-    for mods in nsets.extend:
-        names = frozenset(qinv.records[i].name for i in mods)
-        if str(n) not in names:
-            return False
-        got.add(names - {str(n)})
-    return got == smaller
+    records = ctx.quotient_inv.records
+    extend = [frozenset(records[i].name for i in mods) for mods in compute_nsets(ctx).extend]
+    return all(str(n) in names for names in extend) and {e - {str(n)} for e in extend} == smaller
 
 
 def series_counts(kind: str, n_max: int, field=QQ, check_structure: bool = True,
@@ -156,7 +150,9 @@ def series_counts(kind: str, n_max: int, field=QQ, check_structure: bool = True,
     projective-injective: n >= 3 for A, n >= 5 for D.  Enumeration refuses
     past the desk budget (A: 10, D: 9 by default) instead of grinding.  Each
     algebra is built and enumerated once: the boundary check of row n reads
-    the tau-tilting modules of row n - 2, kept by summand names.
+    the tau-tilting modules of row n - 2, kept by summand names, and its
+    socle quotient Lambda_n / Soc(P_n) = Lambda_{n-1} x k carries the block
+    Lambda_{n-1} from row n - 1's inventory, which is then freed.
     """
     kind = kind.upper()
     start = 1 if kind == "A" else 3
@@ -170,26 +166,27 @@ def series_counts(kind: str, n_max: int, field=QQ, check_structure: bool = True,
     rows: list[SeriesRow] = []
     counts: dict[int, int] = {}
     tilting: dict[int, set[frozenset[str]]] = {}  # by names; row n checks against n - 2
+    inv: Inventory | None = None  # the previous row's
     for n in range(start, n_max + 1):
         alg = series_algebra(kind, n, field=field)
+        rec = struct = None
+        if n >= guard:
+            try:
+                ctx = socle_quotient(alg, str(n), classes=inv)
+            except NotProjInjective:
+                ctx = None
+            rec = ctx is not None  # and the recurrence holds, read once the count is in
+            if check_structure:
+                smaller = tilting.pop(n - 2)
+                struct = rec and _boundary_structure_check(n, ctx, smaller)
+            del ctx  # its carried block holds row n - 1
+        inv = None  # free row n - 1 before row n is built
         inv = build_inventory(alg)
         c = counts[n] = tau_tilt_count(alg, inv)
         if check_structure:
             tilting[n] = {frozenset(inv.records[i].name for i in p.modules)
                           for p in inv.pairs if p.is_tau_tilting}
-        del inv  # free this row's pairs before the socle quotient's are built
-        rec = struct = None
-        if n >= guard:
-            try:
-                ctx = socle_quotient(alg, str(n))
-            except NotProjInjective:
-                ctx = None
-            rec = ctx is not None and c == counts[n - 1] + counts[n - 2]
-            if check_structure:
-                smaller = tilting.pop(n - 2)
-                struct = ctx is not None and _boundary_structure_check(n, ctx, smaller)
-            del ctx  # free the quotient's pairs before the next row's are built
-        rows.append(SeriesRow(n, c, rec, struct))
+        rows.append(SeriesRow(n, c, rec and c == counts[n - 1] + counts[n - 2], struct))
     return SeriesReport(kind, rows)
 
 

@@ -322,11 +322,6 @@ class Block:
     lifted: dict[int, int] = field(default_factory=dict)
 
 
-def vertex_block(algebra: Algebra, vertices) -> Block:
-    """The vertex quotient A/<e_{V-vertices}> as a block, with nothing lifted yet."""
-    return Block(build_inventory(vertex_subalgebra_quotient(algebra, vertices)))
-
-
 class BlockProduct(_PairNames):
     """The pairs and Hasse quiver over a product of blocks, read from the blocks' own.
 
@@ -346,13 +341,16 @@ class BlockProduct(_PairNames):
             for o, b in zip(self.offsets, blocks) for r in b.records]
         self._name_rank: list[int] = []
 
-    def _merged(self) -> list[STPair]:
-        """The tuples of the blocks' pairs, merged, in the order :func:`itertools.product`
-        lists them (the last block fastest), which :func:`box_product` numbers by."""
-        shifted = [[(tuple([o + m for m in p.modules]), p.supports) for p in b.pairs]
-                   for o, b in zip(self.offsets, self.blocks)]
+    def shifted(self) -> list[list[tuple[tuple[int, ...], tuple]]]:
+        """Each block's pairs as (module ids in the product, supports)."""
+        return [[(tuple([o + m for m in p.modules]), p.supports) for p in b.pairs]
+                for o, b in zip(self.offsets, self.blocks)]
+
+    def merged(self, lists) -> list[STPair]:
+        """The tuples of ``lists`` (of :meth:`shifted` parts, one per block), merged, in the order
+        :func:`itertools.product` lists them, the last block fastest, as :func:`box_product` does."""
         out = []
-        for parts in product(*shifted):
+        for parts in product(*lists):
             modules, supports = (), ()
             for m, s in parts:
                 modules += m
@@ -365,7 +363,7 @@ class BlockProduct(_PairNames):
         """Every support tau-tilting pair of the product, in :meth:`pair_sort_key` order."""
         if len(self.blocks) == 1:
             return self.blocks[0].pairs  # the same ids, names and order
-        return sorted(self._merged(), key=self.pair_sort_key)
+        return sorted(self.merged(self.shifted()), key=self.pair_sort_key)
 
     @cached_property
     def hasse_quiver(self) -> PosetQuiver:
@@ -374,7 +372,7 @@ class BlockProduct(_PairNames):
             return self.blocks[0].hasse_quiver
         position = {p: i for i, p in enumerate(self.pairs)}
         return box_product([b.hasse_quiver for b in self.blocks],
-                           [position[p] for p in self._merged()])
+                           [position[p] for p in self.merged(self.shifted())])
 
 
 def _names_for(algebra: Algebra, words) -> list[str]:

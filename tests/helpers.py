@@ -2,6 +2,7 @@
 
 from taured.errors import AlgebraMismatch
 from taured.linalg import Matrix
+from taured.reduction import ReductionSets
 from taured.reps import _images_fill, hom_basis
 from taured.tilting import build_inventory
 
@@ -51,6 +52,36 @@ def record_by_name(inv, name: str):
 def direct_quotient_inventory(ctx):
     """The inventory of a reduction's whole socle quotient, built directly rather than by blocks."""
     return build_inventory(ctx.quotient)
+
+
+def reference_nsets(ctx) -> ReductionSets:
+    """The quotient families read pair by pair from the product's pairs, in their order.
+
+    The reference for :func:`taured.reduction.compute_nsets`, which reads
+    the blocks' pairs instead.
+    """
+    nbar = len(ctx.quotient.vertices)
+    qbar = ctx.qbar_id
+    hom_to_q = ctx.hom_to_q
+    keep, extend, swap, surgery = [], [], [], []
+    for p in ctx.quotient_inv.pairs:
+        mods = frozenset(p.modules)
+        has_qbar = qbar is not None and qbar in mods
+        homless = not any(hom_to_q[i] for i in mods)
+        if p.is_tau_tilting:
+            if not has_qbar:
+                keep.append(mods)
+            elif not homless:
+                swap.append(mods)
+        if qbar is None:
+            # simple Q: the zero module belongs to every additive closure
+            if homless:
+                surgery.append(p)
+        elif has_qbar and homless:
+            surgery.append(p)
+            if len(mods) == nbar - 1:
+                extend.append(mods)
+    return ReductionSets(keep, extend, swap, surgery)
 
 
 def tau_tilting_pairs(inv) -> list:

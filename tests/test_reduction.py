@@ -27,7 +27,12 @@ from taured.tilting import (
     enumerate_stpairs,
 )
 
-from helpers import direct_quotient_inventory, record_by_name, tau_tilting_pairs
+from helpers import (
+    direct_quotient_inventory,
+    record_by_name,
+    reference_nsets,
+    tau_tilting_pairs,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -328,3 +333,31 @@ def test_block_route_matches_the_direct_route(name, block_counts):
         assert blocked.hasse_quiver.arrows == direct.hasse_quiver.arrows, (name, v, ambient)
     assert seen == block_counts
     assert verify_reduction(algebra, name, inv=inv).passed
+
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+@pytest.mark.parametrize("name", ["rsz_A7", "rsz_D7", "nakayama_5_4", "nakayama_5_5",
+                                  "a3sq", "KA2xK"])
+def test_blockwise_nsets_match_the_reference(name, corpus):
+    """At every projective-injective the families read from the blocks are the ones read
+    from the product's pairs, in the same order (KA2xK: Q simple, no Q/Soc(Q))."""
+    if name == "KA2xK":
+        algebra = corpus[name]
+    else:
+        path = os.path.join(SCRIPTS if name == "a3sq" else GOLDEN, f"{name}.alg")
+        algebra, _ = parse_file(path).build()
+    inv = build_inventory(algebra)
+    for v, found in find_proj_injectives(algebra).items():
+        ctx = socle_quotient(algebra, v, inv, found)
+        assert compute_nsets(ctx) == reference_nsets(ctx), (name, v)
+
+
+@pytest.mark.parametrize("kind, n", [("A", n) for n in range(3, 9)]
+                         + [("D", n) for n in range(5, 8)])
+def test_blockwise_nsets_match_the_reference_on_series_rows(kind, n):
+    """At P_n of each boundary row, with Lambda_{n-1} carried from the row before."""
+    rows = build_inventory(series_algebra(kind, n - 1))
+    ctx = socle_quotient(series_algebra(kind, n), str(n), classes=rows)
+    assert compute_nsets(ctx) == reference_nsets(ctx)

@@ -1,3 +1,4 @@
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import taured.reduction
 import taured.series
 import taured.tilting
 from taured.errors import BadIndex, NonIntegerResult
+from taured.reduction import socle_quotient
 from taured.series import (
     ONE_MINUS,
     ONE_PLUS,
@@ -17,6 +19,7 @@ from taured.series import (
     series_counts,
     tau_tilt_count,
 )
+from taured.tilting import build_inventory
 
 
 def test_series_algebra_shapes():
@@ -148,7 +151,46 @@ def test_series_builds_each_inventory_once(monkeypatch):
             if hasattr(module, name):
                 counting(module, name)
     assert series_counts("A", 10).ok() and series_counts("D", 9).ok()
-    # one per row, and one per block of the socle quotient at each boundary
-    # check (A_{n-1} x A_1 for A, D_{n-1} x A_1 for D); row n - 2 is read from
-    # its own row, not built again
-    assert calls == {"build_inventory": 10 + 7 + 2 * (8 + 5), "enumerate_stpairs": 43}
+    # one per row, and one per boundary check for the one-vertex block k of
+    # the socle quotient Lambda_{n-1} x k; the block Lambda_{n-1} is carried
+    # from row n - 1's inventory, and row n - 2 is read from its own row, so
+    # neither is built again
+    assert calls == {"build_inventory": 10 + 7 + (8 + 5), "enumerate_stpairs": 10 + 7 + (8 + 5)}
+
+
+def test_series_frees_each_row_before_the_next(monkeypatch):
+    rows = []  # a weak reference to each row's inventory, in build order
+    build = taured.series.build_inventory
+
+    def tracked(algebra):
+        assert all(row() is None for row in rows), "an earlier row's inventory is alive"
+        inv = build(algebra)
+        rows.append(weakref.ref(inv))
+        return inv
+    monkeypatch.setattr(taured.series, "build_inventory", tracked)
+    assert series_counts("A", 8).ok() and series_counts("D", 7).ok()
+    assert len(rows) == 8 + 5
+
+
+@pytest.mark.parametrize("kind, n", [("A", n) for n in range(3, 9)]
+                         + [("D", n) for n in range(5, 8)])
+def test_carried_block_is_the_fresh_build(kind, n):
+    """The block Lambda_{n-1} of the socle quotient at P_n, carried from row n - 1's
+    inventory, has the records and pairs a fresh build of the block gives."""
+    row = build_inventory(series_algebra(kind, n - 1))
+    ctx = socle_quotient(series_algebra(kind, n), str(n), classes=row)
+    carried = next(b.inv for b in ctx.blocks if str(n - 1) in b.inv.algebra.vertices)
+    assert carried._source[0] is row
+    fresh = build_inventory(carried.algebra)
+    assert ([(r.name, r.tau_id, r.is_tau_rigid) for r in carried.records]
+            == [(r.name, r.tau_id, r.is_tau_rigid) for r in fresh.records])
+    assert carried.pairs == fresh.pairs
+
+
+def test_series_without_isomorphisms_builds_the_blocks(monkeypatch):
+    """Where no isomorphism is found, each block is built afresh, with the same report."""
+    expected = [series_counts("A", 8), series_counts("D", 7)]
+    searched = []
+    monkeypatch.setattr(taured.tilting, "isomorphism", lambda a, b: searched.append(a))
+    assert [series_counts("A", 8), series_counts("D", 7)] == expected
+    assert searched
