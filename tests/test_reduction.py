@@ -358,6 +358,6 @@ def test_blockwise_nsets_match_the_reference(name, corpus):
                          + [("D", n) for n in range(5, 8)])
 def test_blockwise_nsets_match_the_reference_on_series_rows(kind, n):
     """At P_n of each boundary row, with Lambda_{n-1} carried from the row before."""
-    rows = build_inventory(series_algebra(kind, n - 1))
-    ctx = socle_quotient(series_algebra(kind, n), str(n), classes=rows)
+    previous = build_inventory(series_algebra(kind, n - 1))
+    ctx = socle_quotient(series_algebra(kind, n), str(n), classes=previous)
     assert compute_nsets(ctx) == reference_nsets(ctx)

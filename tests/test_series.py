@@ -159,6 +159,8 @@ def test_series_builds_each_inventory_once(monkeypatch):
 
 
 def test_series_frees_each_row_before_the_next(monkeypatch):
+    """Row n - 1's inventory, which the carried block refers to, is freed before row n's
+    is built, without a garbage collection."""
     rows = []  # a weak reference to each row's inventory, in build order
     build = taured.series.build_inventory
 
