@@ -22,8 +22,6 @@ from .linalg import Matrix, left_nullspace
 from .reps import (
     Representation,
     bar,
-    hom_basis,
-    inflate,
     injective,
     is_iso,
     is_sincere,
@@ -184,9 +182,15 @@ class ReductionContext:
 
     @cached_property
     def hom_to_q(self) -> dict[int, int]:
-        """dim Hom over the ambient algebra from each inflated quotient candidate to Q."""
-        return {r.id: len(hom_basis(inflate(r.rep), self.q_rep))
-                for r in self.quotient_inv.candidates()}
+        """dim Hom over the ambient algebra from each inflated quotient candidate to Q.
+
+        Q = P_v is I_s for the socle vertex s (:func:`_proj_injective`
+        certified it), and Hom(X, I_s) is dual to X e_s (Assem, Simson and
+        Skowronski, Elements I, Ch. III), so the dimension is that of the
+        candidate at s; inflating does not change it.
+        """
+        s = self.socle_vertex
+        return {r.id: r.rep.dims.get(s, 0) for r in self.quotient_inv.candidates()}
 
     @cached_property
     def q_id(self) -> int:

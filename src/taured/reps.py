@@ -271,14 +271,15 @@ def is_iso(M: Representation, N: Representation) -> bool:
     so some g_j f_i is a unit.  Then f_i is injective, and equal dimensions
     make it an isomorphism.  So M and N are isomorphic iff some basis map is,
     over any field (likewise when N is indecomposable).  A True answer always
-    carries a checked invertible witness.  For two decomposable modules a
-    False is not a proof.
+    carries a checked invertible witness: when M and N have equal structure
+    maps it is the identity, for decomposable modules too, and no Hom basis
+    is built.  For two decomposable modules a False is not a proof.
     """
     if M.algebra is not N.algebra:
         raise AlgebraMismatch("iso test across different algebras")
     if M.dim_vector != N.dim_vector:
         return False
-    if M.total_dim == 0:
+    if M.total_dim == 0 or M.maps == N.maps:
         return True
     return any(_is_iso_map(f) for f in hom_basis(M, N))
 

@@ -148,6 +148,8 @@ class Inventory(_PairNames):
         """:func:`enumerate_stpairs` of this inventory, computed once, or the source's carried."""
         if self._source is None:
             return enumerate_stpairs(self)
+        if self._keeps_names:
+            return self._source[0].pairs
         return sorted(self._source_pairs(), key=self.pair_sort_key)
 
     @cached_property
@@ -155,10 +157,23 @@ class Inventory(_PairNames):
         """:func:`hasse` of :attr:`pairs`, computed once, or the source's certified quiver carried."""
         if self._source is None:
             return hasse(self, self.pairs)
+        if self._keeps_names:
+            return self._source[0].hasse_quiver
         position = {p: k for k, p in enumerate(self.pairs)}
         rank = [position[p] for p in self._source_pairs()]
         return PosetQuiver(len(rank), tuple(sorted(
             (rank[s], rank[t]) for s, t in self._source[0].hasse_quiver.arrows)))
+
+    @cached_property
+    def _keeps_names(self) -> bool:
+        """Was this inventory carried with every record id, vertex and name kept?
+
+        Then the source's pairs, quiver and tau-tilting sets are this
+        inventory's as they are: same ids, same supports, same order.
+        """
+        src, own, vertex = self._source
+        return (all(i == k for i, k in own.items()) and all(v == w for v, w in vertex.items())
+                and [r.name for r in self.records] == [r.name for r in src.records])
 
     def _source_pairs(self) -> list[STPair]:
         """The source inventory's pairs with its ids and vertices replaced by their images here."""
@@ -175,6 +190,8 @@ class Inventory(_PairNames):
         """
         if self._source is not None:
             src, own, _ = self._source
+            if self._keeps_names:
+                return src.tilting_sets
             return sorted(tuple(sorted(own[i] for i in s)) for s in src.tilting_sets)
         cands = self.candidates()
         # bit b of bad[a]: a and b cannot be summands of one tau-rigid module
@@ -239,8 +256,16 @@ class Inventory(_PairNames):
         return block.lifted[i]
 
     def find_iso(self, rep: Representation) -> int | None:
-        """The least id of a record isomorphic to ``rep``; only its dimension vector is searched."""
-        for i in self.by_dim_vector.get(rep.dim_vector, ()):
+        """The id of the record isomorphic to ``rep``; only its dimension vector is searched.
+
+        The record with the same structure maps, if any, is tried first:
+        :func:`is_iso` certifies it by the identity, without a Hom basis.
+        The others follow in id order.  The inventory audit allows at most
+        one record per isomorphism class, so the order does not change the
+        answer.
+        """
+        ids = self.by_dim_vector.get(rep.dim_vector, ())
+        for i in sorted(ids, key=lambda i: self.records[i].rep.maps != rep.maps):
             if is_iso(self.records[i].rep, rep):
                 return i
         return None

@@ -3,7 +3,7 @@
 from taured.errors import AlgebraMismatch
 from taured.linalg import Matrix
 from taured.reduction import ReductionSets
-from taured.reps import _images_fill, hom_basis
+from taured.reps import _images_fill, hom_basis, inflate
 from taured.tilting import build_inventory
 
 
@@ -82,6 +82,15 @@ def reference_nsets(ctx) -> ReductionSets:
             if len(mods) == nbar - 1:
                 extend.append(mods)
     return ReductionSets(keep, extend, swap, surgery)
+
+
+def reference_hom_to_q(ctx) -> dict[int, int]:
+    """dim Hom(X, Q) over the ambient algebra, from a Hom basis for each inflated quotient candidate X.
+
+    The reference for :attr:`taured.reduction.ReductionContext.hom_to_q`,
+    which reads the dimension at the socle vertex instead.
+    """
+    return {r.id: len(hom_basis(inflate(r.rep), ctx.q_rep)) for r in ctx.quotient_inv.candidates()}
 
 
 def tau_tilting_pairs(inv) -> list:

@@ -5,9 +5,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taured.corpus import hereditary_d3, ka2_times_k, selfinjective_nakayama2
+from taured.corpus import hereditary_d3, ka2_times_k, selfinjective_nakayama2, standard_corpus
 from taured.dsl import parse_file
 from taured.errors import NonSimpleSocle, NoProjInjective, NotProjInjective
+from taured.linalg import QQ, PrimeField
 from taured.reduction import (
     Report,
     ReductionSets,
@@ -30,6 +31,7 @@ from taured.tilting import (
 from helpers import (
     direct_quotient_inventory,
     record_by_name,
+    reference_hom_to_q,
     reference_nsets,
     tau_tilting_pairs,
 )
@@ -102,6 +104,25 @@ def test_bar_undoes_lift(corpus, corpus_invs):
             assert set(ctx.lift_of) == set(ctx.hom_to_q), (name, v)
             assert all(ctx.bar_of[a] == j for j, a in ctx.lift_of.items()), (name, v)
             assert ctx.q_is_simple == (ctx.qbar_id is None), (name, v)
+
+
+def _hom_to_q_cases():
+    for field in (QQ, PrimeField(2)):
+        for name, alg in standard_corpus(field).items():
+            yield f"{name}/{field}", alg
+    for name in ("nakayama_5_5", "nakayama_5_4", "rsz_A7", "rsz_D7"):
+        yield name, parse_file(os.path.join(GOLDEN, f"{name}.alg")).build()[0]
+
+
+def test_hom_to_q_matches_hom_bases():
+    """dim Hom(X, Q) read at the socle vertex equals the Hom basis count, at every P_v."""
+    candidates = 0
+    for name, alg in _hom_to_q_cases():
+        for v in find_proj_injectives(alg):
+            ctx = socle_quotient(alg, v)
+            assert ctx.hom_to_q == reference_hom_to_q(ctx), (name, v)
+            candidates += len(ctx.hom_to_q)
+    assert candidates > 600
 
 
 def test_verify_finds_proj_injectives_once(monkeypatch):

@@ -356,7 +356,7 @@ def test_is_iso_certifies_bricks_without_search(field, hom_calls):
         assert hom_dim(m, m) == 1
         for j, n in enumerate(longest):
             assert is_iso(m, n) == (i == j)
-    assert len(hom_calls) == 25  # one Hom basis per test
+    assert len(hom_calls) == 20  # one Hom basis per test of two different modules
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
@@ -369,7 +369,7 @@ def test_is_iso_certifies_non_brick_indecomposables(field, hom_calls):
         for n in mods:
             hom_calls.clear()
             assert is_iso(m, n) == (m is n)
-            assert len(hom_calls) == (m.dim_vector == n.dim_vector)
+            assert len(hom_calls) == (m.dim_vector == n.dim_vector and m is not n)
 
 
 def test_decomposables_compared_by_hom_dims(a3sq_inv, named, hom_calls):
@@ -389,13 +389,95 @@ def test_is_iso_corpus_records_without_search(corpus_invs, hom_calls):
     for inv in corpus_invs.values():
         recs = inv.records
         for r in recs:
-            assert is_iso(r.rep, r.rep)
-            tests += 1
+            assert is_iso(r.rep, r.rep)  # the identity, no Hom basis
             for s in recs:
                 if s.id != r.id and s.dim_vector == r.dim_vector:
                     assert not is_iso(r.rep, s.rep), (r.name, s.name)
                     tests += 1
     assert len(hom_calls) == tests
+
+
+def _copy(rep):
+    """A new module with the structure maps of ``rep``, entry for entry."""
+    return Representation(rep.algebra, rep.dims, {a: m.copy() for a, m in rep.maps.items()})
+
+
+def _change_basis(rep, v):
+    """``rep`` with the basis at ``v`` listed backwards: g, the reversal, is its own inverse."""
+    d = rep.dims[v]
+    g = Matrix.from_rows(list(reversed(Matrix.identity(d, rep.algebra.field).data)), d,
+                         rep.algebra.field)
+    maps = {}
+    for a in rep.algebra.arrows:
+        m = rep.maps[a.name]
+        # N_a = g_src^-1 M_a g_tgt makes g (identity elsewhere) an isomorphism rep -> N
+        if a.src == v:
+            m = g @ m
+        if a.tgt == v:
+            m = m @ g
+        maps[a.name] = m
+    return Representation(rep.algebra, rep.dims, maps)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
+def test_is_iso_equal_structure_maps_need_no_hom_basis(field, hom_calls):
+    alg = _cyclic_nakayama(2, 4, field)
+    mods = [string_to_rep(alg, w) for w in enumerate_strings(alg)]
+    for m in mods:
+        assert is_iso(m, _copy(m))
+    for parts in ([mods[0], mods[-1]], [mods[1], mods[1], mods[-2]]):
+        assert is_iso(direct_sum(parts), direct_sum([_copy(p) for p in parts]))
+    assert hom_calls == []
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
+def test_is_iso_finds_a_changed_basis_through_the_search(field, hom_calls):
+    alg = _cyclic_nakayama(2, 4, field)
+    mods = [string_to_rep(alg, w) for w in enumerate_strings(alg)]
+    moved = 0
+    for m in mods:
+        for v in alg.vertices:
+            if m.dims[v] < 2:
+                continue
+            n = _change_basis(m, v)
+            assert n.maps != m.maps
+            hom_calls.clear()
+            assert is_iso(m, n) and is_iso(n, m)
+            assert len(hom_calls) == 2
+            moved += 1
+    assert moved >= 4
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
+def test_is_iso_refuses_different_modules_of_one_dimension_vector(field, hom_calls):
+    alg = _cyclic_nakayama(2, 4, field)
+    mods = [string_to_rep(alg, w) for w in enumerate_strings(alg)]
+    pairs = [(m, n) for m in mods for n in mods
+             if m is not n and m.dim_vector == n.dim_vector]
+    assert len(pairs) >= 2
+    for m, n in pairs:
+        assert not is_iso(m, n)
+        assert not is_iso(m, _copy(n))
+    assert len(hom_calls) == 2 * len(pairs)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
+def test_find_iso_matches_an_id_order_scan(field):
+    """find_iso tries the record with equal maps first; the answer is the scan's."""
+
+    def scan(inv, rep):
+        return next((r.id for r in inv.records
+                     if r.dim_vector == rep.dim_vector and is_iso(r.rep, rep)), None)
+
+    lookups = 0
+    for alg in standard_corpus(field).values():
+        inv = build_inventory(alg)
+        for r in inv.records:
+            for rep in (r.rep, _copy(r.rep), r.tau_rep):
+                assert inv.find_iso(rep) == scan(inv, rep)
+                lookups += 1
+            assert inv.find_iso(_copy(r.rep)) == r.id
+    assert lookups > 200
 
 
 def test_is_iso_agrees_with_hom_dims_in_the_pipeline(corpus, monkeypatch):

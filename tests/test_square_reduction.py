@@ -20,6 +20,8 @@ from taured.reps import Representation, hom_basis, inflate, is_iso
 from taured.strings import is_string_algebra
 from taured.tilting import build_inventory, enumerate_stpairs
 
+from helpers import reference_hom_to_q
+
 
 def one():
     return Matrix.identity(1, QQ)
@@ -105,3 +107,9 @@ def test_square_tau_tilting_count(square, square_inventory):
     recon = reconstruct_tau_tilt(ctx, compute_nsets(ctx))
     assert len(recon) == len(tts)
     assert set(recon) == {frozenset(p.modules) for p in tts}
+
+
+def test_square_hom_to_q_matches_hom_bases(square, square_inventory):
+    ctx = socle_quotient(square, "1", square_inventory)
+    assert ctx.hom_to_q == reference_hom_to_q(ctx)
+    assert len(ctx.hom_to_q) == 10  # every indecomposable but Q = 1/(2+3)/4 is one over the quotient

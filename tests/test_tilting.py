@@ -273,6 +273,27 @@ def test_carried_inventories_match_fresh_builds(monkeypatch, name, classes, shuf
         assert got.tilting_sets == fresh.tilting_sets
 
 
+def test_carry_that_keeps_every_name_shares_the_source_results():
+    inv = build_inventory(series_algebra("D", 5))
+    same = inv.inventory_of(series_algebra("D", 5))
+    assert same._source[0] is inv and same._keeps_names
+    assert same.pairs is inv.pairs
+    assert same.hasse_quiver is inv.hasse_quiver
+    assert same.tilting_sets is inv.tilting_sets
+    # renamed vertices: relabelled, re-sorted and renumbered, equal to a fresh build
+    quiver = inv.algebra.quiver
+    renamed = build_algebra(
+        Quiver(tuple(f"v{v}" for v in quiver.vertices),
+               tuple(Arrow(a.name, f"v{a.src}", f"v{a.tgt}") for a in quiver.arrows)),
+        inv.algebra.relations)
+    moved = inv.inventory_of(renamed)
+    assert moved._source[0] is inv and not moved._keeps_names
+    fresh = build_inventory(renamed)
+    assert moved.pairs == fresh.pairs and moved.pairs is not inv.pairs
+    assert moved.hasse_quiver.arrows == fresh.hasse_quiver.arrows
+    assert moved.tilting_sets == fresh.tilting_sets
+
+
 def test_inventory_of_builds_where_no_isomorphism_is_found(monkeypatch):
     def algebra(vertices, arrows, relations):
         return build_algebra(Quiver(vertices, tuple(Arrow(*a) for a in arrows)),
