@@ -22,6 +22,7 @@ from .linalg import Matrix, left_nullspace
 from .reps import (
     Representation,
     bar,
+    hom_basis,  # noqa: F401  unused here, but perfbench/tests traces this binding
     injective,
     is_iso,
     is_sincere,
