@@ -113,6 +113,15 @@ def test_cli_output_matches_golden(name, command, capsys, monkeypatch):
     assert code == CLI_EXIT_CODES[name][command]
 
 
+def test_verify_over_fp101_prints_the_rational_golden(capsys, monkeypatch):
+    # N(5, 5): every carried inventory renames its vertices, over F_101 as over Q
+    monkeypatch.delenv("TAURED_FIELD", raising=False)
+    code = main(["--field", "fp:101", "verify", os.path.join(GOLDEN, "nakayama_5_5.alg")])
+    with open(os.path.join(GOLDEN, "nakayama_5_5.verify.out"), encoding="utf-8") as f:
+        assert capsys.readouterr().out == f.read()
+    assert code == 0
+
+
 def test_reduce(a3sq_file, capsys):
     assert main(["reduce", a3sq_file, "--emit-quotient"]) == 0
     out = capsys.readouterr().out
