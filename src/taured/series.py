@@ -142,7 +142,7 @@ def _boundary_structure_check(n: int, ctx: ReductionContext,
     return all(str(n) in names for names in extend) and {e - {str(n)} for e in extend} == smaller
 
 
-def series_counts(kind: str, n_max: int, field=QQ, check_structure: bool = True,
+def series_counts(kind: str, n_max: int, check_structure: bool = True,
                   budget: int | None = None) -> SeriesReport:
     """Direct enumeration counts with recurrence and boundary-structure checks.
 
@@ -152,7 +152,8 @@ def series_counts(kind: str, n_max: int, field=QQ, check_structure: bool = True,
     algebra is built and enumerated once: the boundary check of row n reads
     the tau-tilting modules of row n - 2, kept by summand names, and its
     socle quotient Lambda_n / Soc(P_n) = Lambda_{n-1} x k carries the block
-    Lambda_{n-1} from row n - 1's inventory, which is then freed.
+    Lambda_{n-1} from row n - 1's inventory, which is then freed.  The
+    algebras are built over the rationals.
     """
     kind = kind.upper()
     start = 1 if kind == "A" else 3
@@ -168,7 +169,7 @@ def series_counts(kind: str, n_max: int, field=QQ, check_structure: bool = True,
     tilting: dict[int, set[frozenset[str]]] = {}  # by names; row n checks against n - 2
     inv: Inventory | None = None  # the previous row's
     for n in range(start, n_max + 1):
-        alg = series_algebra(kind, n, field=field)
+        alg = series_algebra(kind, n)
         rec = struct = None
         if n >= guard:
             try:

@@ -39,7 +39,6 @@ from .reps import (
 from .strings import (
     Letter,
     StringWord,
-    _str_key,
     canonical,
     enumerate_strings,
     string_name,
@@ -90,10 +89,10 @@ class _PairNames:
     def candidates(self) -> list[IndecRecord]:
         return [r for r in self.records if not r.external]
 
-    def pair_label(self, pair: STPair, sep: str = "+") -> str:
+    def pair_label(self, pair: STPair) -> str:
         if not pair.modules:
             return "0"
-        return sep.join(sorted(self.records[i].name for i in pair.modules))
+        return "+".join(sorted(self.records[i].name for i in pair.modules))
 
     def pair_sort_key(self, pair: STPair):
         """Support count, then the sorted summand names, then the sorted supports.
@@ -134,9 +133,9 @@ class Inventory(_PairNames):
         self._name_rank: list[int] = []
         self._blocks: dict[frozenset, Block] = {}
         self._representatives: list[Inventory] = []
-        # (source inventory, own id of each source id, own vertex of each
-        # source vertex) when carried from an isomorphic algebra's inventory
-        self._source: tuple[Inventory, dict[int, int], dict[str, str]] | None = None
+        # (source inventory, own vertex of each source vertex) when carried
+        # from an isomorphic algebra's inventory; record ids are the source's
+        self._source: tuple[Inventory, dict[str, str]] | None = None
 
     def append(self, record: IndecRecord) -> None:
         """Add a record (id ``len(self)``) and index it by dimension vector."""
@@ -166,33 +165,33 @@ class Inventory(_PairNames):
 
     @cached_property
     def _keeps_names(self) -> bool:
-        """Was this inventory carried with every record id, vertex and name kept?
+        """Was this inventory carried with every vertex and record name kept?
 
-        Then the source's pairs, quiver and tau-tilting sets are this
-        inventory's as they are: same ids, same supports, same order.
+        Then the source's pairs and quiver are this inventory's as they are:
+        same ids, same supports, same order.  The vertex map alone does not
+        decide it: a string with arrows both ways may be made canonical the
+        other way round, which changes its name.
         """
-        src, own, vertex = self._source
-        return (all(i == k for i, k in own.items()) and all(v == w for v, w in vertex.items())
+        src, vertex = self._source
+        return (all(v == w for v, w in vertex.items())
                 and [r.name for r in self.records] == [r.name for r in src.records])
 
     def _source_pairs(self) -> list[STPair]:
-        """The source inventory's pairs with its ids and vertices replaced by their images here."""
-        src, own, vertex = self._source
-        return [STPair(tuple(sorted(own[i] for i in p.modules)),
-                       tuple(sorted(vertex[v] for v in p.supports))) for p in src.pairs]
+        """The source inventory's pairs with its vertices replaced by their images here."""
+        src, vertex = self._source
+        return [STPair(p.modules, tuple(sorted(vertex[v] for v in p.supports)))
+                for p in src.pairs]
 
     @cached_property
     def tilting_sets(self) -> list[tuple[int, ...]]:
         """The tau-tilting modules by their definition, as ascending record ids (the oracle's route).
 
         Hom(M, tau M) = 0 is tested on all size-|V| sets of candidates, listed
-        in lexicographic order; or the source inventory's sets are carried.
+        in lexicographic order; a carried inventory has its source's ids, so
+        it has the source's sets.
         """
         if self._source is not None:
-            src, own, _ = self._source
-            if self._keeps_names:
-                return src.tilting_sets
-            return sorted(tuple(sorted(own[i] for i in s)) for s in src.tilting_sets)
+            return self._source[0].tilting_sets
         cands = self.candidates()
         # bit b of bad[a]: a and b cannot be summands of one tau-rigid module
         bad = [0] * len(cands)
@@ -508,35 +507,30 @@ def _carry(src: Inventory, algebra: Algebra, vertex: dict[str, str],
            arrow: dict[str, str]) -> Inventory:
     """``src`` carried onto ``algebra`` along the vertex and arrow maps of an isomorphism to src's.
 
-    The records get the ids and names a fresh :func:`build_inventory` gives:
-    the strings of ``algebra`` are enumerated, and each is matched to the
-    record of its image.  Modules and tau translates are relabelled, and the
-    pairs, Hasse quiver and tau-tilting sets are carried on first read.  An
-    algebra isomorphism carries Hom, tau, Fac and mutation, so the source's
-    Hasse certificate holds for the carried quiver as it is.
+    Record k is the source's record k, with its id, tau id, rigidity and
+    projectivity; its module and tau translate are relabelled, and its name
+    is that of the source's string carried back and made canonical here.
+    The pairs, Hasse quiver and tau-tilting sets are carried on first read.
+    An algebra isomorphism carries Hom, tau, Fac and mutation, so the
+    source's Hasse certificate holds for the carried quiver as it is.
     """
-    base = src.algebra
-    index = {_str_key(base, w): i for i, w in enumerate(src.words)}
-    words = enumerate_strings(algebra)
-    matched = [index[_str_key(base, canonical(base, StringWord(
-        tuple(Letter(arrow[x.arrow], x.inverse) for x in w.letters), vertex[w.base_vertex])))]
-        for w in words]
-    own = {i: k for k, i in enumerate(matched)}
     back = {s: t for t, s in vertex.items()}
+    back_arrow = {s: t for t, s in arrow.items()}
+    words = [canonical(algebra, StringWord(
+        tuple(Letter(back_arrow[x.arrow], x.inverse) for x in w.letters), back[w.base_vertex]))
+        for w in src.words]
 
     def relabel(rep: Representation) -> Representation:
         return Representation(algebra, {v: rep.dims[vertex[v]] for v in algebra.vertices},
                               {a.name: rep.maps[arrow[a.name]] for a in algebra.arrows})
 
-    records = []
-    for k, (name, i) in enumerate(zip(_names_for(algebra, words), matched)):
-        r = src.records[i]
-        records.append(IndecRecord(
-            k, name, relabel(r.rep), relabel(r.tau_rep), r.is_tau_rigid, r.is_projective,
-            None if r.projective_vertex is None else back[r.projective_vertex],
-            None if r.tau_id is None else own[r.tau_id]))
+    records = [IndecRecord(r.id, name, relabel(r.rep), relabel(r.tau_rep), r.is_tau_rigid,
+                           r.is_projective,
+                           None if r.projective_vertex is None else back[r.projective_vertex],
+                           r.tau_id)
+               for r, name in zip(src.records, _names_for(algebra, words))]
     inv = Inventory(algebra, records, words)
-    inv._source = (src, own, back)
+    inv._source = (src, back)
     return inv
 
 
@@ -684,48 +678,42 @@ def _rigid_subsets(bad: list[int], k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _successors(n: int, arrows) -> list[list[int]]:
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for s, t in arrows:
-        succ[s].append(t)
-    return succ
-
-
 @dataclass(frozen=True)
 class PosetQuiver:
     """A finite DAG on the vertices 0..n-1; for a quiver of pairs, vertex i is pairs[i].
 
-    ``order`` is a topological order, found by Kahn's algorithm on construction.
+    It is a plain value: :func:`hasse` certifies the quivers it returns, and
+    the others are made from certified ones by operations that keep them
+    acyclic.
     """
 
     n: int
     arrows: tuple[tuple[int, int], ...]
-    order: list[int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        succ = _successors(self.n, self.arrows)
-        indeg = [0] * self.n
-        for _, t in self.arrows:
-            indeg[t] += 1
-        order = [i for i in range(self.n) if not indeg[i]]
-        for s in order:
-            for t in succ[s]:
-                indeg[t] -= 1
-                if not indeg[t]:
-                    order.append(t)
-        if len(order) != self.n:
-            raise ValueError("poset quiver contains a cycle")
-        object.__setattr__(self, "order", order)
 
-    @cached_property
-    def closure(self) -> list[int]:
-        """Row i is the bitmask of the vertices strictly reachable from i."""
-        succ = _successors(self.n, self.arrows)
-        reach = [0] * self.n
-        for i in reversed(self.order):
-            for t in succ[i]:
-                reach[i] |= (1 << t) | reach[t]
-        return reach
+def _reachability(n: int, arrows) -> list[int] | None:
+    """Row i is the bitmask of the vertices strictly reachable from i; None on a cycle.
+
+    The rows are filled in reverse of a topological order found by Kahn's algorithm.
+    """
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for s, t in arrows:
+        succ[s].append(t)
+        indeg[t] += 1
+    order = [i for i in range(n) if not indeg[i]]
+    for s in order:
+        for t in succ[s]:
+            indeg[t] -= 1
+            if not indeg[t]:
+                order.append(t)
+    if len(order) != n:
+        return None
+    reach = [0] * n
+    for i in reversed(order):
+        for t in succ[i]:
+            reach[i] |= (1 << t) | reach[t]
+    return reach
 
 
 def _lowest_bit(mask: int) -> int:
@@ -787,12 +775,10 @@ def hasse(inv: Inventory, pairs: list[STPair]) -> PosetQuiver:
             rel = "each above the other" if a_ge_b else "incomparable"
             raise HasseError(f"mutations {name(a)} and {name(b)} are {rel} in the Fac order")
         arrows.append((a, b) if a_ge_b else (b, a))
-    try:
-        pq = PosetQuiver(nv, tuple(sorted(arrows)))
-    except ValueError:
-        raise HasseError("the mutation arrows, oriented by the Fac order, form a cycle") from None
-
-    closure = pq.closure
+    arrows.sort()
+    closure = _reachability(nv, arrows)
+    if closure is None:
+        raise HasseError("the mutation arrows, oriented by the Fac order, form a cycle")
     for i in range(nv):
         if closure[i] != ge_rows[i]:
             j = _lowest_bit(closure[i] ^ ge_rows[i])
@@ -800,15 +786,15 @@ def hasse(inv: Inventory, pairs: list[STPair]) -> PosetQuiver:
             raise HasseError(f"the Fac order {has} {name(i)} > {name(j)}, "
                              "the mutation quiver does not")
     succ = [0] * nv
-    for s, t in pq.arrows:
+    for s, t in arrows:
         succ[s] |= 1 << t
-    for s, k in pq.arrows:
+    for s, k in arrows:
         implied = succ[s] & closure[k]
         if implied:
             t = _lowest_bit(implied)
             raise HasseError(f"the arrow {name(s)} -> {name(t)} is not a covering relation: "
                              f"it passes through {name(k)}")
-    return pq
+    return PosetQuiver(nv, tuple(arrows))
 
 
 def box_product(quivers: list[PosetQuiver], rank) -> PosetQuiver:

@@ -116,11 +116,6 @@ def order_ge(inv, p1, p2) -> bool:
     return all(inv.fac_contains(j, src) for j in p2.modules)
 
 
-def reaches(pq, i: int, j: int) -> bool:
-    """Strict reachability along the arrows of a PosetQuiver."""
-    return bool((pq.closure[i] >> j) & 1)
-
-
 def satisfies_table_by_all_pairs(rep) -> bool:
     """Reference module check over a table algebra: act(b) act(c) = act(b c)
     for every pair of composable basis elements b, c."""

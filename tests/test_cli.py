@@ -122,6 +122,19 @@ def test_verify_over_fp101_prints_the_rational_golden(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("name, built", [("nakayama_5_5", 6), ("nakayama_5_4", 6),
+                                         ("rsz_A7", 7), ("rsz_D7", 11)])
+def test_verify_enumerates_strings_once_per_built_inventory(name, built, capsys, monkeypatch):
+    # one inventory is built per isomorphism class; a carried one enumerates nothing
+    calls = []
+    enumerate_strings = taured.tilting.enumerate_strings
+    monkeypatch.setattr(taured.tilting, "enumerate_strings",
+                        lambda alg: calls.append(alg) or enumerate_strings(alg))
+    assert main(["verify", os.path.join(GOLDEN, f"{name}.alg")]) == 0
+    capsys.readouterr()
+    assert len(calls) == built
+
+
 def test_reduce(a3sq_file, capsys):
     assert main(["reduce", a3sq_file, "--emit-quotient"]) == 0
     out = capsys.readouterr().out

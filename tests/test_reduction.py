@@ -5,11 +5,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taured.cli import main
 from taured.corpus import hereditary_d3, ka2_times_k, selfinjective_nakayama2, standard_corpus
 from taured.dsl import parse_file
 from taured.errors import NonSimpleSocle, NoProjInjective, NotProjInjective
 from taured.linalg import QQ, PrimeField
 from taured.reduction import (
+    ReductionContext,
     Report,
     ReductionSets,
     compute_nsets,
@@ -22,6 +24,7 @@ from taured.reduction import (
 )
 from taured.series import series_algebra
 from taured.tilting import (
+    BlockProduct,
     Inventory,
     PosetQuiver,
     build_inventory,
@@ -382,3 +385,51 @@ def test_blockwise_nsets_match_the_reference_on_series_rows(kind, n):
     previous = build_inventory(series_algebra(kind, n - 1))
     ctx = socle_quotient(series_algebra(kind, n), str(n), classes=previous)
     assert compute_nsets(ctx) == reference_nsets(ctx)
+
+
+def _drop_first_quotient_arrow(monkeypatch):
+    """Every socle quotient's Hasse quiver loses its first arrow."""
+    hasse_quiver = BlockProduct.__dict__["hasse_quiver"].func
+
+    def dropped(self):
+        quiver = hasse_quiver(self)
+        return PosetQuiver(quiver.n, quiver.arrows[1:])
+
+    monkeypatch.setattr(BlockProduct, "hasse_quiver", property(dropped))
+
+
+def _failed(out: str) -> set[str]:
+    return {line.split(":")[0].split("/")[-1] for line in out.splitlines()
+            if line.startswith("[FAIL]")}
+
+
+def test_quotient_quiver_missing_an_arrow_fails_the_quiver_checks(monkeypatch, capsys):
+    _drop_first_quotient_arrow(monkeypatch)
+    assert main(["verify", os.path.join(GOLDEN, "rsz_A7.alg")]) == 1
+    out = capsys.readouterr().out
+    assert _failed(out) == {"tau-tilt-bijection", "surgery-isomorphism"}
+    assert ("[FAIL] Q=P_2/tau-tilt-bijection: the tau-tilt quiver matches the quotient-side "
+            "quiver, arrows both ways  [arrow not preserved: ") in out
+
+
+def test_quotient_quiver_missing_an_arrow_fails_the_simple_bijection(monkeypatch):
+    # KA2xK: Q = P_3 is simple
+    _drop_first_quotient_arrow(monkeypatch)
+    report = verify_reduction(ka2_times_k())
+    failed = [c.name for c in report.checks if not c.passed]
+    assert "Q=P_3/simple-bijection" in failed
+    assert _failed("\n".join(report.lines())) == {"simple-bijection", "surgery-isomorphism"}
+
+
+def test_moved_bar_image_fails_bar_fixes_non_q(monkeypatch, capsys):
+    bar_of = ReductionContext.__dict__["bar_of"].func
+
+    def moved(self):
+        images = dict(bar_of(self))
+        i, j = [k for k, b in images.items() if b is not None and k != self.q_id][:2]
+        images[i] = images[j]
+        return images
+
+    monkeypatch.setattr(ReductionContext, "bar_of", property(moved))
+    assert main(["verify", os.path.join(GOLDEN, "rsz_A7.alg")]) == 1
+    assert "bar-fixes-non-q" in _failed(capsys.readouterr().out)
