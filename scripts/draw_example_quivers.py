@@ -41,11 +41,14 @@ def main(argv=None):
 
     v = next(iter(find_proj_injectives(algebra)))
     ctx = socle_quotient(algebra, v, inv)
-    nsets = compute_nsets(ctx)
-    qinv = ctx.quotient_inv
+    records = ctx.quotient_inv.records
+    extend = {frozenset(records[i].name for i in mods) for mods in compute_nsets(ctx).extend}
+    # the quotient's pairs and quiver from its own inventory; its records share the names
+    qinv = build_inventory(ctx.quotient)
     qpairs, QH = qinv.pairs, qinv.hasse_quiver
     qtt = {j for j, p in enumerate(qpairs) if p.is_tau_tilting}
-    boundary = {j for j, p in enumerate(qpairs) if frozenset(p.modules) in nsets.extend}
+    boundary = {j for j, p in enumerate(qpairs)
+                if frozenset(qinv.records[i].name for i in p.modules) in extend}
     with open(os.path.join(args.out, "hasse_quotient.dot"), "w", encoding="utf-8") as f:
         f.write(emit_dot(QH, [qinv.pair_label(p) for p in qpairs],
                          double_border=qtt, highlight=boundary))

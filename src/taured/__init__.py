@@ -30,10 +30,10 @@ from .reduction import (
     ReductionSets,
     Report,
     compute_nsets,
+    extend_family,
     find_proj_injectives,
     reconstruct_tau_tilt,
     socle_quotient,
-    surgery,
     verify_reduction,
 )
 from .reps import (
@@ -60,7 +60,6 @@ from .tilting import (
     Inventory,
     PosetQuiver,
     STPair,
-    box_product,
     build_inventory,
     compatible,
     enumerate_stpairs,
@@ -76,14 +75,14 @@ __all__ = [
     "extract_presentation", "quotient_by_elements", "vertex_subalgebra_quotient",
     "Matrix", "PrimeField", "QQ", "field_from_name", "nullspace", "rank_and_rowbasis",
     "Check", "ReductionContext", "ReductionSets", "Report", "compute_nsets",
-    "find_proj_injectives", "reconstruct_tau_tilt", "socle_quotient", "surgery",
+    "extend_family", "find_proj_injectives", "reconstruct_tau_tilt", "socle_quotient",
     "verify_reduction",
     "Morphism", "PresentationMap", "Representation", "bar", "direct_sum",
     "hom_basis", "inflate", "injective", "is_iso", "is_sincere",
     "minimal_presentation", "projective", "simple", "tau",
     "QuadInt", "closed_form", "series_algebra", "series_counts", "tau_tilt_count",
     "StringWord", "enumerate_strings", "is_string_algebra", "string_to_rep",
-    "BlockProduct", "IndecRecord", "Inventory", "PosetQuiver", "STPair", "box_product",
+    "BlockProduct", "IndecRecord", "Inventory", "PosetQuiver", "STPair",
     "build_inventory", "compatible", "enumerate_stpairs", "full_subquiver", "hasse",
     "oracle_stpairs_via_quotients",
 ]

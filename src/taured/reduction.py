@@ -15,9 +15,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from itertools import product
 
 from .algebra import Algebra, quotient_by_elements
-from .errors import NonSimpleSocle, NoProjInjective, NotProjInjective, UnknownVertex
+from .errors import NonSimpleSocle, NoProjInjective, NotProjInjective
 from .linalg import Matrix, left_nullspace
 from .reps import (
     Representation,
@@ -32,7 +33,6 @@ from .tilting import (
     Block,
     BlockProduct,
     Inventory,
-    PosetQuiver,
     STPair,
     build_inventory,
     components,
@@ -105,8 +105,9 @@ class ReductionContext:
 
     The quotient is the product of its blocks, and ``quotient_inv`` is read
     from theirs.  Each map is computed in one pass on first read.  The
-    quotient side (``blocks``, ``quotient_inv``, ``qbar_id``, ``hom_to_q``)
-    reads ``inv``, the ambient inventory, only for its cached blocks, and
+    quotient side (``blocks``, ``quotient_inv``, ``qbar_id``, ``hom_to_q``,
+    ``flags``, ``members``) reads ``inv``, the ambient inventory, only for its
+    cached blocks, and
     ``classes`` for the blocks' isomorphism classes, and works without either;
     the ambient side (``q_id``, ``bar_of``, ``lift_of``) needs ``inv``.
     """
@@ -153,6 +154,29 @@ class ReductionContext:
     @cached_property
     def quotient_inv(self) -> BlockProduct:
         return BlockProduct([b.inv for b in self.blocks])
+
+    @cached_property
+    def flags(self) -> dict[tuple[bool, bool | None], list[list[bool]]]:
+        """(tilting, holds) -> per block, is each pair tau-tilting (else Hom-less to Q) and, in
+        the block of Q/Soc(Q), holding it or not as ``holds`` says (either way when None)?"""
+        qbar, offsets = self.qbar_id, self.quotient_inv.offsets
+        k = -1 if qbar is None else sum(o <= qbar for o in offsets) - 1
+        out = {key: [] for key in product((True, False), (None, True, False))
+               if key != (False, False)}  # the one family no check reads
+        for j, (o, b) in enumerate(zip(offsets, self.blocks)):
+            base = {True: [not p.supports for p in b.inv.pairs],
+                    False: [not any(self.hom_to_q[o + m] for m in p.modules) for p in b.inv.pairs]}
+            for (tilting, holds), flags in out.items():
+                flags.append(
+                    base[tilting] if j != k or holds is None else
+                    [ok and (qbar - o in p.modules) == holds
+                     for ok, p in zip(base[tilting], b.inv.pairs)])
+        return out
+
+    @cached_property
+    def members(self) -> dict[tuple[bool, bool | None], list[bool]]:
+        """For each key of ``flags`` and each code of ``quotient_inv``: is it in that product?"""
+        return {key: list(map(all, product(*flags))) for key, flags in self.flags.items()}
 
     def _bar_id(self, rep: Representation) -> int | None:
         """Quotient id of the image of ``rep``; None where the image is zero.
@@ -256,33 +280,40 @@ class ReductionSets:
     surgery: list[STPair]
 
 
+def _tuples(ctx: ReductionContext, tilting: bool, holds: bool | None,
+            supports: int | None = None) -> list[STPair]:
+    """The tuples of the blocks' pairs that pass the blocks' ``flags``, in pair order; with
+    ``supports``, those with that many support vertices, so no block's part has more."""
+    qinv = ctx.quotient_inv
+    lists = [[part for part, ok in zip(parts, flags)
+              if ok and (supports is None or len(part[1]) <= supports)]
+             for parts, flags in zip(qinv.shifted, ctx.flags[tilting, holds])]
+    return sorted([p for p in qinv.merged(lists)
+                   if supports is None or len(p.supports) == supports], key=qinv.pair_sort_key)
+
+
 def compute_nsets(ctx: ReductionContext) -> ReductionSets:
     """The quotient families in pair order, read from the blocks' pairs, not the product's.
 
     Hom, tau and Fac act blockwise: a tuple of the blocks' pairs is
     tau-tilting, or Hom-less to Q, when each part is, and it holds Q/Soc(Q)
-    when its part in block k, the one of Q/Soc(Q), does.
+    when its part in the block of Q/Soc(Q) does (:class:`QuotientCodes`).
     """
-    qinv, qbar, hom_to_q = ctx.quotient_inv, ctx.qbar_id, ctx.hom_to_q
-    k = -1 if qbar is None else sum(o <= qbar for o in qinv.offsets) - 1
-    shifted = qinv.shifted()
-
-    def tuples(tilting: bool, holds: bool) -> list[STPair]:
-        """The tau-tilting (else Hom-less) tuples whose part in block k holds Q/Soc(Q) or not."""
-        return sorted(qinv.merged([[(m, s) for m, s in parts
-                                    if (not s if tilting else not any(hom_to_q[i] for i in m))
-                                    and (j != k or (qbar in m) == holds)]
-                                   for j, parts in enumerate(shifted)]), key=qinv.pair_sort_key)
-
-    # simple Q (no block k): the zero module belongs to every additive closure
-    surgery = tuples(False, k >= 0)
-    nbar = len(ctx.quotient.vertices)
     return ReductionSets(
-        [frozenset(p.modules) for p in tuples(True, False)],
-        [frozenset(p.modules) for p in surgery if k >= 0 and len(p.modules) == nbar - 1],
-        [frozenset(p.modules) for p in (tuples(True, True) if k >= 0 else [])
-         if any(hom_to_q[i] for i in p.modules)],
-        surgery)
+        [frozenset(p.modules) for p in _tuples(ctx, True, False)],
+        extend_family(ctx),
+        [] if ctx.q_is_simple else [frozenset(p.modules) for p in _tuples(ctx, True, True)
+                                    if any(ctx.hom_to_q[i] for i in p.modules)],
+        # simple Q (no block holds Q/Soc(Q)): the zero module belongs to every additive closure
+        _tuples(ctx, False, True))
+
+
+def extend_family(ctx: ReductionContext) -> list[frozenset]:
+    """The boundary family ``extend`` of :func:`compute_nsets` alone: the surgery tuples one
+    summand short, that is, with one support vertex in all."""
+    if ctx.q_is_simple:
+        return []
+    return [frozenset(p.modules) for p in _tuples(ctx, False, True, supports=1)]
 
 
 def reconstruct_tau_tilt(ctx: ReductionContext, nsets: ReductionSets) -> list[frozenset]:
@@ -306,29 +337,6 @@ def reconstruct_tau_tilt(ctx: ReductionContext, nsets: ReductionSets) -> list[fr
             result.add(lift(mods - {qbar}) | {q})
     records = ctx.inv.records
     return sorted(result, key=lambda s: tuple(sorted(records[i].name for i in s)))
-
-
-def surgery(pq: PosetQuiver, members: list[int]) -> PosetQuiver:
-    """Duplicate the subposet N = ``members`` inside the quiver, rewiring the arrow families.
-
-    The copy of ``members[k]`` is vertex ``pq.n + k``.  Arrows within the
-    complement and from N outward are kept; arrows within N are kept and
-    copied; arrows from the complement into N are redirected to the copy; each
-    copy points at its original.
-    """
-    bad = [v for v in members if not 0 <= v < pq.n]
-    if bad:
-        raise UnknownVertex(bad[0])
-    copy = {v: pq.n + k for k, v in enumerate(members)}
-    arrows = {(c, v) for v, c in copy.items()}
-    for s, t in pq.arrows:
-        if t in copy and s not in copy:
-            arrows.add((s, copy[t]))
-        else:
-            arrows.add((s, t))
-            if s in copy and t in copy:
-                arrows.add((copy[s], copy[t]))
-    return PosetQuiver(pq.n + len(copy), tuple(sorted(arrows)))
 
 
 @dataclass
@@ -360,24 +368,30 @@ class Report:
         return [c.line() for c in self.checks]
 
 
-def _iso_along_map(src: PosetQuiver, dst: PosetQuiver, vmap: list[int | None],
-                   src_label, dst_label) -> tuple[bool, str]:
-    """Quiver isomorphism along the vertex map i -> vmap[i]; returns (ok, witness).
+def _iso_along(vmap: list[int | None], arrows, dst_n: int, dst_count: int, is_arrow,
+               dst_arrows, src_label, dst_label) -> tuple[bool, str]:
+    """Is the quiver with ``arrows`` on 0..len(vmap)-1 isomorphic to W along i -> vmap[i]?
 
-    ``None`` in ``vmap`` marks a vertex without an image.  The label functions
-    are called only to write the witness of a failure.
+    W is not built: it has ``dst_n`` vertices and ``dst_count`` arrows,
+    ``is_arrow`` tests one and ``dst_arrows()`` walks them.  A map injective
+    onto W's vertices that takes arrows to arrows, with as many on both
+    sides, is an isomorphism.  Returns (ok, witness).
     """
     if None in vmap:
         return False, f"no image for {src_label(vmap.index(None))}"
-    if len(set(vmap)) != src.n or dst.n != src.n:
+    images = len(set(vmap))
+    if images != len(vmap) or dst_n != len(vmap):
         return False, (f"vertex map is not a bijection "
-                       f"({len(set(vmap))} images, {src.n} -> {dst.n} vertices)")
-    src_edges = {(vmap[s], vmap[t]) for s, t in src.arrows}
-    dst_edges = set(dst.arrows)
-    for edges, verb in ((src_edges - dst_edges, "preserved"), (dst_edges - src_edges, "reflected")):
-        if edges:
-            s, t = min(edges)
-            return False, f"arrow not {verb}: {dst_label(s)} -> {dst_label(t)}"
+                       f"({images} images, {len(vmap)} -> {dst_n} vertices)")
+    for s, t in arrows:
+        if not is_arrow(vmap[s], vmap[t]):
+            return False, f"arrow not preserved: {dst_label(vmap[s])} -> {dst_label(vmap[t])}"
+    if len(arrows) != dst_count:
+        mapped = {(vmap[s], vmap[t]) for s, t in arrows}
+        missing = next((e for e in dst_arrows() if e not in mapped), None)
+        if missing is None:
+            return False, f"arrow count differs: {len(arrows)} -> {dst_count}"
+        return False, f"arrow not reflected: {dst_label(missing[0])} -> {dst_label(missing[1])}"
     return True, ""
 
 
@@ -432,15 +446,10 @@ def reductions(algebra: Algebra, report: Report, inv: Inventory | None = None,
                    "the socle span is a two-sided ideal (arrow products vanish)", True)
 
         qinv = ctx.quotient_inv
-        qpairs = qinv.pairs
-        QH = qinv.hasse_quiver
-        # a support tau-tilting pair is determined by its module part (AIR, Sec. 2)
-        q_index = {frozenset(p.modules): j for j, p in enumerate(qpairs)}
-        q_tt_sets = {frozenset(p.modules) for p in qpairs if p.is_tau_tilting}
         nsets = compute_nsets(ctx)
         q = ctx.q_id
         bar_of, lift_of = ctx.bar_of, ctx.lift_of
-        bars = [frozenset(bar_of[i] for i in p.modules) - {None} for p in pairs]
+        code = qinv.codes_of(pairs, bar_of)  # of each ambient pair's image under bar
 
         bad = [r.name for r in inv.candidates()
                if r.id != q and (bar_of[r.id] is None or lift_of[bar_of[r.id]] != r.id)]
@@ -448,17 +457,26 @@ def reductions(algebra: Algebra, report: Report, inv: Inventory | None = None,
                    "the socle quotient functor fixes every non-Q indecomposable",
                    not bad, f"moved: {bad[:3]}")
 
-        def iso_onto(targets):
-            """Is the tau-tilt quiver the full subquiver of QH on ``targets``, along bar?"""
-            dst_pos = {j: k for k, j in enumerate(targets)}
-            vmap = [dst_pos.get(q_index.get(bars[i])) for i in tau_idx]
-            return _iso_along_map(src, full_subquiver(QH, targets), vmap, src_label,
-                                  lambda k: qinv.pair_label(qpairs[targets[k]]))
+        tilting, in_n = ctx.members[True, None], ctx.members[False, True]
+
+        def within(ids, member) -> bool:
+            return all(code[i] is not None and member(code[i]) for i in ids)
+
+        def iso_onto(target: list[bool]):
+            """Is the tau-tilt quiver the full subquiver of the quotient's on ``target``?"""
+            vmap = [c if c is not None and target[c] else None for c in (code[i] for i in tau_idx)]
+            image = set(vmap) - {None}
+
+            def arrows():
+                return ((c, d) for c in image for d in qinv.successors(c) if d in image)
+
+            return _iso_along(vmap, src.arrows, sum(target), sum(1 for _ in arrows()),
+                              qinv.is_arrow, arrows, src_label, qinv.label)
 
         if ctx.q_is_simple:
-            all_have_q = all(q in p.modules for p in tau_pairs)
-            ok, wit = ((False, "a tau-tilting module misses Q") if not all_have_q
-                       else iso_onto([j for j, p in enumerate(qpairs) if p.is_tau_tilting]))
+            ok, wit = ((False, "a tau-tilting module misses Q")
+                       if not all(q in p.modules for p in tau_pairs)
+                       else iso_onto(tilting))
             report.add(f"{tag}/simple-bijection",
                        "Q simple: the tau-tilt quivers agree after dropping Q", ok, wit)
         else:
@@ -473,17 +491,18 @@ def reductions(algebra: Algebra, report: Report, inv: Inventory | None = None,
                        "no tau-tilting module contains Q/Soc(Q) but not Q",
                        len(m1) + len(m2) + len(m3) == len(tau_pairs))
 
-            images: dict[frozenset, int] = {}
-            collision = None
-            for i in tau_idx:
-                if bars[i] in images:
-                    collision = (i, images[bars[i]])
-                images[bars[i]] = i
-            n_keep = set(nsets.keep)
-            n_extend = set(nsets.extend)
-            ok = (collision is None and {bars[i] for i in m1} == n_keep
-                  and {bars[i] for i in m2} == n_extend
-                  and {bars[i] for i in m3} == set(nsets.swap))
+            seen: dict[int, int] = {}
+            collision = next(((i, seen[code[i]]) for i in tau_idx if code[i] is not None
+                              and seen.setdefault(code[i], i) != i), None)
+            # the surgery tuples one summand short, so with one support vertex
+            supports = map(sum, product(*[[len(p.supports) for p in b.pairs] for b in qinv.blocks]))
+            extend = [n and s == 1 for n, s in zip(in_n, supports)]
+            keep_in = within(m1, ctx.members[True, False].__getitem__)
+            # distinct images cover a family when they meet it as often as it has members
+            ok = (collision is None and keep_in and within(m2, extend.__getitem__)
+                  and within(m3, lambda c: ctx.members[True, True][c] and not in_n[c])
+                  and (len(m1), len(m2), len(m3))
+                  == (len(nsets.keep), len(nsets.extend), len(nsets.swap)))
             wit = "" if ok else (
                 "family image mismatch" if collision is None else
                 f"collision {inv.pair_label(pairs[collision[0]])} / "
@@ -491,8 +510,7 @@ def reductions(algebra: Algebra, report: Report, inv: Inventory | None = None,
             report.add(f"{tag}/split-bijections",
                        "the three tau-tilt families biject onto keep / extend / swap", ok, wit)
 
-            ok, wit = iso_onto([j for j, p in enumerate(qpairs)
-                                if p.is_tau_tilting or frozenset(p.modules) in n_extend])
+            ok, wit = iso_onto([t or e for t, e in zip(tilting, extend)])
             report.add(f"{tag}/tau-tilt-bijection",
                        "the tau-tilt quiver matches the quotient-side quiver, arrows both ways",
                        ok, wit)
@@ -503,21 +521,20 @@ def reductions(algebra: Algebra, report: Report, inv: Inventory | None = None,
                            "boundary family is empty",
                            not nsets.extend, f"extend has {len(nsets.extend)} members")
 
+            # a product set is empty when one of its factors is
             report.add(f"{tag}/no-tau-tilt-qbar-homless",
                        "no tau-tilting quotient module keeps the top summand yet "
                        "kills all maps to Q",
-                       not any(qbar in mods and not any(ctx.hom_to_q[i] for i in mods)
-                               for mods in q_tt_sets))
+                       not all(any(map(min, t, h)) for t, h
+                               in zip(ctx.flags[True, True], ctx.flags[False, True])))
 
             keep_ok = all(frozenset(lift_of[i] for i in mods) in tt_sets
-                          for mods in nsets.keep) and all(bars[i] in n_keep for i in m1)
+                          for mods in nsets.keep) and keep_in
             report.add(f"{tag}/keep-cross-enumeration",
                        "modules without the top summand are tau-tilting over both algebras",
                        keep_ok)
 
-            swap_ok = all(bars[i] in q_tt_sets and any(ctx.hom_to_q[j] for j in bars[i])
-                          for i in m3)
-            swap_ok = swap_ok and all(
+            swap_ok = within(m3, lambda c: tilting[c] and not ctx.members[False, None][c]) and all(
                 (frozenset(lift_of[i] for i in mods - {qbar}) | {q}) in tt_sets
                 for mods in nsets.swap)
             report.add(f"{tag}/swap-cross-enumeration",
@@ -532,21 +549,54 @@ def reductions(algebra: Algebra, report: Report, inv: Inventory | None = None,
         report.add(f"{tag}/tau-tilt-sincere", "every tau-tilting module is sincere",
                    not insincere, f"insincere: {insincere[:3]}")
 
-        members = [q_index[frozenset(p.modules)] for p in nsets.surgery]
-        W = surgery(QH, members)
-        copy = {j: QH.n + k for k, j in enumerate(members)}
-        vmap = []
-        for i, p in enumerate(pairs):
-            j = q_index.get(bars[i])
-            vmap.append(copy[j] if j in copy and q in p.modules else j)
-
-        def surgery_label(k):
-            if k < QH.n:
-                return qinv.pair_label(qpairs[k])
-            return f"copy of {qinv.pair_label(nsets.surgery[k - QH.n])}"
-
-        ok, wit = _iso_along_map(H, W, vmap, lambda i: inv.pair_label(pairs[i]), surgery_label)
+        ok, wit = _surgery_iso(ctx, H, [None if c is None else qinv.total + c
+                                        if in_n[c] and q in p.modules else c
+                                        for p, c in zip(pairs, code)],
+                               lambda i: inv.pair_label(pairs[i]))
         report.add(f"{tag}/surgery-isomorphism",
                    "the support Hasse quiver is the subposet surgery of the quotient's",
                    ok, wit)
         yield Reduction(ctx, nsets, recon)
+
+
+def _surgery_iso(ctx: ReductionContext, H, vmap: list[int | None],
+                 src_label) -> tuple[bool, str]:
+    """Is H the subposet surgery W of the quotient's quiver at N, along ``vmap``?
+
+    N is the surgery family, the product set ``members[False, True]``, and
+    the copy of c in N is vertex ``total + c`` of W.  W keeps the quiver's
+    arrows, except that those from outside N into N go to the copy, copies
+    the arrows within N, and joins each copy to its original.  An ambient
+    pair goes to the copy of its image when that is in N and the pair holds Q.
+    """
+    qinv, in_n = ctx.quotient_inv, ctx.members[False, True]
+    total = qinv.total
+
+    def is_arrow(x, y):
+        if x >= total:  # a copy: to its original, or to a copy
+            if y < total:
+                return y == x - total
+            x, y = x - total, y - total
+        elif y >= total:  # from outside N to a copy
+            if in_n[x]:
+                return False
+            y -= total
+        elif in_n[y] and not in_n[x]:
+            return False
+        return qinv.is_arrow(x, y)
+
+    def arrows():
+        for c in range(total):
+            if in_n[c]:
+                yield total + c, c
+            for d in qinv.successors(c):
+                yield (c, total + d) if in_n[d] and not in_n[c] else (c, d)
+                if in_n[c] and in_n[d]:
+                    yield total + c, total + d
+
+    # the quiver's arrows, those within N once more, and one from each copy
+    n = sum(in_n)
+    count = (qinv.arrow_count([[True] * m for m in qinv.sizes])
+             + qinv.arrow_count(ctx.flags[False, True]) + n)
+    return _iso_along(vmap, H.arrows, total + n, count, is_arrow, arrows, src_label,
+                      lambda x: qinv.label(x) if x < total else f"copy of {qinv.label(x - total)}")

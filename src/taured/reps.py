@@ -525,12 +525,13 @@ def module_times_ideal(M: Representation, slices) -> dict[str, Matrix]:
     for v in alg.vertices:
         rows = []
         for (u, w, vecs) in slices:
-            if w != v:
+            if w != v or not M.dims[u]:  # an element of e_u A e_w acts by a map from M_u
                 continue
             for vec in vecs:
                 act = M.element_action(vec, u, w)
                 rows.append(act)
-        out[v] = rank_and_rowbasis(Matrix.stack(rows, M.dims[v], alg.field))[1]
+        out[v] = (rank_and_rowbasis(Matrix.stack(rows, M.dims[v], alg.field))[1] if rows
+                  else Matrix(0, M.dims[v], [], alg.field))
     return out
 
 
@@ -546,8 +547,11 @@ def bar(M: Representation, quotient: Algebra) -> Representation:
     mj = module_times_ideal(M, quotient.ideal_slices)
     free, proj = {}, {}
     for v in alg.vertices:
-        free[v], kernel = modulo(mj[v])
-        proj[v] = kernel.transpose()
+        if mj[v].rows:
+            free[v], kernel = modulo(mj[v])
+            proj[v] = kernel.transpose()
+        else:  # nothing to divide out: the identity
+            free[v], proj[v] = list(range(M.dims[v])), Matrix.identity(M.dims[v], alg.field)
         if v not in quotient.vertices and free[v]:
             raise QuotientMismatch("quotient module lives on a killed vertex")
     maps = {}

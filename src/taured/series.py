@@ -14,7 +14,7 @@ from fractions import Fraction
 from .algebra import Algebra, Arrow, Quiver, Relation, build_algebra
 from .errors import BadIndex, NonIntegerResult, NotProjInjective
 from .linalg import QQ
-from .reduction import ReductionContext, compute_nsets, socle_quotient
+from .reduction import ReductionContext, extend_family, socle_quotient
 from .tilting import Inventory, build_inventory
 
 
@@ -138,7 +138,7 @@ def _boundary_structure_check(n: int, ctx: ReductionContext,
     algebras.
     """
     records = ctx.quotient_inv.records
-    extend = [frozenset(records[i].name for i in mods) for mods in compute_nsets(ctx).extend]
+    extend = [frozenset(records[i].name for i in mods) for mods in extend_family(ctx)]
     return all(str(n) in names for names in extend) and {e - {str(n)} for e in extend} == smaller
 
 

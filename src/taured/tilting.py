@@ -17,9 +17,10 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, chain, combinations, product
 from math import prod
+from operator import mul, or_
 
 from .algebra import Algebra, isomorphism, vertex_subalgebra_quotient
 from .errors import HasseError, InventoryError, UnknownVertex
@@ -128,8 +129,10 @@ class Inventory(_PairNames):
         self._simple_top: dict[int, bool] = {}
         self._generators: dict[int, frozenset] = {}
         self.by_dim_vector: dict[tuple, list[int]] = {}
+        self._by_maps: dict[tuple, int] = {}  # the least id with each dimension vector and maps
         for r in records:
             self.by_dim_vector.setdefault(r.dim_vector, []).append(r.id)
+            self._by_maps.setdefault(_maps_key(r.rep), r.id)
         self._name_rank: list[int] = []
         self._blocks: dict[frozenset, Block] = {}
         self._representatives: list[Inventory] = []
@@ -138,9 +141,10 @@ class Inventory(_PairNames):
         self._source: tuple[Inventory, dict[str, str]] | None = None
 
     def append(self, record: IndecRecord) -> None:
-        """Add a record (id ``len(self)``) and index it by dimension vector."""
+        """Add a record (id ``len(self)``) and index it by dimension vector and structure maps."""
         self.records.append(record)
         self.by_dim_vector.setdefault(record.dim_vector, []).append(record.id)
+        self._by_maps.setdefault(_maps_key(record.rep), record.id)
 
     @cached_property
     def pairs(self) -> list[STPair]:
@@ -150,6 +154,11 @@ class Inventory(_PairNames):
         if self._keeps_names:
             return self._source[0].pairs
         return sorted(self._source_pairs(), key=self.pair_sort_key)
+
+    @cached_property
+    def pair_index(self) -> dict[int, int]:
+        """The index of each pair by the bitmask of its module ids, which fix it (AIR, Sec. 2)."""
+        return {sum(1 << m for m in p.modules): a for a, p in enumerate(self.pairs)}
 
     @cached_property
     def hasse_quiver(self) -> PosetQuiver:
@@ -257,15 +266,17 @@ class Inventory(_PairNames):
     def find_iso(self, rep: Representation) -> int | None:
         """The id of the record isomorphic to ``rep``; only its dimension vector is searched.
 
-        The record with the same structure maps, if any, is tried first:
-        :func:`is_iso` certifies it by the identity, without a Hom basis.
-        The others follow in id order.  The inventory audit allows at most
-        one record per isomorphism class, so the order does not change the
-        answer.
+        The record with the same structure maps, if any, is found by one dict
+        probe and tried first: :func:`is_iso` certifies it by the identity,
+        without a Hom basis.  The others follow in id order.  The inventory
+        audit allows at most one record per isomorphism class, so the order
+        does not change the answer.
         """
-        ids = self.by_dim_vector.get(rep.dim_vector, ())
-        for i in sorted(ids, key=lambda i: self.records[i].rep.maps != rep.maps):
-            if is_iso(self.records[i].rep, rep):
+        same = self._by_maps.get(_maps_key(rep))
+        if same is not None and is_iso(self.records[same].rep, rep):
+            return same
+        for i in self.by_dim_vector.get(rep.dim_vector, ()):
+            if i != same and is_iso(self.records[i].rep, rep):
                 return i
         return None
 
@@ -347,13 +358,18 @@ class Block:
 
 
 class BlockProduct(_PairNames):
-    """The pairs and Hasse quiver over a product of blocks, read from the blocks' own.
+    """The records and pairs of a product of blocks, read from the blocks' own.
 
     A module over B_1 x ... x B_k is a sum of modules over the blocks, and
     Hom, tau and Fac act blockwise.  So a support tau-tilting pair is a tuple
-    of the blocks' pairs (AIR, Sec. 2), the Fac order is the product order,
-    and its covering quiver is the box product of the blocks' quivers.  Record
-    ids run through the blocks in turn: block k's record i is record
+    of the blocks' pairs (AIR, Sec. 2), addressed by its code: the tuple of
+    their indices in the blocks' :attr:`Inventory.pairs`, read as one
+    mixed-radix integer with the last block fastest, in the order
+    :func:`itertools.product` lists the tuples.  The Fac order is the product
+    order, so its Hasse quiver is the box product of the blocks' quivers: an
+    arrow a -> b of block j moves a code by (b - a) times the weight of
+    coordinate j.  Neither the product's pairs nor its quiver is built.
+    Record ids run through the blocks in turn: block k's record i is record
     ``offsets[k] + i``.
     """
 
@@ -364,15 +380,19 @@ class BlockProduct(_PairNames):
             replace(r, id=o + r.id, tau_id=None if r.tau_id is None else o + r.tau_id)
             for o, b in zip(self.offsets, blocks) for r in b.records]
         self._name_rank: list[int] = []
+        self.sizes = [len(b.pairs) for b in blocks]
+        self.strides = [prod(self.sizes[j + 1:]) for j in range(len(blocks))]
+        self.total = prod(self.sizes)  # the number of pairs
 
+    @cached_property
     def shifted(self) -> list[list[tuple[tuple[int, ...], tuple]]]:
         """Each block's pairs as (module ids in the product, supports)."""
         return [[(tuple([o + m for m in p.modules]), p.supports) for p in b.pairs]
                 for o, b in zip(self.offsets, self.blocks)]
 
     def merged(self, lists) -> list[STPair]:
-        """The tuples of ``lists`` (of :meth:`shifted` parts, one per block), merged, in the order
-        :func:`itertools.product` lists them, the last block fastest, as :func:`box_product` does."""
+        """The tuples of ``lists`` (of :attr:`shifted` parts, one per block), merged, in the
+        order :func:`itertools.product` lists them, the last block fastest."""
         out = []
         for parts in product(*lists):
             modules, supports = (), ()
@@ -382,21 +402,67 @@ class BlockProduct(_PairNames):
             out.append(STPair(modules, tuple(sorted(supports))))
         return out
 
-    @cached_property
-    def pairs(self) -> list[STPair]:
-        """Every support tau-tilting pair of the product, in :meth:`pair_sort_key` order."""
-        if len(self.blocks) == 1:
-            return self.blocks[0].pairs  # the same ids, names and order
-        return sorted(self.merged(self.shifted()), key=self.pair_sort_key)
+    def codes_of(self, pairs: list[STPair], image: dict[int, int | None]) -> list[int | None]:
+        """The code of the pair whose modules are the images of each pair's modules under
+        ``image`` (None: no image); None where no pair has them.  One dict probe per block."""
+        bit = {i: 0 if j is None else 1 << j for i, j in image.items()}.__getitem__
+        probes = [(o, (1 << len(b.records)) - 1, b.pair_index.get)
+                  for o, b in zip(self.offsets, self.blocks)]
+        out = []
+        for p in pairs:
+            mask = reduce(or_, map(bit, p.modules), 0)
+            parts = [index(mask >> o & full) for o, full, index in probes]
+            out.append(None if None in parts else sum(map(mul, parts, self.strides)))
+        return out
+
+    def label(self, c: int) -> str:
+        return "+".join(sorted(b.records[m].name
+                               for b, s, n in zip(self.blocks, self.strides, self.sizes)
+                               for m in b.pairs[c // s % n].modules)) or "0"
 
     @cached_property
-    def hasse_quiver(self) -> PosetQuiver:
-        """The box product of the blocks' certified quivers; vertex i is ``pairs[i]``."""
-        if len(self.blocks) == 1:
-            return self.blocks[0].hasse_quiver
-        position = {p: i for i, p in enumerate(self.pairs)}
-        return box_product([b.hasse_quiver for b in self.blocks],
-                           [position[p] for p in self.merged(self.shifted())])
+    def succ(self) -> list[list[list[int]]]:
+        """The blocks' quivers as successor lists, which :meth:`successors` and
+        :meth:`arrow_count` read."""
+        out = [[[] for _ in range(n)] for n in self.sizes]
+        for succ, b in zip(out, self.blocks):
+            for a, t in b.hasse_quiver.arrows:
+                succ[a].append(t)
+        return out
+
+    @cached_property
+    def moves(self) -> dict[int, dict[tuple[int, int], set[int]]]:
+        """Code difference -> (weight, radix) of a coordinate -> the sources of the arrows
+        there that make it; :meth:`is_arrow` reads it."""
+        out: dict[int, dict[tuple[int, int], set[int]]] = {}
+        for b, s, n in zip(self.blocks, self.strides, self.sizes):
+            for a, t in b.hasse_quiver.arrows:
+                out.setdefault((t - a) * s, {}).setdefault((s, n), set()).add(a)
+        return out
+
+    def is_arrow(self, c: int, d: int) -> bool:
+        for (s, n), sources in self.moves.get(d - c, {}).items():
+            if c // s % n in sources:
+                return True
+        return False
+
+    def successors(self, c: int):
+        for s, n, succ in zip(self.strides, self.sizes, self.succ):
+            a = c // s % n
+            yield from (c + (b - a) * s for b in succ[a])
+
+    def arrow_count(self, flags: list[list[bool]]) -> int:
+        """The number of arrows between the codes whose coordinates pass ``flags``: each
+        arrow of block j between passing pairs, once per choice of the other coordinates."""
+        sizes = [sum(f) for f in flags]
+        return sum(sum(f[b] for a in range(len(f)) if f[a] for b in succ[a])
+                   * prod(sizes[:j] + sizes[j + 1:])
+                   for j, (f, succ) in enumerate(zip(flags, self.succ)))
+
+
+def _maps_key(rep: Representation) -> tuple:
+    """The dimension vector and structure maps of ``rep`` as a hashable value."""
+    return rep.dim_vector, tuple(tuple(map(tuple, m.data)) for m in rep.maps.values())
 
 
 def _names_for(algebra: Algebra, words) -> list[str]:
@@ -795,28 +861,6 @@ def hasse(inv: Inventory, pairs: list[STPair]) -> PosetQuiver:
             raise HasseError(f"the arrow {name(s)} -> {name(t)} is not a covering relation: "
                              f"it passes through {name(k)}")
     return PosetQuiver(nv, tuple(arrows))
-
-
-def box_product(quivers: list[PosetQuiver], rank) -> PosetQuiver:
-    """The covering quiver of the product of the orders the quivers cover.
-
-    An arrow moves one coordinate along an arrow of its factor, the others
-    fixed: one element covers another in a product order exactly when they
-    differ in one coordinate, which covers.  Vertex (j_1, ..., j_k) is
-    ``rank[c]``, where c is its index in the order :func:`itertools.product`
-    lists the tuples (the last coordinate fastest).
-    """
-    n = prod(q.n for q in quivers)
-    arrows = []
-    low = n
-    for q in quivers:
-        low //= q.n  # the number of tuples of the later coordinates
-        for base in range(0, n, q.n * low):
-            for s, t in q.arrows:
-                s0, t0 = base + s * low, base + t * low
-                arrows.extend([(rank[s0 + k], rank[t0 + k]) for k in range(low)])
-    arrows.sort()
-    return PosetQuiver(n, tuple(arrows))
 
 
 def full_subquiver(pq: PosetQuiver, keep: list[int]) -> PosetQuiver:

@@ -1,10 +1,19 @@
-"""Small queries that only the tests ask of the library."""
+"""Small queries that only the tests ask of the library, and the reference routes it replaced."""
 
-from taured.errors import AlgebraMismatch
+from math import prod
+
+from taured.errors import AlgebraMismatch, UnknownVertex
 from taured.linalg import Matrix
-from taured.reduction import ReductionSets
-from taured.reps import _images_fill, hom_basis, inflate
-from taured.tilting import build_inventory
+from taured.reduction import (
+    ReductionSets,
+    Report,
+    compute_nsets,
+    find_proj_injectives,
+    reconstruct_tau_tilt,
+    socle_quotient,
+)
+from taured.reps import _images_fill, hom_basis, inflate, is_sincere
+from taured.tilting import PosetQuiver, build_inventory, full_subquiver
 
 
 def hom_dim(M, N) -> int:
@@ -64,7 +73,7 @@ def reference_nsets(ctx) -> ReductionSets:
     qbar = ctx.qbar_id
     hom_to_q = ctx.hom_to_q
     keep, extend, swap, surgery = [], [], [], []
-    for p in ctx.quotient_inv.pairs:
+    for p in product_pairs(ctx.quotient_inv):
         mods = frozenset(p.modules)
         has_qbar = qbar is not None and qbar in mods
         homless = not any(hom_to_q[i] for i in mods)
@@ -131,3 +140,216 @@ def satisfies_table_by_all_pairs(rep) -> bool:
             if not (act[i] @ act[j] - rhs).is_zero():
                 return False
     return True
+
+
+def product_pairs(qinv) -> list:
+    """Every support tau-tilting pair of a :class:`taured.tilting.BlockProduct`, in pair order."""
+    if len(qinv.blocks) == 1:
+        return qinv.blocks[0].pairs  # the same ids, names and order
+    return sorted(qinv.merged(qinv.shifted), key=qinv.pair_sort_key)
+
+
+def product_hasse_quiver(qinv) -> PosetQuiver:
+    """The box product of the blocks' certified quivers; vertex i is ``product_pairs(qinv)[i]``."""
+    if len(qinv.blocks) == 1:
+        return qinv.blocks[0].hasse_quiver
+    position = {p: i for i, p in enumerate(product_pairs(qinv))}
+    return box_product([b.hasse_quiver for b in qinv.blocks],
+                       [position[p] for p in qinv.merged(qinv.shifted)])
+
+
+def box_product(quivers: list, rank) -> PosetQuiver:
+    """The covering quiver of the product of the orders the quivers cover.
+
+    An arrow moves one coordinate along an arrow of its factor, the others
+    fixed.  Vertex (j_1, ..., j_k) is ``rank[c]``, where c is its index in the
+    order :func:`itertools.product` lists the tuples (the last coordinate
+    fastest).
+    """
+    n = prod(q.n for q in quivers)
+    arrows = []
+    low = n
+    for q in quivers:
+        low //= q.n  # the number of tuples of the later coordinates
+        for base in range(0, n, q.n * low):
+            for s, t in q.arrows:
+                s0, t0 = base + s * low, base + t * low
+                arrows.extend([(rank[s0 + k], rank[t0 + k]) for k in range(low)])
+    arrows.sort()
+    return PosetQuiver(n, tuple(arrows))
+
+
+def surgery(pq: PosetQuiver, members: list[int]) -> PosetQuiver:
+    """Duplicate the subposet N = ``members`` inside the quiver, rewiring the arrow families.
+
+    The copy of ``members[k]`` is vertex ``pq.n + k``.  Arrows within the
+    complement and from N outward are kept; arrows within N are kept and
+    copied; arrows from the complement into N are redirected to the copy; each
+    copy points at its original.
+    """
+    bad = [v for v in members if not 0 <= v < pq.n]
+    if bad:
+        raise UnknownVertex(bad[0])
+    copy = {v: pq.n + k for k, v in enumerate(members)}
+    arrows = {(c, v) for v, c in copy.items()}
+    for s, t in pq.arrows:
+        if t in copy and s not in copy:
+            arrows.add((s, copy[t]))
+        else:
+            arrows.add((s, t))
+            if s in copy and t in copy:
+                arrows.add((copy[s], copy[t]))
+    return PosetQuiver(pq.n + len(copy), tuple(sorted(arrows)))
+
+
+def iso_along_map(src: PosetQuiver, dst: PosetQuiver, vmap: list, src_label,
+                  dst_label) -> tuple[bool, str]:
+    """Quiver isomorphism along the vertex map i -> vmap[i], both quivers built; (ok, witness)."""
+    if None in vmap:
+        return False, f"no image for {src_label(vmap.index(None))}"
+    if len(set(vmap)) != src.n or dst.n != src.n:
+        return False, (f"vertex map is not a bijection "
+                       f"({len(set(vmap))} images, {src.n} -> {dst.n} vertices)")
+    src_edges = {(vmap[s], vmap[t]) for s, t in src.arrows}
+    dst_edges = set(dst.arrows)
+    for edges, verb in ((src_edges - dst_edges, "preserved"), (dst_edges - src_edges, "reflected")):
+        if edges:
+            s, t = min(edges)
+            return False, f"arrow not {verb}: {dst_label(s)} -> {dst_label(t)}"
+    return True, ""
+
+
+def reference_reductions(algebra, name: str, inv) -> Report:
+    """The reduction checks of :func:`taured.reduction.reductions` on built quivers.
+
+    The quotient's pairs are the product's, merged and sorted, its Hasse
+    quiver is their :func:`box_product`, and the ambient quiver is compared
+    with :func:`surgery` of it; the families are compared as sets of
+    frozensets of the product's record ids.
+    """
+    report = Report(name)
+    pairs = inv.pairs
+    H = inv.hasse_quiver
+    tau_idx = [i for i, p in enumerate(pairs) if p.is_tau_tilting]
+    tau_pairs = [pairs[i] for i in tau_idx]
+    tt_sets = {frozenset(p.modules) for p in tau_pairs}
+    src = full_subquiver(H, tau_idx)
+    insincere = [inv.pair_label(p) for p in tau_pairs if not is_sincere(inv.sum_rep(p.modules))]
+
+    def src_label(k):
+        return inv.pair_label(pairs[tau_idx[k]])
+
+    for v, found in find_proj_injectives(algebra).items():
+        tag = f"Q=P_{v}"
+        ctx = socle_quotient(algebra, v, inv, found)
+        report.add(f"{tag}/socle-simple", "Soc(Q) is one dimensional", True)
+        report.add(f"{tag}/socle-two-sided",
+                   "the socle span is a two-sided ideal (arrow products vanish)", True)
+        qinv = ctx.quotient_inv
+        qpairs = product_pairs(qinv)
+        QH = product_hasse_quiver(qinv)
+        q_index = {frozenset(p.modules): j for j, p in enumerate(qpairs)}
+        q_tt_sets = {frozenset(p.modules) for p in qpairs if p.is_tau_tilting}
+        nsets = compute_nsets(ctx)
+        q = ctx.q_id
+        bar_of, lift_of = ctx.bar_of, ctx.lift_of
+        bars = [frozenset(bar_of[i] for i in p.modules) - {None} for p in pairs]
+
+        bad = [r.name for r in inv.candidates()
+               if r.id != q and (bar_of[r.id] is None or lift_of[bar_of[r.id]] != r.id)]
+        report.add(f"{tag}/bar-fixes-non-q",
+                   "the socle quotient functor fixes every non-Q indecomposable",
+                   not bad, f"moved: {bad[:3]}")
+
+        def iso_onto(targets):
+            dst_pos = {j: k for k, j in enumerate(targets)}
+            vmap = [dst_pos.get(q_index.get(bars[i])) for i in tau_idx]
+            return iso_along_map(src, full_subquiver(QH, targets), vmap, src_label,
+                                 lambda k: qinv.pair_label(qpairs[targets[k]]))
+
+        if ctx.q_is_simple:
+            all_have_q = all(q in p.modules for p in tau_pairs)
+            ok, wit = ((False, "a tau-tilting module misses Q") if not all_have_q
+                       else iso_onto([j for j, p in enumerate(qpairs) if p.is_tau_tilting]))
+            report.add(f"{tag}/simple-bijection",
+                       "Q simple: the tau-tilt quivers agree after dropping Q", ok, wit)
+        else:
+            qbar = ctx.qbar_id
+            qbar_amb = lift_of[qbar]
+            m1 = [i for i in tau_idx if q not in pairs[i].modules
+                  and qbar_amb not in pairs[i].modules]
+            m2 = [i for i in tau_idx if q in pairs[i].modules and qbar_amb in pairs[i].modules]
+            m3 = [i for i in tau_idx if q in pairs[i].modules
+                  and qbar_amb not in pairs[i].modules]
+            report.add(f"{tag}/no-qbar-without-q",
+                       "no tau-tilting module contains Q/Soc(Q) but not Q",
+                       len(m1) + len(m2) + len(m3) == len(tau_pairs))
+            images, collision = {}, None
+            for i in tau_idx:
+                if bars[i] in images:
+                    collision = (i, images[bars[i]])
+                images[bars[i]] = i
+            n_keep, n_extend = set(nsets.keep), set(nsets.extend)
+            ok = (collision is None and {bars[i] for i in m1} == n_keep
+                  and {bars[i] for i in m2} == n_extend
+                  and {bars[i] for i in m3} == set(nsets.swap))
+            wit = "" if ok else (
+                "family image mismatch" if collision is None else
+                f"collision {inv.pair_label(pairs[collision[0]])} / "
+                f"{inv.pair_label(pairs[collision[1]])}")
+            report.add(f"{tag}/split-bijections",
+                       "the three tau-tilt families biject onto keep / extend / swap", ok, wit)
+            ok, wit = iso_onto([j for j, p in enumerate(qpairs)
+                                if p.is_tau_tilting or frozenset(p.modules) in n_extend])
+            report.add(f"{tag}/tau-tilt-bijection",
+                       "the tau-tilt quiver matches the quotient-side quiver, arrows both ways",
+                       ok, wit)
+            if ctx.qbar_rep.dims.get(ctx.socle_vertex, 0) > 0:
+                report.add(f"{tag}/socle-factor-forces-empty",
+                           "Q/Soc(Q) has the socle as composition factor, so the "
+                           "boundary family is empty",
+                           not nsets.extend, f"extend has {len(nsets.extend)} members")
+            report.add(f"{tag}/no-tau-tilt-qbar-homless",
+                       "no tau-tilting quotient module keeps the top summand yet "
+                       "kills all maps to Q",
+                       not any(qbar in mods and not any(ctx.hom_to_q[i] for i in mods)
+                               for mods in q_tt_sets))
+            keep_ok = all(frozenset(lift_of[i] for i in mods) in tt_sets
+                          for mods in nsets.keep) and all(bars[i] in n_keep for i in m1)
+            report.add(f"{tag}/keep-cross-enumeration",
+                       "modules without the top summand are tau-tilting over both algebras",
+                       keep_ok)
+            swap_ok = all(bars[i] in q_tt_sets and any(ctx.hom_to_q[j] for j in bars[i])
+                          for i in m3)
+            swap_ok = swap_ok and all(
+                (frozenset(lift_of[i] for i in mods - {qbar}) | {q}) in tt_sets
+                for mods in nsets.swap)
+            report.add(f"{tag}/swap-cross-enumeration",
+                       "exchanging Q for the top summand preserves tau-tilting, both ways",
+                       swap_ok)
+
+        recon = reconstruct_tau_tilt(ctx, nsets)
+        report.add(f"{tag}/reconstruction",
+                   "tau-tilt of the ambient algebra rebuilds from the quotient families",
+                   set(recon) == tt_sets)
+        report.add(f"{tag}/tau-tilt-sincere", "every tau-tilting module is sincere",
+                   not insincere, f"insincere: {insincere[:3]}")
+
+        members = [q_index[frozenset(p.modules)] for p in nsets.surgery]
+        W = surgery(QH, members)
+        copy = {j: QH.n + k for k, j in enumerate(members)}
+        vmap = []
+        for i, p in enumerate(pairs):
+            j = q_index.get(bars[i])
+            vmap.append(copy[j] if j in copy and q in p.modules else j)
+
+        def surgery_label(k):
+            if k < QH.n:
+                return qinv.pair_label(qpairs[k])
+            return f"copy of {qinv.pair_label(nsets.surgery[k - QH.n])}"
+
+        ok, wit = iso_along_map(H, W, vmap, lambda i: inv.pair_label(pairs[i]), surgery_label)
+        report.add(f"{tag}/surgery-isomorphism",
+                   "the support Hasse quiver is the subposet surgery of the quotient's",
+                   ok, wit)
+    return report

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import os
 from itertools import product
@@ -19,11 +20,11 @@ from taured.reduction import (
     reconstruct_tau_tilt,
     reductions,
     socle_quotient,
-    surgery,
     verify_reduction,
 )
 from taured.series import series_algebra
 from taured.tilting import (
+    Block,
     BlockProduct,
     Inventory,
     PosetQuiver,
@@ -33,9 +34,13 @@ from taured.tilting import (
 
 from helpers import (
     direct_quotient_inventory,
+    product_hasse_quiver,
+    product_pairs,
     record_by_name,
     reference_hom_to_q,
     reference_nsets,
+    reference_reductions,
+    surgery,
     tau_tilting_pairs,
 )
 
@@ -348,13 +353,15 @@ def test_block_route_matches_the_direct_route(name, block_counts):
         blocked, direct = ctx.quotient_inv, direct_quotient_inventory(ctx)
         seen.add(len(ctx.blocks))
 
-        def named(qinv):
+        def named(qinv, pairs):
             return [(frozenset(qinv.records[i].name for i in p.modules), p.supports)
-                    for p in qinv.pairs]
+                    for p in pairs]
 
-        assert named(blocked) == named(direct), (name, v, ambient)
+        assert named(blocked, product_pairs(blocked)) == named(direct, direct.pairs), \
+            (name, v, ambient)
         # the same order, so the arrows match by index once the names do
-        assert blocked.hasse_quiver.arrows == direct.hasse_quiver.arrows, (name, v, ambient)
+        assert product_hasse_quiver(blocked).arrows == direct.hasse_quiver.arrows, \
+            (name, v, ambient)
     assert seen == block_counts
     assert verify_reduction(algebra, name, inv=inv).passed
 
@@ -388,14 +395,17 @@ def test_blockwise_nsets_match_the_reference_on_series_rows(kind, n):
 
 
 def _drop_first_quotient_arrow(monkeypatch):
-    """Every socle quotient's Hasse quiver loses its first arrow."""
-    hasse_quiver = BlockProduct.__dict__["hasse_quiver"].func
+    """The last block of every socle quotient loses the first arrow of its certified quiver."""
+    blocks = ReductionContext.__dict__["blocks"].func
 
     def dropped(self):
-        quiver = hasse_quiver(self)
-        return PosetQuiver(quiver.n, quiver.arrows[1:])
+        out = blocks(self)
+        inv = copy.copy(out[-1].inv)
+        quiver = out[-1].inv.hasse_quiver
+        inv.__dict__["hasse_quiver"] = PosetQuiver(quiver.n, quiver.arrows[1:])
+        return out[:-1] + [Block(inv, out[-1].lifted)]
 
-    monkeypatch.setattr(BlockProduct, "hasse_quiver", property(dropped))
+    monkeypatch.setattr(ReductionContext, "blocks", property(dropped))
 
 
 def _failed(out: str) -> set[str]:
@@ -433,3 +443,96 @@ def test_moved_bar_image_fails_bar_fixes_non_q(monkeypatch, capsys):
     monkeypatch.setattr(ReductionContext, "bar_of", property(moved))
     assert main(["verify", os.path.join(GOLDEN, "rsz_A7.alg")]) == 1
     assert "bar-fixes-non-q" in _failed(capsys.readouterr().out)
+
+
+def _ka3_or_golden(name):
+    if name == "KA2xK":
+        return ka2_times_k()
+    if name == "KA3xK":
+        return _ka3_times_k()
+    path = os.path.join(SCRIPTS if name == "a3sq" else GOLDEN, f"{name}.alg")
+    return parse_file(path).build()[0]
+
+
+@pytest.mark.parametrize("defect", [False, True])
+@pytest.mark.parametrize("name", ["rsz_A7", "rsz_D7", "nakayama_5_4", "nakayama_5_5", "a3sq",
+                                  "KA2xK", "KA3xK"])
+def test_code_checks_match_the_reference_route(name, defect, monkeypatch):
+    """At every projective-injective the checks on codes pass and fail as the reference
+    route's, which builds the product's pairs, its box-product quiver and the surgery quiver;
+    also when a quotient block's quiver misses an arrow, which both routes read."""
+    if defect:
+        _drop_first_quotient_arrow(monkeypatch)
+    algebra = _ka3_or_golden(name)
+    inv = build_inventory(algebra)
+    got = verify_reduction(algebra, name, inv=inv)
+    want = reference_reductions(algebra, name, inv)
+    assert [(c.name, c.passed) for c in got.checks] == [(c.name, c.passed) for c in want.checks]
+    assert got.passed != defect or name in ("nakayama_5_4", "nakayama_5_5")
+
+
+def test_extra_ambient_arrow_is_not_preserved():
+    algebra = _ka3_or_golden("rsz_A7")
+    inv = build_inventory(algebra)
+    H = inv.hasse_quiver
+    # from the top pair Lambda to the zero pair: a relation of the Fac order, no covering
+    assert (0, H.n - 1) not in H.arrows and not inv.pairs[0].supports
+    inv.__dict__["hasse_quiver"] = PosetQuiver(H.n, tuple(sorted(H.arrows + ((0, H.n - 1),))))
+    report = verify_reduction(algebra, "rsz_A7", inv=inv)
+    failed = [c for c in report.checks if not c.passed]
+    assert {c.name.split("/")[1] for c in failed} == {"surgery-isomorphism"}
+    assert all(c.witness.startswith("arrow not preserved: ") for c in failed)
+    want = reference_reductions(algebra, "rsz_A7", inv)
+    assert [(c.name, c.passed) for c in report.checks] == [(c.name, c.passed) for c in want.checks]
+
+
+def test_block_arrow_missing_from_the_count_side_fails_the_count(monkeypatch):
+    """Arrows are tested in the blocks' difference table but walked and counted in their
+    successor lists; one arrow dropped from the lists alone is caught by the counts."""
+    succ = BlockProduct.__dict__["succ"].func
+
+    def short(self):
+        out = succ(self)
+        a = next(a for a, targets in enumerate(out[-1]) if targets)
+        out[-1][a] = out[-1][a][1:]
+        return out
+
+    monkeypatch.setattr(BlockProduct, "succ", property(short))
+    report = verify_reduction(_ka3_or_golden("rsz_A7"), "rsz_A7")
+    failed = [c for c in report.checks if not c.passed]
+    assert {c.name.split("/")[1] for c in failed} == {"tau-tilt-bijection", "surgery-isomorphism"}
+    assert all(c.witness.startswith("arrow count differs: ") for c in failed)
+
+
+def _frozenset_collections(values, size: int) -> list:
+    """The lists, tuples, sets and dicts among ``values`` with at least ``size`` entries,
+    some of them frozensets (dict keys included)."""
+    found = []
+    for v in values:
+        if isinstance(v, (list, tuple, set, frozenset, dict)) and len(v) >= size:
+            items = list(v.keys()) + list(v.values()) if isinstance(v, dict) else v
+            if any(isinstance(x, frozenset) for x in items):
+                found.append(v)
+    return found
+
+
+def test_reductions_build_no_product_pairs_or_quivers():
+    """On rsz_A7 the checks build neither the product's pairs nor a box-product or surgery
+    quiver, and hold no list of frozensets with half as many entries as there are pairs."""
+    import taured.reduction as reduction
+    import taured.tilting as tilting
+
+    assert not hasattr(tilting, "box_product") and not hasattr(reduction, "surgery")
+    assert not hasattr(tilting.BlockProduct, "pairs")
+    assert not hasattr(tilting.BlockProduct, "hasse_quiver")
+    algebra = _ka3_or_golden("rsz_A7")
+    inv = build_inventory(algebra)
+    report = Report("rsz_A7")
+    checks = reductions(algebra, report, inv)
+    size = len(inv.pairs) // 2
+    for red in checks:
+        ctx = red.ctx
+        held = [*checks.gi_frame.f_locals.values(), *vars(ctx).values(),
+                *vars(ctx.quotient_inv).values()]
+        assert not _frozenset_collections(held, size), ctx.vertex
+    assert report.passed

@@ -24,7 +24,6 @@ from taured.tilting import (
     STPair,
     _reachability,
     _rigid_subsets,
-    box_product,
     build_inventory,
     compatible,
     enumerate_stpairs,
@@ -33,7 +32,15 @@ from taured.tilting import (
     oracle_stpairs_via_quotients,
 )
 
-from helpers import in_fac, order_ge, record_by_name, tau_tilting_pairs
+from helpers import (
+    box_product,
+    in_fac,
+    order_ge,
+    product_hasse_quiver,
+    product_pairs,
+    record_by_name,
+    tau_tilting_pairs,
+)
 
 
 def test_inventory_a3sq(a3sq_inv):
@@ -370,10 +377,10 @@ def test_box_product_is_the_hasse_quiver_of_the_product_algebra():
     # P·n/2 arrows: each of the 5 arrows of A2 twice, the arrow of A1 five times
     assert (box.n, len(box.arrows)) == (10, 5 * 2 + 1 * 5)
     product_inv = BlockProduct([a2, a1])
-    labels = [(product_inv.pair_label(p), p.supports) for p in product_inv.pairs]
+    labels = [(product_inv.pair_label(p), p.supports) for p in product_pairs(product_inv)]
     assert labels == [(both.pair_label(p), p.supports) for p in both.pairs]
     # the same numbering as the product algebra's pairs, so the quivers are equal
-    assert product_inv.hasse_quiver == hasse(both, both.pairs)
+    assert product_hasse_quiver(product_inv) == hasse(both, both.pairs)
     assert box_product([a2.hasse_quiver], range(5)) == a2.hasse_quiver
 
 
