@@ -159,18 +159,16 @@ class ReductionContext:
     def flags(self) -> dict[tuple[bool, bool | None], list[list[bool]]]:
         """(tilting, holds) -> per block, is each pair tau-tilting (else Hom-less to Q) and, in
         the block of Q/Soc(Q), holding it or not as ``holds`` says (either way when None)?"""
-        qbar, offsets = self.qbar_id, self.quotient_inv.offsets
-        k = -1 if qbar is None else sum(o <= qbar for o in offsets) - 1
+        qbar, qinv = self.qbar_id, self.quotient_inv
+        k = -1 if qbar is None else sum(o <= qbar for o in qinv.offsets) - 1
+        to_q = {i for i, d in self.hom_to_q.items() if d}
         out = {key: [] for key in product((True, False), (None, True, False))
                if key != (False, False)}  # the one family no check reads
-        for j, (o, b) in enumerate(zip(offsets, self.blocks)):
-            base = {True: [not p.supports for p in b.inv.pairs],
-                    False: [not any(self.hom_to_q[o + m] for m in p.modules) for p in b.inv.pairs]}
+        for j, parts in enumerate(qinv.shifted):
+            base = {True: [not s for _, s in parts], False: [to_q.isdisjoint(m) for m, _ in parts]}
             for (tilting, holds), flags in out.items():
-                flags.append(
-                    base[tilting] if j != k or holds is None else
-                    [ok and (qbar - o in p.modules) == holds
-                     for ok, p in zip(base[tilting], b.inv.pairs)])
+                flags.append(base[tilting] if j != k or holds is None else
+                             [ok and (qbar in m) == holds for ok, (m, _) in zip(base[tilting], parts)])
         return out
 
     @cached_property

@@ -521,18 +521,12 @@ def _images_fill(N: Representation, homs) -> bool:
 def module_times_ideal(M: Representation, slices) -> dict[str, Matrix]:
     """Rows spanning M . J at each vertex, J given by Peirce slices."""
     alg = M.algebra
-    out = {}
-    for v in alg.vertices:
-        rows = []
-        for (u, w, vecs) in slices:
-            if w != v or not M.dims[u]:  # an element of e_u A e_w acts by a map from M_u
-                continue
-            for vec in vecs:
-                act = M.element_action(vec, u, w)
-                rows.append(act)
-        out[v] = (rank_and_rowbasis(Matrix.stack(rows, M.dims[v], alg.field))[1] if rows
-                  else Matrix(0, M.dims[v], [], alg.field))
-    return out
+    rows: dict[str, list[Matrix]] = {v: [] for v in alg.vertices}
+    for (u, w, vecs) in slices:
+        if M.dims[u] and M.dims[w]:  # an element of e_u A e_w acts by a map M_u -> M_w
+            rows[w].extend(M.element_action(vec, u, w) for vec in vecs)
+    return {v: rank_and_rowbasis(Matrix.stack(rows[v], M.dims[v], alg.field))[1] if rows[v]
+            else Matrix(0, M.dims[v], [], alg.field) for v in alg.vertices}
 
 
 def bar(M: Representation, quotient: Algebra) -> Representation:
@@ -545,13 +539,14 @@ def bar(M: Representation, quotient: Algebra) -> Representation:
         raise QuotientMismatch("quotient algebra does not come from this module's algebra")
     alg = M.algebra
     mj = module_times_ideal(M, quotient.ideal_slices)
+    if not any(m.rows for m in mj.values()):
+        # M . J = 0, so M is a module over A/J as it is; J holds e_v for each killed v
+        return Representation(quotient, {v: M.dims[v] for v in quotient.vertices},
+                              {a.name: M.maps[a.name].copy() for a in quotient.arrows})
     free, proj = {}, {}
     for v in alg.vertices:
-        if mj[v].rows:
-            free[v], kernel = modulo(mj[v])
-            proj[v] = kernel.transpose()
-        else:  # nothing to divide out: the identity
-            free[v], proj[v] = list(range(M.dims[v])), Matrix.identity(M.dims[v], alg.field)
+        free[v], kernel = modulo(mj[v])
+        proj[v] = kernel.transpose()
         if v not in quotient.vertices and free[v]:
             raise QuotientMismatch("quotient module lives on a killed vertex")
     maps = {}

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from itertools import accumulate, chain, combinations, product
 from math import prod
-from operator import mul, or_
+from operator import or_
 
 from .algebra import Algebra, isomorphism, vertex_subalgebra_quotient
 from .errors import HasseError, InventoryError, UnknownVertex
@@ -410,9 +410,14 @@ class BlockProduct(_PairNames):
                   for o, b in zip(self.offsets, self.blocks)]
         out = []
         for p in pairs:
-            mask = reduce(or_, map(bit, p.modules), 0)
-            parts = [index(mask >> o & full) for o, full, index in probes]
-            out.append(None if None in parts else sum(map(mul, parts, self.strides)))
+            mask, code = reduce(or_, map(bit, p.modules), 0), 0
+            for (o, full, index), s in zip(probes, self.strides):
+                a = index(mask >> o & full)
+                if a is None:
+                    code = None
+                    break
+                code += a * s
+            out.append(code)
         return out
 
     def label(self, c: int) -> str:
