@@ -30,7 +30,6 @@ from .reduction import (
     ReductionSets,
     Report,
     compute_nsets,
-    extend_family,
     find_proj_injectives,
     reconstruct_tau_tilt,
     socle_quotient,
@@ -75,8 +74,7 @@ __all__ = [
     "extract_presentation", "quotient_by_elements", "vertex_subalgebra_quotient",
     "Matrix", "PrimeField", "QQ", "field_from_name", "nullspace", "rank_and_rowbasis",
     "Check", "ReductionContext", "ReductionSets", "Report", "compute_nsets",
-    "extend_family", "find_proj_injectives", "reconstruct_tau_tilt", "socle_quotient",
-    "verify_reduction",
+    "find_proj_injectives", "reconstruct_tau_tilt", "socle_quotient", "verify_reduction",
     "Morphism", "PresentationMap", "Representation", "bar", "direct_sum",
     "hom_basis", "inflate", "injective", "is_iso", "is_sincere",
     "minimal_presentation", "projective", "simple", "tau",

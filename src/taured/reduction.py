@@ -168,7 +168,8 @@ class ReductionContext:
             base = {True: [not s for _, s in parts], False: [to_q.isdisjoint(m) for m, _ in parts]}
             for (tilting, holds), flags in out.items():
                 flags.append(base[tilting] if j != k or holds is None else
-                             [ok and (qbar in m) == holds for ok, (m, _) in zip(base[tilting], parts)])
+                             [ok and (qbar in m) == holds
+                              for ok, (m, _) in zip(base[tilting], parts)])
         return out
 
     @cached_property

@@ -468,7 +468,7 @@ def test_code_checks_match_the_reference_route(name, defect, monkeypatch):
     got = verify_reduction(algebra, name, inv=inv)
     want = reference_reductions(algebra, name, inv)
     assert [(c.name, c.passed) for c in got.checks] == [(c.name, c.passed) for c in want.checks]
-    assert got.passed != defect or name in ("nakayama_5_4", "nakayama_5_5")
+    assert got.passed != defect
 
 
 def test_extra_ambient_arrow_is_not_preserved():
