@@ -255,8 +255,10 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(f"cannot read {e.filename}", file=sys.stderr)
+    except OSError as e:
+        if e.filename is None:  # not a file that could not be opened, e.g. a closed stdout
+            raise
+        print(f"cannot open {e.filename}: {e.strerror}", file=sys.stderr)
         return 2
     except TauredError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -330,5 +330,11 @@ def emit(af: AlgebraFile) -> str:
 
 
 def parse_file(path: str) -> AlgebraFile:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse(f.read())
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return parse(data.decode("utf-8"))
+    except UnicodeDecodeError as e:  # located at the first byte that does not decode
+        lines = data[:e.start].decode("utf-8").split("\n")
+        raise ParseError(f"byte 0x{data[e.start]:02x} is not UTF-8",
+                         len(lines), len(lines[-1])) from None

@@ -116,7 +116,9 @@ class Inventory(_PairNames):
     ``words`` are the strings of the records in id order when the records are
     exactly the string modules; None otherwise (supplied modules, or a tau
     recorded standalone).  Only such inventories are kept as the
-    representatives of :meth:`inventory_of`.
+    representatives of :meth:`inventory_of`.  A carried inventory is its
+    source under new names, in its source's pair order: one order per class
+    of isomorphic algebras, which its own :meth:`pair_sort_key` need not follow.
     """
 
     def __init__(self, algebra: Algebra, records: list[IndecRecord],
@@ -148,48 +150,28 @@ class Inventory(_PairNames):
 
     @cached_property
     def pairs(self) -> list[STPair]:
-        """:func:`enumerate_stpairs` of this inventory, computed once, or the source's carried."""
+        """:func:`enumerate_stpairs` of this inventory, computed once, or the source's renamed."""
         if self._source is None:
             return enumerate_stpairs(self)
-        if self._keeps_names:
-            return self._source[0].pairs
-        return sorted(self._source_pairs(), key=self.pair_sort_key)
+        src, vertex = self._source
+        if all(v == w for v, w in vertex.items()):
+            return src.pairs
+        return [STPair(p.modules, tuple(sorted(vertex[v] for v in p.supports)))
+                for p in src.pairs]
 
     @cached_property
     def pair_index(self) -> dict[int, int]:
         """The index of each pair by the bitmask of its module ids, which fix it (AIR, Sec. 2)."""
+        if self._source is not None:
+            return self._source[0].pair_index
         return {sum(1 << m for m in p.modules): a for a, p in enumerate(self.pairs)}
 
     @cached_property
     def hasse_quiver(self) -> PosetQuiver:
-        """:func:`hasse` of :attr:`pairs`, computed once, or the source's certified quiver carried."""
-        if self._source is None:
-            return hasse(self, self.pairs)
-        if self._keeps_names:
+        """:func:`hasse` of :attr:`pairs`, computed once, or the source's certified quiver."""
+        if self._source is not None:
             return self._source[0].hasse_quiver
-        position = {p: k for k, p in enumerate(self.pairs)}
-        rank = [position[p] for p in self._source_pairs()]
-        return PosetQuiver(len(rank), tuple(sorted(
-            (rank[s], rank[t]) for s, t in self._source[0].hasse_quiver.arrows)))
-
-    @cached_property
-    def _keeps_names(self) -> bool:
-        """Was this inventory carried with every vertex and record name kept?
-
-        Then the source's pairs and quiver are this inventory's as they are:
-        same ids, same supports, same order.  The vertex map alone does not
-        decide it: a string with arrows both ways may be made canonical the
-        other way round, which changes its name.
-        """
-        src, vertex = self._source
-        return (all(v == w for v, w in vertex.items())
-                and [r.name for r in self.records] == [r.name for r in src.records])
-
-    def _source_pairs(self) -> list[STPair]:
-        """The source inventory's pairs with its vertices replaced by their images here."""
-        src, vertex = self._source
-        return [STPair(p.modules, tuple(sorted(vertex[v] for v in p.supports)))
-                for p in src.pairs]
+        return hasse(self, self.pairs)
 
     @cached_property
     def tilting_sets(self) -> list[tuple[int, ...]]:
@@ -581,9 +563,10 @@ def _carry(src: Inventory, algebra: Algebra, vertex: dict[str, str],
     Record k is the source's record k, with its id, tau id, rigidity and
     projectivity; its module and tau translate are relabelled, and its name
     is that of the source's string carried back and made canonical here.
-    The pairs, Hasse quiver and tau-tilting sets are carried on first read.
-    An algebra isomorphism carries Hom, tau, Fac and mutation, so the
-    source's Hasse certificate holds for the carried quiver as it is.
+    The pairs keep the source's order and rename only their supports; the
+    pair index, Hasse quiver and tau-tilting sets are the source's objects.
+    An algebra isomorphism carries Hom, tau, Fac and mutation index for
+    index, so the source's Hasse certificate holds for its quiver here.
     """
     back = {s: t for t, s in vertex.items()}
     back_arrow = {s: t for t, s in arrow.items()}

@@ -144,15 +144,11 @@ def satisfies_table_by_all_pairs(rep) -> bool:
 
 def product_pairs(qinv) -> list:
     """Every support tau-tilting pair of a :class:`taured.tilting.BlockProduct`, in pair order."""
-    if len(qinv.blocks) == 1:
-        return qinv.blocks[0].pairs  # the same ids, names and order
     return sorted(qinv.merged(qinv.shifted), key=qinv.pair_sort_key)
 
 
 def product_hasse_quiver(qinv) -> PosetQuiver:
     """The box product of the blocks' certified quivers; vertex i is ``product_pairs(qinv)[i]``."""
-    if len(qinv.blocks) == 1:
-        return qinv.blocks[0].hasse_quiver
     position = {p: i for i, p in enumerate(product_pairs(qinv))}
     return box_product([b.hasse_quiver for b in qinv.blocks],
                        [position[p] for p in qinv.merged(qinv.shifted)])

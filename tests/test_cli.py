@@ -12,7 +12,7 @@ from taured.cli import main
 from taured.corpus import standard_corpus
 from taured.errors import HasseError, NotStringAlgebra
 from taured.emit import emit_dot
-from taured.tilting import PosetQuiver
+from taured.tilting import Inventory, PosetQuiver
 
 
 def check_dot_grammar(text: str) -> None:
@@ -122,6 +122,23 @@ def test_verify_over_fp101_prints_the_rational_golden(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("name", ["nakayama_5_5", "nakayama_5_4", "rsz_A7", "rsz_D7"])
+def test_verify_sorts_no_carried_pairs(name, capsys, monkeypatch):
+    # a carried inventory keeps its source's pair order, so nothing sorts its pairs
+    carried = []
+    pair_sort_key = Inventory.pair_sort_key
+
+    def recorded(self, pair):
+        if self._source is not None:
+            carried.append(self)
+        return pair_sort_key(self, pair)
+
+    monkeypatch.setattr(Inventory, "pair_sort_key", recorded)
+    assert main(["verify", os.path.join(GOLDEN, f"{name}.alg")]) == 0
+    capsys.readouterr()
+    assert not carried
+
+
 @pytest.mark.parametrize("name, built", [("nakayama_5_5", 6), ("nakayama_5_4", 6),
                                          ("rsz_A7", 7), ("rsz_D7", 11)])
 def test_verify_enumerates_strings_once_per_built_inventory(name, built, capsys, monkeypatch):
@@ -181,6 +198,35 @@ def test_parse_error_exit_two(tmp_path, capsys):
 
 def test_missing_file_exit_two(capsys):
     assert main(["enumerate", "/nonexistent/file.alg"]) == 2
+
+
+@pytest.mark.parametrize("command, path, reason", [
+    ("verify", "", "Is a directory"),
+    ("hasse", "", "Is a directory"),
+    ("hasse", "missing/x.dot", "No such file or directory"),
+])
+def test_unopenable_path_exits_two(command, path, reason, a3sq_file, tmp_path, capsys):
+    target = tmp_path / path
+    argv = ["verify", str(target)] if command == "verify" else \
+        ["hasse", a3sq_file, "--out", str(target)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"cannot open {target}: {reason}\n"
+
+
+def test_an_os_error_without_a_path_is_not_a_file_error(a3sq_file, monkeypatch):
+    def closed_stdout(*args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(taured.cli, "json_payload", closed_stdout)
+    with pytest.raises(BrokenPipeError):
+        main(["enumerate", a3sq_file, "--format", "json"])
+
+
+def test_non_utf8_input_is_a_parse_error_at_the_bad_byte(tmp_path, capsys):
+    bad = tmp_path / "latin1.alg"
+    bad.write_bytes("algebra x\nvertices 1 \u00e9\n".encode("latin-1"))
+    assert main(["verify", str(bad)]) == 2
+    assert capsys.readouterr().err == "parse error: line 2, col 11: byte 0xe9 is not UTF-8\n"
 
 
 def test_field_flag_and_env(a3sq_file, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
@@ -9,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import taured.tilting
 from taured.algebra import Arrow, Quiver, Relation, build_algebra
+from taured.corpus import standard_corpus
 from taured.dsl import parse
 from taured.errors import InventoryError, UnknownVertex
 from taured.linalg import Matrix
-from taured.reps import is_iso, projective
+from taured.reps import hom_basis, is_iso, projective
 from taured.series import series_algebra
 from taured.strings import enumerate_strings, string_to_rep
 from taured.reduction import verify_reduction
@@ -245,6 +247,33 @@ def test_oracle_builds_one_quotient_per_connected_set(monkeypatch, kind, n, expe
     assert len(kept) == {"A": 8, "D": 6}[kind]
 
 
+def _semibrick_count(orthogonal: list[int], allowed: int) -> int:
+    """The number of cliques of any size, the empty one included, among the bits of ``allowed``."""
+    count = 1
+    while allowed:
+        low = allowed & -allowed
+        allowed ^= low
+        count += _semibrick_count(orthogonal, allowed & orthogonal[low.bit_length() - 1])
+    return count
+
+
+@pytest.mark.parametrize("name", [*standard_corpus(), "rsz_A7", "rsz_D7",
+                                  "nakayama_5_4", "nakayama_5_5"])
+def test_bricks_count_the_pairs_and_the_join_irreducibles(corpus, name):
+    """Semibricks are as many as the pairs (Asai, Semibricks), and bricks as the pairs
+    with exactly one arrow out, the join-irreducibles (DIRRT, arXiv:1711.01785)."""
+    algebra = corpus[name] if name in corpus else parse(
+        (Path(__file__).parent / "golden" / f"{name}.alg").read_text()).build()[0]
+    inv = build_inventory(algebra)
+    bricks = [r.rep for r in inv.candidates() if len(hom_basis(r.rep, r.rep)) == 1]
+    orthogonal = [sum(1 << b for b, y in enumerate(bricks)
+                      if a != b and not hom_basis(x, y) and not hom_basis(y, x))
+                  for a, x in enumerate(bricks)]
+    assert _semibrick_count(orthogonal, (1 << len(bricks)) - 1) == len(inv.pairs)
+    out = Counter(s for s, _ in inv.hasse_quiver.arrows)
+    assert sum(k == 1 for k in out.values()) == len(bricks)
+
+
 @pytest.mark.parametrize("shuffled", [False, True])
 @pytest.mark.parametrize("name, classes", [("rsz_A7", 7), ("rsz_D7", 11),
                                            ("nakayama_5_4", 6), ("nakayama_5_5", 6)])
@@ -289,32 +318,38 @@ def test_carried_inventories_match_fresh_builds(monkeypatch, name, classes, shuf
         def named(inv, ids):
             return tuple(sorted(inv.records[i].name for i in ids))
 
-        assert ([(named(got, p.modules), p.supports) for p in got.pairs]
-                == [(named(fresh, p.modules), p.supports) for p in fresh.pairs])
-        assert got.hasse_quiver.arrows == fresh.hasse_quiver.arrows
+        # the carry keeps its source's pair order, so pairs are matched by
+        # summand names and supports, and the quivers along that bijection
+        position = {(named(fresh, p.modules), p.supports): k for k, p in enumerate(fresh.pairs)}
+        to_fresh = [position[named(got, p.modules), p.supports] for p in got.pairs]
+        assert sorted(to_fresh) == list(range(len(fresh.pairs)))
+        assert ({(to_fresh[s], to_fresh[t]) for s, t in got.hasse_quiver.arrows}
+                == set(fresh.hasse_quiver.arrows))
         assert len(got.tilting_sets) == len(fresh.tilting_sets)
         assert ({named(got, s) for s in got.tilting_sets}
                 == {named(fresh, s) for s in fresh.tilting_sets})
 
 
-def test_carry_that_keeps_every_name_shares_the_source_results():
+def test_carry_shares_the_source_results_in_the_source_order():
     inv = build_inventory(series_algebra("D", 5))
     same = inv.inventory_of(series_algebra("D", 5))
-    assert same._source[0] is inv and same._keeps_names
+    assert same._source[0] is inv
     assert same.pairs is inv.pairs
-    assert same.hasse_quiver is inv.hasse_quiver
-    assert same.tilting_sets is inv.tilting_sets
-    # renamed vertices: relabelled, re-sorted and renumbered, equal to a fresh build
+    # renamed vertices: the source's pairs in the source's order, supports renamed
     quiver = inv.algebra.quiver
     renamed = build_algebra(
         Quiver(tuple(f"v{v}" for v in quiver.vertices),
                tuple(Arrow(a.name, f"v{a.src}", f"v{a.tgt}") for a in quiver.arrows)),
         inv.algebra.relations)
     moved = inv.inventory_of(renamed)
-    assert moved._source[0] is inv and not moved._keeps_names
+    assert moved._source[0] is inv and moved.pairs is not inv.pairs
+    assert [p.modules for p in moved.pairs] == [p.modules for p in inv.pairs]
+    for got in (same, moved):
+        assert got.hasse_quiver is inv.hasse_quiver
+        assert got.pair_index is inv.pair_index
+        assert got.tilting_sets is inv.tilting_sets
     fresh = build_inventory(renamed)
-    assert moved.pairs == fresh.pairs and moved.pairs is not inv.pairs
-    assert moved.hasse_quiver.arrows == fresh.hasse_quiver.arrows
+    assert sorted(moved.pairs, key=moved.pair_sort_key) == fresh.pairs
     assert moved.tilting_sets == fresh.tilting_sets
 
 
