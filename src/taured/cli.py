@@ -3,7 +3,7 @@
 Subcommands: enumerate, hasse, reduce, series, verify.  Field mode is taken
 from the input file, overridden by the TAURED_FIELD environment variable,
 overridden by --field.  Exit codes: 0 success, 1 check failure, 2 usage or
-parse error.
+parse error, 141 (128 + SIGPIPE) when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -133,8 +133,8 @@ def _cmd_reduce(args) -> int:
     print(f"keep ({len(nsets.keep)}):   " + "  ".join(fmt(m) for m in nsets.keep))
     print(f"extend ({len(nsets.extend)}): " + "  ".join(fmt(m) for m in nsets.extend))
     print(f"swap ({len(nsets.swap)}):   " + "  ".join(fmt(m) for m in nsets.swap))
-    print(f"surgery set ({len(nsets.surgery)}): "
-          + "  ".join(qinv.pair_label(p) for p in nsets.surgery))
+    surgery = qinv.listed(ctx.members[False, True])
+    print(f"surgery set ({len(surgery)}): " + "  ".join(qinv.pair_label(p) for p in surgery))
     recon = chosen.reconstructed
     print(f"reconstructed tau-tilting modules ({len(recon)}): "
           + "  ".join("+".join(sorted(inv.records[i].name for i in s)) for s in recon))
@@ -249,14 +249,22 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit flush
+        return code
     except UsageError as e:
         ap.error(str(e))
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: write the rest to devnull so the exit flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 141
     except OSError as e:
-        if e.filename is None:  # not a file that could not be opened, e.g. a closed stdout
+        if e.filename is None:  # not a file that could not be opened, e.g. a full disk
             raise
         print(f"cannot open {e.filename}: {e.strerror}", file=sys.stderr)
         return 2

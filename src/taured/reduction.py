@@ -33,7 +33,6 @@ from .tilting import (
     Block,
     BlockProduct,
     Inventory,
-    STPair,
     build_inventory,
     components,
     full_subquiver,
@@ -106,8 +105,8 @@ class ReductionContext:
     The quotient is the product of its blocks, and ``quotient_inv`` is read
     from theirs.  Each map is computed in one pass on first read.  The
     quotient side (``blocks``, ``quotient_inv``, ``qbar_id``, ``hom_to_q``,
-    ``flags``, ``members``) reads ``inv``, the ambient inventory, only for its
-    cached blocks, and
+    ``flags``, ``members``, ``extend``) reads ``inv``, the ambient inventory,
+    only for its cached blocks, and
     ``classes`` for the blocks' isomorphism classes, and works without either;
     the ambient side (``q_id``, ``bar_of``, ``lift_of``) needs ``inv``.
     """
@@ -161,21 +160,34 @@ class ReductionContext:
         the block of Q/Soc(Q), holding it or not as ``holds`` says (either way when None)?"""
         qbar, qinv = self.qbar_id, self.quotient_inv
         k = -1 if qbar is None else sum(o <= qbar for o in qinv.offsets) - 1
-        to_q = {i for i, d in self.hom_to_q.items() if d}
+        to_q = [i for i, d in self.hom_to_q.items() if d]
         out = {key: [] for key in product((True, False), (None, True, False))
                if key != (False, False)}  # the one family no check reads
-        for j, parts in enumerate(qinv.shifted):
-            base = {True: [not s for _, s in parts], False: [to_q.isdisjoint(m) for m, _ in parts]}
+        for j, (o, b) in enumerate(zip(qinv.offsets, qinv.blocks)):
+            local = {i - o for i in to_q}  # block-local ids; the other blocks' fall outside
+            base = {True: [not p.supports for p in b.pairs],
+                    False: [local.isdisjoint(p.modules) for p in b.pairs]}
             for (tilting, holds), flags in out.items():
                 flags.append(base[tilting] if j != k or holds is None else
-                             [ok and (qbar in m) == holds
-                              for ok, (m, _) in zip(base[tilting], parts)])
+                             [ok and (qbar - o in p.modules) == holds
+                              for ok, p in zip(base[tilting], b.pairs)])
         return out
 
     @cached_property
     def members(self) -> dict[tuple[bool, bool | None], list[bool]]:
         """For each key of ``flags`` and each code of ``quotient_inv``: is it in that product?"""
         return {key: list(map(all, product(*flags))) for key, flags in self.flags.items()}
+
+    @cached_property
+    def extend(self) -> list[bool]:
+        """For each code: is it in the surgery family N = ``members[False, True]`` with one
+        support vertex in all, that is, one summand short?  No code is when Q is simple."""
+        if self.q_is_simple:
+            return [False] * self.quotient_inv.total
+        # a part outside N counts as two support vertices, so no tuple holding it has one
+        counts = [[len(p.supports) if ok else 2 for ok, p in zip(flags, b.pairs)]
+                  for flags, b in zip(self.flags[False, True], self.quotient_inv.blocks)]
+        return [s == 1 for s in map(sum, product(*counts))]
 
     def _bar_id(self, rep: Representation) -> int | None:
         """Quotient id of the image of ``rep``; None where the image is zero.
@@ -269,50 +281,29 @@ class ReductionSets:
         maps to Q and one summand short of full size; Q gets adjoined.
     swap: tau-tilting quotient modules containing Q/Soc(Q) with maps to Q;
         Q/Soc(Q) is exchanged for Q.
-    surgery: the support-level set (Q/Soc(Q) present, no maps to Q, any size)
-        whose duplication rebuilds the ambient support Hasse quiver.
+
+    Each is listed in pair order.  The surgery family N (Q/Soc(Q) present, no
+    maps to Q, any size) is not: it is ``ReductionContext.members[False, True]``.
     """
 
     keep: list[frozenset]
     extend: list[frozenset]
     swap: list[frozenset]
-    surgery: list[STPair]
-
-
-def _tuples(ctx: ReductionContext, tilting: bool, holds: bool | None,
-            supports: int | None = None) -> list[STPair]:
-    """The tuples of the blocks' pairs that pass the blocks' ``flags``, in pair order; with
-    ``supports``, those with that many support vertices, so no block's part has more."""
-    qinv = ctx.quotient_inv
-    lists = [[part for part, ok in zip(parts, flags)
-              if ok and (supports is None or len(part[1]) <= supports)]
-             for parts, flags in zip(qinv.shifted, ctx.flags[tilting, holds])]
-    return sorted([p for p in qinv.merged(lists)
-                   if supports is None or len(p.supports) == supports], key=qinv.pair_sort_key)
 
 
 def compute_nsets(ctx: ReductionContext) -> ReductionSets:
-    """The quotient families in pair order, read from the blocks' pairs, not the product's.
+    """The quotient families in pair order, read from the codes that ``ctx.members`` and
+    ``ctx.extend`` mark.
 
     Hom, tau and Fac act blockwise: a tuple of the blocks' pairs is
     tau-tilting, or Hom-less to Q, when each part is, and it holds Q/Soc(Q)
-    when its part in the block of Q/Soc(Q) does (:class:`QuotientCodes`).
+    when its part in the block of Q/Soc(Q) does.
     """
-    return ReductionSets(
-        [frozenset(p.modules) for p in _tuples(ctx, True, False)],
-        extend_family(ctx),
-        [] if ctx.q_is_simple else [frozenset(p.modules) for p in _tuples(ctx, True, True)
-                                    if any(ctx.hom_to_q[i] for i in p.modules)],
-        # simple Q (no block holds Q/Soc(Q)): the zero module belongs to every additive closure
-        _tuples(ctx, False, True))
-
-
-def extend_family(ctx: ReductionContext) -> list[frozenset]:
-    """The boundary family ``extend`` of :func:`compute_nsets` alone: the surgery tuples one
-    summand short, that is, with one support vertex in all."""
-    if ctx.q_is_simple:
-        return []
-    return [frozenset(p.modules) for p in _tuples(ctx, False, True, supports=1)]
+    qinv, members = ctx.quotient_inv, ctx.members
+    swap = [t and not h for t, h in zip(members[True, True], members[False, None])]
+    # simple Q (no block holds Q/Soc(Q)): no pair is exchanged
+    return ReductionSets(*([frozenset(p.modules) for p in qinv.listed(m)] for m in (
+        members[True, False], ctx.extend, [] if ctx.q_is_simple else swap)))
 
 
 def reconstruct_tau_tilt(ctx: ReductionContext, nsets: ReductionSets) -> list[frozenset]:
@@ -493,9 +484,7 @@ def reductions(algebra: Algebra, report: Report, inv: Inventory | None = None,
             seen: dict[int, int] = {}
             collision = next(((i, seen[code[i]]) for i in tau_idx if code[i] is not None
                               and seen.setdefault(code[i], i) != i), None)
-            # the surgery tuples one summand short, so with one support vertex
-            supports = map(sum, product(*[[len(p.supports) for p in b.pairs] for b in qinv.blocks]))
-            extend = [n and s == 1 for n, s in zip(in_n, supports)]
+            extend = ctx.extend
             keep_in = within(m1, ctx.members[True, False].__getitem__)
             # distinct images cover a family when they meet it as often as it has members
             ok = (collision is None and keep_in and within(m2, extend.__getitem__)

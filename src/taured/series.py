@@ -14,7 +14,7 @@ from fractions import Fraction
 from .algebra import Algebra, Arrow, Quiver, Relation, build_algebra
 from .errors import BadIndex, NonIntegerResult, NotProjInjective
 from .linalg import QQ
-from .reduction import ReductionContext, extend_family, socle_quotient
+from .reduction import ReductionContext, socle_quotient
 from .tilting import Inventory, build_inventory
 
 
@@ -137,13 +137,13 @@ def _boundary_structure_check(n: int, ctx: ReductionContext,
     series, by summand names, which are shared vertex-wise between the series
     algebras.
     """
-    records = ctx.quotient_inv.records
-    extend = [frozenset(records[i].name for i in mods) for mods in extend_family(ctx)]
+    qinv = ctx.quotient_inv
+    extend = [frozenset(qinv.records[i].name for i in qinv.pair(c).modules)
+              for c, e in enumerate(ctx.extend) if e]
     return all(str(n) in names for names in extend) and {e - {str(n)} for e in extend} == smaller
 
 
-def series_counts(kind: str, n_max: int, check_structure: bool = True,
-                  budget: int | None = None) -> SeriesReport:
+def series_counts(kind: str, n_max: int, budget: int | None = None) -> SeriesReport:
     """Direct enumeration counts with recurrence and boundary-structure checks.
 
     The recurrence is asserted only where both predecessors exist and P_n is
@@ -177,16 +177,14 @@ def series_counts(kind: str, n_max: int, check_structure: bool = True,
             except NotProjInjective:
                 ctx = None
             rec = ctx is not None  # and the recurrence holds, read once the count is in
-            if check_structure:
-                smaller = tilting.pop(n - 2)
-                struct = rec and _boundary_structure_check(n, ctx, smaller)
+            smaller = tilting.pop(n - 2)
+            struct = rec and _boundary_structure_check(n, ctx, smaller)
             del ctx  # its carried block holds row n - 1
         inv = None  # free row n - 1 before row n is built
         inv = build_inventory(alg)
         c = counts[n] = tau_tilt_count(alg, inv)
-        if check_structure:
-            tilting[n] = {frozenset(inv.records[i].name for i in p.modules)
-                          for p in inv.pairs if p.is_tau_tilting}
+        tilting[n] = {frozenset(inv.records[i].name for i in p.modules)
+                      for p in inv.pairs if p.is_tau_tilting}
         rows.append(SeriesRow(n, c, rec and c == counts[n - 1] + counts[n - 2], struct))
     return SeriesReport(kind, rows)
 

@@ -350,7 +350,8 @@ class BlockProduct(_PairNames):
     :func:`itertools.product` lists the tuples.  The Fac order is the product
     order, so its Hasse quiver is the box product of the blocks' quivers: an
     arrow a -> b of block j moves a code by (b - a) times the weight of
-    coordinate j.  Neither the product's pairs nor its quiver is built.
+    coordinate j.  Neither the product's pairs nor its quiver is built: :meth:`pair`
+    decodes a code, and :meth:`listed` the codes a family marks.
     Record ids run through the blocks in turn: block k's record i is record
     ``offsets[k] + i``.
     """
@@ -365,24 +366,6 @@ class BlockProduct(_PairNames):
         self.sizes = [len(b.pairs) for b in blocks]
         self.strides = [prod(self.sizes[j + 1:]) for j in range(len(blocks))]
         self.total = prod(self.sizes)  # the number of pairs
-
-    @cached_property
-    def shifted(self) -> list[list[tuple[tuple[int, ...], tuple]]]:
-        """Each block's pairs as (module ids in the product, supports)."""
-        return [[(tuple([o + m for m in p.modules]), p.supports) for p in b.pairs]
-                for o, b in zip(self.offsets, self.blocks)]
-
-    def merged(self, lists) -> list[STPair]:
-        """The tuples of ``lists`` (of :attr:`shifted` parts, one per block), merged, in the
-        order :func:`itertools.product` lists them, the last block fastest."""
-        out = []
-        for parts in product(*lists):
-            modules, supports = (), ()
-            for m, s in parts:
-                modules += m
-                supports += s
-            out.append(STPair(modules, tuple(sorted(supports))))
-        return out
 
     def codes_of(self, pairs: list[STPair], image: dict[int, int | None]) -> list[int | None]:
         """The code of the pair whose modules are the images of each pair's modules under
@@ -402,10 +385,19 @@ class BlockProduct(_PairNames):
             out.append(code)
         return out
 
+    def pair(self, c: int) -> STPair:
+        """The pair of code ``c``: its blocks' pairs, merged."""
+        parts = [(o, b.pairs[c // s % n])
+                 for o, b, s, n in zip(self.offsets, self.blocks, self.strides, self.sizes)]
+        return STPair(tuple(o + m for o, p in parts for m in p.modules),
+                      tuple(sorted(v for _, p in parts for v in p.supports)))
+
+    def listed(self, member: list[bool]) -> list[STPair]:
+        """The pairs of the codes that ``member`` marks, in pair order."""
+        return sorted([self.pair(c) for c, m in enumerate(member) if m], key=self.pair_sort_key)
+
     def label(self, c: int) -> str:
-        return "+".join(sorted(b.records[m].name
-                               for b, s, n in zip(self.blocks, self.strides, self.sizes)
-                               for m in b.pairs[c // s % n].modules)) or "0"
+        return self.pair_label(self.pair(c))
 
     @cached_property
     def succ(self) -> list[list[list[int]]]:

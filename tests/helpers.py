@@ -63,11 +63,13 @@ def direct_quotient_inventory(ctx):
     return build_inventory(ctx.quotient)
 
 
-def reference_nsets(ctx) -> ReductionSets:
-    """The quotient families read pair by pair from the product's pairs, in their order.
+def reference_nsets(ctx) -> tuple[ReductionSets, list]:
+    """The quotient families read pair by pair from the product's pairs, in their order,
+    and the surgery family N as pairs.
 
     The reference for :func:`taured.reduction.compute_nsets`, which reads
-    the blocks' pairs instead.
+    the codes that the blocks' flags mark instead, and for N there,
+    ``ctx.members[False, True]``.
     """
     nbar = len(ctx.quotient.vertices)
     qbar = ctx.qbar_id
@@ -90,7 +92,7 @@ def reference_nsets(ctx) -> ReductionSets:
             surgery.append(p)
             if len(mods) == nbar - 1:
                 extend.append(mods)
-    return ReductionSets(keep, extend, swap, surgery)
+    return ReductionSets(keep, extend, swap), surgery
 
 
 def reference_hom_to_q(ctx) -> dict[int, int]:
@@ -144,14 +146,14 @@ def satisfies_table_by_all_pairs(rep) -> bool:
 
 def product_pairs(qinv) -> list:
     """Every support tau-tilting pair of a :class:`taured.tilting.BlockProduct`, in pair order."""
-    return sorted(qinv.merged(qinv.shifted), key=qinv.pair_sort_key)
+    return qinv.listed([True] * qinv.total)
 
 
 def product_hasse_quiver(qinv) -> PosetQuiver:
     """The box product of the blocks' certified quivers; vertex i is ``product_pairs(qinv)[i]``."""
     position = {p: i for i, p in enumerate(product_pairs(qinv))}
     return box_product([b.hasse_quiver for b in qinv.blocks],
-                       [position[p] for p in qinv.merged(qinv.shifted)])
+                       [position[qinv.pair(c)] for c in range(qinv.total)])
 
 
 def box_product(quivers: list, rank) -> PosetQuiver:
@@ -218,10 +220,10 @@ def iso_along_map(src: PosetQuiver, dst: PosetQuiver, vmap: list, src_label,
 def reference_reductions(algebra, name: str, inv) -> Report:
     """The reduction checks of :func:`taured.reduction.reductions` on built quivers.
 
-    The quotient's pairs are the product's, merged and sorted, its Hasse
+    The quotient's pairs are the product's, decoded and sorted, its Hasse
     quiver is their :func:`box_product`, and the ambient quiver is compared
-    with :func:`surgery` of it; the families are compared as sets of
-    frozensets of the product's record ids.
+    with :func:`surgery` of it at the surgery family of :func:`reference_nsets`;
+    the families are compared as sets of frozensets of the product's record ids.
     """
     report = Report(name)
     pairs = inv.pairs
@@ -247,6 +249,7 @@ def reference_reductions(algebra, name: str, inv) -> Report:
         q_index = {frozenset(p.modules): j for j, p in enumerate(qpairs)}
         q_tt_sets = {frozenset(p.modules) for p in qpairs if p.is_tau_tilting}
         nsets = compute_nsets(ctx)
+        _, n_pairs = reference_nsets(ctx)
         q = ctx.q_id
         bar_of, lift_of = ctx.bar_of, ctx.lift_of
         bars = [frozenset(bar_of[i] for i in p.modules) - {None} for p in pairs]
@@ -331,7 +334,7 @@ def reference_reductions(algebra, name: str, inv) -> Report:
         report.add(f"{tag}/tau-tilt-sincere", "every tau-tilting module is sincere",
                    not insincere, f"insincere: {insincere[:3]}")
 
-        members = [q_index[frozenset(p.modules)] for p in nsets.surgery]
+        members = [q_index[frozenset(p.modules)] for p in n_pairs]
         W = surgery(QH, members)
         copy = {j: QH.n + k for k, j in enumerate(members)}
         vmap = []
@@ -342,7 +345,7 @@ def reference_reductions(algebra, name: str, inv) -> Report:
         def surgery_label(k):
             if k < QH.n:
                 return qinv.pair_label(qpairs[k])
-            return f"copy of {qinv.pair_label(nsets.surgery[k - QH.n])}"
+            return f"copy of {qinv.pair_label(n_pairs[k - QH.n])}"
 
         ok, wit = iso_along_map(H, W, vmap, lambda i: inv.pair_label(pairs[i]), surgery_label)
         report.add(f"{tag}/surgery-isomorphism",

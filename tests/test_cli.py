@@ -2,6 +2,8 @@ import importlib.util
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -213,12 +215,27 @@ def test_unopenable_path_exits_two(command, path, reason, a3sq_file, tmp_path, c
     assert capsys.readouterr().err == f"cannot open {target}: {reason}\n"
 
 
-def test_an_os_error_without_a_path_is_not_a_file_error(a3sq_file, monkeypatch):
-    def closed_stdout(*args):
-        raise BrokenPipeError(32, "Broken pipe")
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the reader closes the pipe before the first write, as `| head -c 1` does soon after
+    src = os.path.dirname(os.path.dirname(taured.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from taured.cli import main; sys.exit(main())",
+         "enumerate", os.path.join(GOLDEN, "rsz_A7.alg"), "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
-    monkeypatch.setattr(taured.cli, "json_payload", closed_stdout)
-    with pytest.raises(BrokenPipeError):
+
+def test_an_os_error_without_a_path_is_not_a_file_error(a3sq_file, monkeypatch):
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(taured.cli, "json_payload", full_disk)
+    with pytest.raises(OSError, match="No space left on device"):
         main(["enumerate", a3sq_file, "--format", "json"])
 
 

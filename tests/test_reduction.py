@@ -183,7 +183,8 @@ def test_nsets_example(a3sq, a3sq_inv):
     assert ns.keep == []
     assert [names(m) for m in ns.extend] == [["1", "3"]]
     assert sorted(names(m) for m in ns.swap) == [["1", "2", "2/3"], ["1", "2/3", "3"]]
-    assert sorted(qinv.pair_label(p) for p in ns.surgery) == ["1", "1+3"]
+    surgery = qinv.listed(ctx.members[False, True])
+    assert sorted(qinv.pair_label(p) for p in surgery) == ["1", "1+3"]
 
 
 def test_nsets_a_series_structure():
@@ -242,7 +243,7 @@ def test_q_and_qbar_looked_up_once_per_reduction(monkeypatch, a3sq, a3sq_inv):
 
 def test_reconstruct_empty_sets(a3sq, a3sq_inv):
     ctx = socle_quotient(a3sq, "1", a3sq_inv)
-    empty = ReductionSets([], [], [], [])
+    empty = ReductionSets([], [], [])
     assert reconstruct_tau_tilt(ctx, empty) == []
 
 
@@ -382,7 +383,9 @@ def test_blockwise_nsets_match_the_reference(name, corpus):
     inv = build_inventory(algebra)
     for v, found in find_proj_injectives(algebra).items():
         ctx = socle_quotient(algebra, v, inv, found)
-        assert compute_nsets(ctx) == reference_nsets(ctx), (name, v)
+        nsets, surgery = reference_nsets(ctx)
+        assert compute_nsets(ctx) == nsets, (name, v)
+        assert ctx.quotient_inv.listed(ctx.members[False, True]) == surgery, (name, v)
 
 
 @pytest.mark.parametrize("kind, n", [("A", n) for n in range(3, 9)]
@@ -391,7 +394,9 @@ def test_blockwise_nsets_match_the_reference_on_series_rows(kind, n):
     """At P_n of each boundary row, with Lambda_{n-1} carried from the row before."""
     previous = build_inventory(series_algebra(kind, n - 1))
     ctx = socle_quotient(series_algebra(kind, n), str(n), classes=previous)
-    assert compute_nsets(ctx) == reference_nsets(ctx)
+    nsets, surgery = reference_nsets(ctx)
+    assert compute_nsets(ctx) == nsets
+    assert ctx.quotient_inv.listed(ctx.members[False, True]) == surgery
 
 
 def _drop_first_quotient_arrow(monkeypatch):
@@ -523,7 +528,10 @@ def test_reductions_build_no_product_pairs_or_quivers():
     import taured.tilting as tilting
 
     assert not hasattr(tilting, "box_product") and not hasattr(reduction, "surgery")
+    assert not hasattr(reduction, "extend_family") and not hasattr(reduction, "_tuples")
     assert not hasattr(tilting.BlockProduct, "pairs")
+    assert not hasattr(tilting.BlockProduct, "merged")
+    assert not hasattr(tilting.BlockProduct, "shifted")
     assert not hasattr(tilting.BlockProduct, "hasse_quiver")
     algebra = _ka3_or_golden("rsz_A7")
     inv = build_inventory(algebra)
@@ -536,3 +544,26 @@ def test_reductions_build_no_product_pairs_or_quivers():
                 *vars(ctx.quotient_inv).values()]
         assert not _frozenset_collections(held, size), ctx.vertex
     assert report.passed
+
+
+@pytest.mark.parametrize("name", ["rsz_A7", "nakayama_5_5"])
+def test_verify_keys_only_the_listed_families(name, monkeypatch):
+    """``verify_reduction`` sorts the pairs of keep, extend and swap, and lists no other
+    quotient pairs: the surgery family stays a list of code flags."""
+    algebra = _ka3_or_golden(name)
+    inv = build_inventory(algebra)
+    keyed = []
+    pair_sort_key = BlockProduct.pair_sort_key
+
+    def recorded(self, pair):
+        keyed.append(pair)
+        return pair_sort_key(self, pair)
+
+    monkeypatch.setattr(BlockProduct, "pair_sort_key", recorded)
+    assert verify_reduction(algebra, name, inv=inv).passed
+    calls = len(keyed)
+    listed = 0
+    for v, found in find_proj_injectives(algebra).items():
+        ns = compute_nsets(socle_quotient(algebra, v, inv, found))
+        listed += len(ns.keep) + len(ns.extend) + len(ns.swap)
+    assert calls == listed

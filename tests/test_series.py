@@ -130,8 +130,9 @@ def test_series_budget_guard():
         series_counts("A", 11)
     with pytest.raises(BadIndex):
         series_counts("D", 10)
-    rep = series_counts("A", 11, budget=11, check_structure=False)
+    rep = series_counts("A", 11, budget=11)
     assert rep.counts[-1] == 144
+    assert rep.ok()
 
 
 def test_series_builds_each_inventory_once(monkeypatch):
