@@ -26,7 +26,6 @@ from .reps import (
     hom_basis,  # noqa: F401  unused here, but perfbench/tests traces this binding
     injective,
     is_iso,
-    is_sincere,
     projective,
 )
 from .tilting import (
@@ -423,7 +422,9 @@ def reductions(algebra: Algebra, report: Report, inv: Inventory | None = None,
     tau_pairs = [pairs[i] for i in tau_idx]
     tt_sets = {frozenset(p.modules) for p in tau_pairs}
     src = full_subquiver(H, tau_idx)
-    insincere = [inv.pair_label(p) for p in tau_pairs if not is_sincere(inv.sum_rep(p.modules))]
+    all_vertices = frozenset(algebra.vertices)
+    insincere = [inv.pair_label(p) for p in tau_pairs
+                 if inv.support(frozenset(p.modules)) != all_vertices]
 
     def src_label(k):
         return inv.pair_label(pairs[tau_idx[k]])

@@ -23,12 +23,11 @@ from math import prod
 from operator import or_
 
 from .algebra import Algebra, isomorphism, vertex_subalgebra_quotient
-from .errors import HasseError, InventoryError, UnknownVertex
+from .errors import BadIndex, HasseError, InventoryError, UnknownVertex
 from .linalg import Matrix
 from .reps import (
     Representation,
     _images_fill,
-    direct_sum,
     hom_basis,
     inflate,
     is_iso,
@@ -287,7 +286,7 @@ class Inventory(_PairNames):
         if self.has_simple_top(j):
             return not self.generators(j).isdisjoint(sources)
         rep = self.records[j].rep
-        support = self._support(sources)
+        support = self.support(sources)
         # no quotient of the sources is nonzero where every source is zero
         if not all(v in support for v, d in rep.dims.items() if d):
             return False
@@ -308,10 +307,10 @@ class Inventory(_PairNames):
         whose support contains that of X_j are tested, each by one rank test.
         """
         if j not in self._generators:
-            need = self._support(frozenset({j}))
+            need = self.support(frozenset({j}))
             self._generators[j] = frozenset(
                 i for i in range(len(self.records))
-                if i != j and need <= self._support(frozenset({i})) and self.generates(i, j))
+                if i != j and need <= self.support(frozenset({i})) and self.generates(i, j))
         return self._generators[j]
 
     def generates(self, i: int, j: int) -> bool:
@@ -319,15 +318,12 @@ class Inventory(_PairNames):
         target = self.records[j].rep
         return _images_fill(target, hom_basis(self.records[i].rep, target))
 
-    def _support(self, ids: frozenset) -> frozenset:
+    def support(self, ids: frozenset) -> frozenset:
         """The vertices where the direct sum over ``ids`` is nonzero."""
         if ids not in self._support_cache:
             self._support_cache[ids] = frozenset(
                 v for i in ids for v, d in self.records[i].rep.dims.items() if d)
         return self._support_cache[ids]
-
-    def sum_rep(self, ids) -> Representation:
-        return direct_sum([self.records[i].rep for i in sorted(ids)], self.algebra)
 
 
 @dataclass
@@ -737,31 +733,6 @@ class PosetQuiver:
     arrows: tuple[tuple[int, int], ...]
 
 
-def _reachability(n: int, arrows) -> list[int] | None:
-    """Row i is the bitmask of the vertices strictly reachable from i; None on a cycle.
-
-    The rows are filled in reverse of a topological order found by Kahn's algorithm.
-    """
-    succ: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for s, t in arrows:
-        succ[s].append(t)
-        indeg[t] += 1
-    order = [i for i in range(n) if not indeg[i]]
-    for s in order:
-        for t in succ[s]:
-            indeg[t] -= 1
-            if not indeg[t]:
-                order.append(t)
-    if len(order) != n:
-        return None
-    reach = [0] * n
-    for i in reversed(order):
-        for t in succ[i]:
-            reach[i] |= (1 << t) | reach[t]
-    return reach
-
-
 def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
@@ -772,12 +743,16 @@ def hasse(inv: Inventory, pairs: list[STPair]) -> PosetQuiver:
     The arrows are the mutations (Adachi-Iyama-Reiten, arXiv:1210.1036): every
     almost complete pair has exactly two completions (Thm 2.18), and the two
     are joined by one arrow, oriented by the Fac order (Thm 2.33).  The result
-    is certified against the Fac order, computed from its definition: its
-    reachability must be that order, and no arrow may be implied by a longer
-    path, so it is the order's covering relation.  ``pairs`` must be every
-    support tau-tilting pair of the inventory, each with its module ids
-    ascending and its supports sorted, as :func:`enumerate_stpairs` gives
-    them; a failure raises HasseError.
+    is certified against the Fac order, computed from its definition as one
+    bitmask row per pair, the pairs strictly below it; these rows are the only
+    P^2 structure.  Each row must be the OR, over the arrows i -> t, of t and
+    t's row.  No row holds its own bit, so a cycle of arrows would break this
+    identity somewhere; without a cycle, it makes each row exactly the pairs
+    that i reaches.  No arrow i -> t may have t in the row of another
+    successor of i, so the arrows are the order's covering relation.
+    ``pairs`` must be every support tau-tilting pair of the inventory, each
+    with its module ids ascending and its supports sorted, as
+    :func:`enumerate_stpairs` gives them; a failure raises HasseError.
     """
     nv = len(pairs)
 
@@ -822,32 +797,39 @@ def hasse(inv: Inventory, pairs: list[STPair]) -> PosetQuiver:
             raise HasseError(f"mutations {name(a)} and {name(b)} are {rel} in the Fac order")
         arrows.append((a, b) if a_ge_b else (b, a))
     arrows.sort()
-    closure = _reachability(nv, arrows)
-    if closure is None:
-        raise HasseError("the mutation arrows, oriented by the Fac order, form a cycle")
-    for i in range(nv):
-        if closure[i] != ge_rows[i]:
-            j = _lowest_bit(closure[i] ^ ge_rows[i])
-            has = "has" if (ge_rows[i] >> j) & 1 else "lacks"
-            raise HasseError(f"the Fac order {has} {name(i)} > {name(j)}, "
-                             "the mutation quiver does not")
-    succ = [0] * nv
+    succ: list[list[int]] = [[] for _ in range(nv)]
     for s, t in arrows:
-        succ[s] |= 1 << t
-    for s, k in arrows:
-        implied = succ[s] & closure[k]
-        if implied:
-            t = _lowest_bit(implied)
-            raise HasseError(f"the arrow {name(s)} -> {name(t)} is not a covering relation: "
-                             f"it passes through {name(k)}")
+        succ[s].append(t)
+    for i, row in enumerate(ge_rows):
+        below = step = 0
+        for t in succ[i]:
+            below |= (1 << t) | ge_rows[t]
+            step |= 1 << t
+        if below != row:
+            j = _lowest_bit(below ^ row)
+            if (row >> j) & 1:
+                raise HasseError(f"the Fac order has {name(i)} > {name(j)}, but no mutation "
+                                 f"arrow from {name(i)} leads to it or above it")
+            k = next(t for t in succ[i] if (ge_rows[t] >> j) & 1)
+            raise HasseError(f"the Fac order has {name(i)} > {name(k)} > {name(j)} "
+                             f"but lacks {name(i)} > {name(j)}")
+        for k in succ[i]:
+            implied = step & ge_rows[k]
+            if implied:
+                t = _lowest_bit(implied)
+                raise HasseError(f"the arrow {name(i)} -> {name(t)} is not a covering "
+                                 f"relation: it passes through {name(k)}")
     return PosetQuiver(nv, tuple(arrows))
 
 
 def full_subquiver(pq: PosetQuiver, keep: list[int]) -> PosetQuiver:
-    """Vertex k is ``keep[k]``; the arrows of ``pq`` between kept vertices (not recomputed)."""
+    """Vertex k is ``keep[k]``, each kept once; the arrows of ``pq`` between them (not recomputed)."""
     bad = [v for v in keep if not 0 <= v < pq.n]
     if bad:
         raise UnknownVertex(bad[0])
     pos = {v: k for k, v in enumerate(keep)}
+    if len(pos) != len(keep):
+        twice = next(v for k, v in enumerate(keep) if pos[v] != k)
+        raise BadIndex(f"vertex {twice} is kept twice")
     arrows = [(pos[s], pos[t]) for s, t in pq.arrows if s in pos and t in pos]
     return PosetQuiver(len(keep), tuple(sorted(arrows)))

@@ -12,7 +12,7 @@ from taured.reduction import (
     reconstruct_tau_tilt,
     socle_quotient,
 )
-from taured.reps import _images_fill, hom_basis, inflate, is_sincere
+from taured.reps import _images_fill, direct_sum, hom_basis, inflate, is_sincere
 from taured.tilting import PosetQuiver, build_inventory, full_subquiver
 
 
@@ -102,6 +102,11 @@ def reference_hom_to_q(ctx) -> dict[int, int]:
     which reads the dimension at the socle vertex instead.
     """
     return {r.id: len(hom_basis(inflate(r.rep), ctx.q_rep)) for r in ctx.quotient_inv.candidates()}
+
+
+def sum_rep(inv, ids):
+    """The direct sum of the inventory's records ``ids``, in ascending id order."""
+    return direct_sum([inv.records[i].rep for i in sorted(ids)], inv.algebra)
 
 
 def tau_tilting_pairs(inv) -> list:
@@ -232,7 +237,7 @@ def reference_reductions(algebra, name: str, inv) -> Report:
     tau_pairs = [pairs[i] for i in tau_idx]
     tt_sets = {frozenset(p.modules) for p in tau_pairs}
     src = full_subquiver(H, tau_idx)
-    insincere = [inv.pair_label(p) for p in tau_pairs if not is_sincere(inv.sum_rep(p.modules))]
+    insincere = [inv.pair_label(p) for p in tau_pairs if not is_sincere(sum_rep(inv, p.modules))]
 
     def src_label(k):
         return inv.pair_label(pairs[tau_idx[k]])

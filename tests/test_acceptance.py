@@ -31,7 +31,7 @@ from taured.tilting import (
     oracle_stpairs_via_quotients,
 )
 
-from helpers import hom_dim, solve_right, tau_tilting_pairs
+from helpers import hom_dim, solve_right, sum_rep, tau_tilting_pairs
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -182,7 +182,7 @@ def test_criterion_7_property_suites():
 
         for p in pairs:
             if p.is_tau_tilting:
-                assert is_sincere(inv.sum_rep(p.modules)), name
+                assert is_sincere(sum_rep(inv, p.modules)), name
 
         H = hasse(inv, pairs)
         for s, t in H.arrows:

@@ -13,6 +13,7 @@ from taured.linalg import QQ, PrimeField
 from taured.reps import inflate
 from taured.series import series_algebra
 from taured.tilting import (
+    PosetQuiver,
     STPair,
     build_inventory,
     hasse,
@@ -167,9 +168,17 @@ def _ids(inv, *names):
 
 @pytest.mark.parametrize("target, sources, message", [
     (None, None, "are each above the other"),
-    ("1", ("2",), r"the Fac order has 2 support \{1,3\} > 1 support \{2,3\}"),
-    ("3", ("2", "2/1", "3/2"), r"the Fac order lacks 2\+2/1\+3/2 > 3\+3/2 support \{1\}"),
+    # the lie is in the row of 2 support {1,3}; a row above it sees it first
+    ("1", ("2",),
+     r"^the Fac order has 2\+2/1 support \{3\} > 2 support \{1,3\} > 1 support \{2,3\} "
+     r"but lacks 2\+2/1 support \{3\} > 1 support \{2,3\}$"),
+    ("3", ("2", "2/1", "3/2"),
+     r"^the Fac order has 2\+2/1\+3/2 > 2\+3/2 support \{1\} > 3\+3/2 support \{1\} "
+     r"but lacks 2\+2/1\+3/2 > 3\+3/2 support \{1\}$"),
     ("3", ("1", "2/1", "3/2"), r"1\+2/1\+3/2 and 1\+3\+3/2 are incomparable"),
+    ("2", ("1", "3", "3/2"),
+     r"^the Fac order has 1\+3\+3/2 > 2\+3/2 support \{1\}, "
+     r"but no mutation arrow from 1\+3\+3/2 leads to it or above it$"),
 ])
 def test_lying_fac_test_raises(monkeypatch, target, sources, message):
     inv = build_inventory(series_algebra("A", 3))
@@ -205,6 +214,72 @@ def test_redundant_mutation_arrow_raises():
                            (1, frozenset({0}))})
     with pytest.raises(HasseError, match="0\\+1 -> 1 support {s} is not a covering relation"):
         hasse(inv, [a, b, c])
+
+
+def _reference_certificate(inv, pairs):
+    """Reference: the arrows between pairs one exchange apart, oriented by the
+    Fac order; None unless each is strictly oriented, the pairs each one reaches
+    by graph search are exactly those below it, and no arrow skips a step."""
+    rows = [{j for j, q in enumerate(pairs) if j != i
+             and all(inv.fac_contains(x, frozenset(p.modules)) for x in q.modules)}
+            for i, p in enumerate(pairs)]
+    elems = [set(p.modules) | {("s", v) for v in p.supports} for p in pairs]
+    succ = {i: [] for i in range(len(pairs))}
+    for a, b in combinations(range(len(pairs)), 2):
+        if len(elems[a] - elems[b]) == 1:
+            if (b in rows[a]) == (a in rows[b]):
+                return None
+            s, t = (a, b) if b in rows[a] else (b, a)
+            succ[s].append(t)
+
+    def reach(i):
+        seen, todo = set(), list(succ[i])
+        while todo:
+            u = todo.pop()
+            if u not in seen:
+                seen.add(u)
+                todo.extend(succ[u])
+        return seen
+
+    for i in succ:
+        if reach(i) != rows[i] or any(t in reach(k) for k in succ[i] for t in succ[i]):
+            return None
+    return tuple(sorted((s, t) for s in succ for t in succ[s]))
+
+
+@pytest.mark.parametrize("pairs, accepted", [
+    # pairwise one exchange apart: any acyclic orientation has a redundant arrow
+    ([STPair((0, 1), ()), STPair((0,), ("s",)), STPair((1,), ("s",))], 0),
+    (build_inventory(series_algebra("A", 2)).pairs, 72),
+], ids=["triangle", "A2"])
+def test_hasse_accepts_exactly_the_reference_tables(pairs, accepted):
+    # every table of answers to the Fac questions hasse asks
+    records = sorted({x for p in pairs for x in p.modules})
+    keys = [(x, frozenset(p.modules)) for p in pairs for x in records]
+    agreed = 0
+    for bits in range(1 << len(keys)):
+        inv = _TableInventory({k for n, k in enumerate(keys) if bits >> n & 1})
+        expected = _reference_certificate(inv, pairs)
+        if expected is None:
+            with pytest.raises(HasseError):
+                hasse(inv, pairs)
+        else:
+            assert hasse(inv, pairs) == PosetQuiver(len(pairs), expected)
+            agreed += 1
+    assert agreed == accepted
+
+
+def test_cyclic_mutation_arrows_raise():
+    # four pairs round a square, each row holding only the next pair: the
+    # arrows 0 -> 1 -> 2 -> 3 -> 0 are strictly oriented but form a cycle
+    pairs = [STPair(m, ()) for m in ((0, 1), (1, 2), (2, 3), (0, 3))]
+    inv = _TableInventory({(x, frozenset(p.modules)) for p in pairs for x in p.modules}
+                          | {(2, frozenset({0, 1})), (3, frozenset({1, 2})),
+                             (0, frozenset({2, 3})), (1, frozenset({0, 3}))})
+    assert _reference_certificate(inv, pairs) is None
+    with pytest.raises(HasseError) as err:
+        hasse(inv, pairs)
+    assert str(err.value) == "the Fac order has 0+1 > 1+2 > 2+3 but lacks 0+1 > 2+3"
 
 
 def test_hasse_a9_scale():

@@ -12,7 +12,7 @@ import taured.tilting
 from taured.algebra import Arrow, Quiver, Relation, build_algebra
 from taured.corpus import standard_corpus
 from taured.dsl import parse
-from taured.errors import InventoryError, UnknownVertex
+from taured.errors import BadIndex, InventoryError, UnknownVertex
 from taured.linalg import Matrix
 from taured.reps import hom_basis, is_iso, projective
 from taured.series import series_algebra
@@ -24,7 +24,6 @@ from taured.tilting import (
     Inventory,
     PosetQuiver,
     STPair,
-    _reachability,
     _rigid_subsets,
     build_inventory,
     compatible,
@@ -41,6 +40,7 @@ from helpers import (
     product_hasse_quiver,
     product_pairs,
     record_by_name,
+    sum_rep,
     tau_tilting_pairs,
 )
 
@@ -433,9 +433,9 @@ def test_order(a3sq_inv):
 def test_order_matches_rep_level_in_fac(a3sq_inv):
     pairs = enumerate_stpairs(a3sq_inv)
     for p1 in pairs[:6]:
-        m1 = a3sq_inv.sum_rep(p1.modules)
+        m1 = sum_rep(a3sq_inv, p1.modules)
         for p2 in pairs[:6]:
-            m2 = a3sq_inv.sum_rep(p2.modules)
+            m2 = sum_rep(a3sq_inv, p2.modules)
             assert order_ge(a3sq_inv, p1, p2) == in_fac(m2, m1)
 
 
@@ -445,7 +445,7 @@ def test_fac_contains_matches_in_fac(corpus_invs, a3_sink_inv):
     assert not all(a3_sink_inv.has_simple_top(r.id) for r in a3_sink_inv.records)
     for name, inv in {**corpus_invs, "a3-sink": a3_sink_inv}.items():
         for p in inv.pairs:
-            m = inv.sum_rep(p.modules)
+            m = sum_rep(inv, p.modules)
             for r in inv.records:
                 assert inv.fac_contains(r.id, frozenset(p.modules)) == in_fac(r.rep, m), name
         for r in inv.records:
@@ -506,11 +506,9 @@ def test_full_subquiver(a3sq_inv):
     assert full_subquiver(H, []).n == 0
     with pytest.raises(UnknownVertex):
         full_subquiver(H, [H.n])
-
-
-def test_reachability_rejects_cycles():
-    assert _reachability(2, ((0, 1), (1, 0))) is None
-    assert _reachability(3, ((0, 1), (1, 2), (2, 1))) is None
+    # a repeated vertex would lose the arrows of its first place
+    with pytest.raises(BadIndex, match="vertex 0 is kept twice"):
+        full_subquiver(PosetQuiver(3, ((0, 1), (1, 2))), [0, 0, 1])
 
 
 def test_user_supplied_inventory_matches_strings(a3sq, a3sq_inv):
@@ -535,45 +533,6 @@ def test_prime_field_enumeration_matches_rational(corpus):
         lq = sorted((inv_p.pair_label(p), tuple(sorted(p.supports)))
                     for p in enumerate_stpairs(inv_p))
         assert lp == lq
-
-
-@st.composite
-def random_dag(draw):
-    n = draw(st.integers(1, 7))
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if draw(st.booleans()):
-                edges.add((i, j))
-    return PosetQuiver(n, tuple(sorted(edges)))
-
-
-@settings(max_examples=40, deadline=None)
-@given(random_dag())
-def test_reachability_closure(pq):
-    rows = _reachability(pq.n, pq.arrows)
-
-    def reaches(i, j):
-        return bool((rows[i] >> j) & 1)
-
-    # arrows imply reachability; reachability is transitive
-    for s, t in pq.arrows:
-        assert reaches(s, t)
-    for i in range(pq.n):
-        for j in range(pq.n):
-            for k in range(pq.n):
-                if reaches(i, j) and reaches(j, k):
-                    assert reaches(i, k)
-    # and nothing more: each vertex reaches exactly what a graph search finds
-    for i in range(pq.n):
-        seen, todo = set(), [i]
-        while todo:
-            u = todo.pop()
-            for s, t in pq.arrows:
-                if s == u and t not in seen:
-                    seen.add(t)
-                    todo.append(t)
-        assert {j for j in range(pq.n) if reaches(i, j)} == seen
 
 
 def test_is_iso_reflexive_symmetric_on_inventory(a3sq_inv):
