@@ -12,9 +12,9 @@ applied first, and ``target(a) == source(b)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from typing import NamedTuple
 
 from .errors import EmptySupport, NotFiniteDimensional, UnsupportedQuotient
 from .linalg import QQ, FpElement, Matrix, left_nullspace, modulo, rank_and_rowbasis
@@ -22,28 +22,40 @@ from .linalg import QQ, FpElement, Matrix, left_nullspace, modulo, rank_and_rowb
 Vec = dict[int, object]  # sparse algebra element: basis index -> scalar
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     src: str
     tgt: str
 
 
-@dataclass(frozen=True)
 class Quiver:
-    vertices: tuple[str, ...]
-    arrows: tuple[Arrow, ...]
+    """Vertex labels and arrows, checked on construction; a value, equal by its fields."""
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+    __slots__ = ("vertices", "arrows")
+
+    def __init__(self, vertices: tuple[str, ...], arrows: tuple[Arrow, ...]):
+        if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex labels")
-        names = [a.name for a in self.arrows]
+        names = [a.name for a in arrows]
         if len(set(names)) != len(names):
             raise ValueError("duplicate arrow names")
-        vs = set(self.vertices)
-        for a in self.arrows:
+        vs = set(vertices)
+        for a in arrows:
             if a.src not in vs or a.tgt not in vs:
                 raise ValueError(f"arrow {a.name} uses undeclared vertex")
+        self.vertices = vertices
+        self.arrows = arrows
+
+    def __eq__(self, other):
+        if other.__class__ is not Quiver:
+            return NotImplemented
+        return (self.vertices, self.arrows) == (other.vertices, other.arrows)
+
+    def __hash__(self):
+        return hash((self.vertices, self.arrows))
+
+    def __repr__(self):
+        return f"Quiver(vertices={self.vertices!r}, arrows={self.arrows!r})"
 
     def arrow(self, name: str) -> Arrow:
         for a in self.arrows:
@@ -52,8 +64,7 @@ class Quiver:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """Linear combination of parallel paths of length >= 2.
 
     ``terms`` maps each path (tuple of arrow names) to a rational coefficient.
@@ -91,8 +102,7 @@ class Relation:
         return min(len(w) for _, w in self.terms)
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     """A residue class represented by a path of the ambient quiver."""
 
     word: tuple[str, ...]

@@ -9,7 +9,6 @@ parse error, 141 (128 + SIGPIPE) when the reader closes stdout early.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -17,6 +16,7 @@ from .algebra import extract_presentation
 from .dsl import AlgebraFile, emit as emit_dsl, parse_file
 from .emit import emit_dot, json_payload
 from .errors import (
+    BadIndex,
     HasseError,
     NoProjInjective,
     NotStringAlgebra,
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .linalg import field_from_name
 from .reduction import Report, find_proj_injectives, reductions, verify_reduction
-from .series import closed_form, series_counts
+from .series import closed_form, series_counts, series_rows
 from .tilting import build_inventory, full_subquiver, oracle_stpairs_via_quotients
 
 
@@ -59,6 +59,8 @@ def _cmd_enumerate(args) -> int:
         # not a recomputed Hasse quiver of the subposet
         H = full_subquiver(inv.hasse_quiver, keep)
     if args.format == "json":
+        import json
+
         print(json.dumps(json_payload(af.name, inv, pairs, H),
                          indent=2, ensure_ascii=False))
     elif args.format == "dot":
@@ -98,11 +100,14 @@ def _cmd_hasse(args) -> int:
 
 def _cmd_reduce(args) -> int:
     af, algebra, inv = _load(args)
+    if args.vertex is not None and args.vertex not in algebra.vertices:
+        raise UsageError(f"--vertex {args.vertex!r}: no such vertex; "
+                         f"vertices: {', '.join(algebra.vertices)}")
     pis = find_proj_injectives(algebra)
     if not pis:
         print("no indecomposable projective-injective module", file=sys.stderr)
         return 1
-    vertex = args.vertex or next(iter(pis))
+    vertex = next(iter(pis)) if args.vertex is None else args.vertex
     if vertex not in pis:
         print(f"P_{vertex} is not projective-injective; candidates: "
               f"{', '.join(pis)}", file=sys.stderr)
@@ -144,6 +149,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    try:
+        series_rows(args.kind, args.max)
+    except BadIndex as e:
+        raise UsageError(f"--max {args.max}: {e}") from None
     rep = series_counts(args.kind, args.max)
     header = f"{'n':>3}  {'count':>8}  {'recurrence':>10}  {'boundary':>8}"
     if args.closed_form:

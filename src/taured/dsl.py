@@ -17,7 +17,6 @@ Errors carry line and column positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .algebra import Arrow, Quiver, Relation, build_algebra
@@ -26,23 +25,47 @@ from .linalg import Matrix, PrimeField, field_from_name
 from .reps import Representation
 
 
-@dataclass
 class ModuleBlock:
-    name: str
-    dims: dict[str, int] = dc_field(default_factory=dict)
-    maps: dict[str, list[list[Fraction]]] = dc_field(default_factory=dict)
-    line: int = dc_field(default=0, compare=False)  # position of its `module` directive
-    column: int = dc_field(default=0, compare=False)
+    """A ``module`` block: equal to another with the same name, dimensions and maps."""
+
+    __slots__ = ("name", "dims", "maps", "line", "column")
+
+    def __init__(self, name: str, dims: dict[str, int] | None = None,
+                 maps: dict[str, list[list[Fraction]]] | None = None,
+                 line: int = 0, column: int = 0):
+        self.name = name
+        self.dims = {} if dims is None else dims
+        self.maps = {} if maps is None else maps
+        self.line = line  # position of its `module` directive
+        self.column = column
+
+    def __eq__(self, other):
+        if other.__class__ is not ModuleBlock:
+            return NotImplemented
+        return (self.name, self.dims, self.maps) == (other.name, other.dims, other.maps)
 
 
-@dataclass
 class AlgebraFile:
-    name: str = "algebra"
-    field_mode: str = "rational"
-    vertices: list[str] = dc_field(default_factory=list)
-    arrows: list[tuple[str, str, str]] = dc_field(default_factory=list)
-    relations: list[Relation] = dc_field(default_factory=list)
-    modules: list[ModuleBlock] = dc_field(default_factory=list)
+    """A parsed description; equal to another with the same fields."""
+
+    __slots__ = ("name", "field_mode", "vertices", "arrows", "relations", "modules")
+
+    def __init__(self, name: str = "algebra", field_mode: str = "rational",
+                 vertices: list[str] | None = None,
+                 arrows: list[tuple[str, str, str]] | None = None,
+                 relations: list[Relation] | None = None,
+                 modules: list[ModuleBlock] | None = None):
+        self.name = name
+        self.field_mode = field_mode
+        self.vertices = [] if vertices is None else vertices
+        self.arrows = [] if arrows is None else arrows
+        self.relations = [] if relations is None else relations
+        self.modules = [] if modules is None else modules
+
+    def __eq__(self, other):
+        if other.__class__ is not AlgebraFile:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def build(self, field_override: str | None = None):
         """Construct the algebra and, when present, the explicit inventory."""
@@ -287,9 +310,10 @@ def parse(text: str) -> AlgebraFile:
             raise ParseError(f"unknown directive {key!r}", lineno, kcol)
 
     if current_module is not None:
-        raise ParseError(f"unterminated module block {current_module.name!r}", 0, 0)
+        raise ParseError(f"unterminated module block {current_module.name!r}",
+                         current_module.line, current_module.column)
     if not got_algebra and not af.vertices:
-        raise ParseError("file declares no algebra", 0, 0)
+        raise ParseError("file declares no algebra", 1, 0)
     return af
 
 

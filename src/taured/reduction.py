@@ -12,10 +12,11 @@ executably, one report entry per claim.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import product
+from itertools import compress, product
+from typing import NamedTuple
 
 from .algebra import Algebra, quotient_by_elements
 from .errors import NonSimpleSocle, NoProjInjective, NotProjInjective
@@ -97,7 +98,6 @@ def _find(inv: Inventory, rep: Representation, error: type, message: str) -> int
     return i
 
 
-@dataclass(frozen=True)
 class ReductionContext:
     """The reduction at Q = P_vertex: the quotient, its blocks and the record maps between both sides.
 
@@ -108,17 +108,21 @@ class ReductionContext:
     only for its cached blocks, and
     ``classes`` for the blocks' isomorphism classes, and works without either;
     the ambient side (``q_id``, ``bar_of``, ``lift_of``) needs ``inv``.
+    It is a value: no field is assigned after construction.
     """
 
-    algebra: Algebra
-    vertex: str                      # Q = P_vertex
-    socle_vertex: str
-    socle_element: dict              # algebra element spanning Soc(Q)
-    quotient: Algebra                # ambient algebra modulo the socle span
-    q_rep: Representation
-    qbar_rep: Representation         # Q modulo its socle, over the quotient
-    inv: Inventory | None = None
-    classes: Inventory | None = None  # Inventory.inventory_of serves the blocks
+    def __init__(self, algebra: Algebra, vertex: str, socle_vertex: str, socle_element: dict,
+                 quotient: Algebra, q_rep: Representation, qbar_rep: Representation,
+                 inv: Inventory | None = None, classes: Inventory | None = None):
+        # Q = P_vertex; socle_element spans Soc(Q) and quotient is the algebra modulo
+        # its span; qbar_rep is Q/Soc(Q) over the quotient.  The cached properties
+        # store their values in the same __dict__.
+        vars(self).update(algebra=algebra, vertex=vertex, socle_vertex=socle_vertex,
+                          socle_element=socle_element, quotient=quotient, q_rep=q_rep,
+                          qbar_rep=qbar_rep, inv=inv, classes=classes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign field {name!r} of a ReductionContext")
 
     @property
     def q_is_simple(self) -> bool:
@@ -181,12 +185,26 @@ class ReductionContext:
     def extend(self) -> list[bool]:
         """For each code: is it in the surgery family N = ``members[False, True]`` with one
         support vertex in all, that is, one summand short?  No code is when Q is simple."""
+        qinv = self.quotient_inv
+        out = [False] * qinv.total
         if self.q_is_simple:
-            return [False] * self.quotient_inv.total
-        # a part outside N counts as two support vertices, so no tuple holding it has one
-        counts = [[len(p.supports) if ok else 2 for ok, p in zip(flags, b.pairs)]
-                  for flags, b in zip(self.flags[False, True], self.quotient_inv.blocks)]
-        return [s == 1 for s in map(sum, product(*counts))]
+            return out
+        # per block, the weighted positions of its parts in N with no and with one support
+        # vertex: a code of N is one short when one part has one and the others have none.
+        # A block lists its pairs by support count (Inventory.pair_sort_key), so these
+        # parts lie in the prefix of pairs with at most one.
+        none, one = [], []
+        for flags, b, s in zip(self.flags[False, True], qinv.blocks, qinv.strides):
+            pairs, parts = b.pairs, ([], [])
+            for a in compress(range(bisect_right(pairs, 1, key=lambda p: len(p.supports))),
+                              flags):
+                parts[len(pairs[a].supports)].append(a * s)
+            none.append(parts[0])
+            one.append(parts[1])
+        for j in range(len(one)):
+            for parts in product(*none[:j], one[j], *none[j + 1:]):
+                out[sum(parts)] = True
+        return out
 
     def _bar_id(self, rep: Representation) -> int | None:
         """Quotient id of the image of ``rep``; None where the image is zero.
@@ -270,8 +288,7 @@ def socle_quotient(algebra: Algebra, v: str, inv: Inventory | None = None,
                             q_rep, bar(q_rep, quotient), inv, inv if classes is None else classes)
 
 
-@dataclass
-class ReductionSets:
+class ReductionSets(NamedTuple):
     """Families over the quotient that mirror tau-tilt of the ambient algebra.
 
     keep: tau-tilting quotient modules without the top summand Q/Soc(Q); they
@@ -328,12 +345,14 @@ def reconstruct_tau_tilt(ctx: ReductionContext, nsets: ReductionSets) -> list[fr
     return sorted(result, key=lambda s: tuple(sorted(records[i].name for i in s)))
 
 
-@dataclass
 class Check:
-    name: str
-    statement: str
-    passed: bool
-    witness: str = ""
+    __slots__ = ("name", "statement", "passed", "witness")
+
+    def __init__(self, name: str, statement: str, passed: bool, witness: str = ""):
+        self.name = name
+        self.statement = statement
+        self.passed = passed
+        self.witness = witness
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -341,10 +360,12 @@ class Check:
         return f"[{tag}] {self.name}: {self.statement}{extra}"
 
 
-@dataclass
 class Report:
-    algebra_name: str
-    checks: list[Check] = dc_field(default_factory=list)
+    __slots__ = ("algebra_name", "checks")
+
+    def __init__(self, algebra_name: str, checks: list[Check] | None = None):
+        self.algebra_name = algebra_name
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, statement: str, passed: bool, witness: str = "") -> None:
         self.checks.append(Check(name, statement, bool(passed), witness))
@@ -384,8 +405,7 @@ def _iso_along(vmap: list[int | None], arrows, dst_n: int, dst_count: int, is_ar
     return True, ""
 
 
-@dataclass
-class Reduction:
+class Reduction(NamedTuple):
     """The reduction at one projective-injective: its context, families and rebuild."""
 
     ctx: ReductionContext

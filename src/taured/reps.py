@@ -12,7 +12,7 @@ which keeps the whole computation inside right modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import Algebra, Vec
 from .errors import AlgebraMismatch, InconsistentSum, QuotientMismatch, UnknownVertex, ZeroModule
@@ -109,11 +109,14 @@ class Representation:
         return f"Rep{self.dim_vector}"
 
 
-@dataclass
 class Morphism:
-    source: Representation
-    target: Representation
-    blocks: dict[str, Matrix]
+    __slots__ = ("source", "target", "blocks")
+
+    def __init__(self, source: Representation, target: Representation,
+                 blocks: dict[str, Matrix]):
+        self.source = source
+        self.target = target
+        self.blocks = blocks
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.blocks.values())
@@ -361,8 +364,7 @@ class InjSum(_SlotSum):
         super().__init__(algebra, vertices, lambda v, w: algebra.basis_by_ends(w, v), injective)
 
 
-@dataclass
-class PresentationMap:
+class PresentationMap(NamedTuple):
     """Minimal projective presentation P1 -> P0 -> M -> 0.
 
     ``entries[i][j]`` is an algebra element in e_{p0[j]} . A . e_{p1[i]},

@@ -8,8 +8,8 @@ evaluated here exactly in Z[sqrt(5)] over rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import Algebra, Arrow, Quiver, Relation, build_algebra
 from .errors import BadIndex, NonIntegerResult, NotProjInjective
@@ -18,12 +18,25 @@ from .reduction import ReductionContext, socle_quotient
 from .tilting import Inventory, build_inventory
 
 
-@dataclass(frozen=True)
 class QuadInt:
-    """a + b sqrt(5) with exact rational coordinates."""
+    """a + b sqrt(5) with exact rational coordinates; a value, equal by its coordinates."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Fraction, b: Fraction):
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other):
+        if other.__class__ is not QuadInt:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __repr__(self):
+        return f"QuadInt(a={self.a!r}, b={self.b!r})"
 
     @classmethod
     def of(cls, a, b=0) -> "QuadInt":
@@ -107,16 +120,14 @@ def tau_tilt_count(algebra: Algebra, inv: Inventory | None = None) -> int:
     return sum(1 for p in inv.pairs if p.is_tau_tilting)
 
 
-@dataclass
-class SeriesRow:
+class SeriesRow(NamedTuple):
     n: int
-    count: int
+    count: int  # shadows tuple.count
     recurrence_checked: bool | None  # None when out of the guard range
     boundary_structure_checked: bool | None
 
 
-@dataclass
-class SeriesReport:
+class SeriesReport(NamedTuple):
     kind: str
     rows: list[SeriesRow]
 
@@ -143,6 +154,20 @@ def _boundary_structure_check(n: int, ctx: ReductionContext,
     return all(str(n) in names for names in extend) and {e - {str(n)} for e in extend} == smaller
 
 
+def series_rows(kind: str, n_max: int, budget: int | None = None) -> range:
+    """The rows up to ``n_max`` of the series ``kind``; BadIndex when ``n_max`` is below
+    its start or past the enumeration budget (A: 10, D: 9 by default)."""
+    is_a = kind.upper() == "A"
+    start = 1 if is_a else 3
+    if n_max < start:
+        raise BadIndex(f"n_max below the series start {start}")
+    if budget is None:
+        budget = 10 if is_a else 9
+    if n_max > budget:
+        raise BadIndex(f"n_max {n_max} exceeds the enumeration budget {budget}")
+    return range(start, n_max + 1)
+
+
 def series_counts(kind: str, n_max: int, budget: int | None = None) -> SeriesReport:
     """Direct enumeration counts with recurrence and boundary-structure checks.
 
@@ -156,19 +181,12 @@ def series_counts(kind: str, n_max: int, budget: int | None = None) -> SeriesRep
     algebras are built over the rationals.
     """
     kind = kind.upper()
-    start = 1 if kind == "A" else 3
-    if n_max < start:
-        raise BadIndex(f"n_max below the series start {start}")
-    if budget is None:
-        budget = 10 if kind == "A" else 9
-    if n_max > budget:
-        raise BadIndex(f"n_max {n_max} exceeds the enumeration budget {budget}")
     guard = 3 if kind == "A" else 5
     rows: list[SeriesRow] = []
     counts: dict[int, int] = {}
     tilting: dict[int, set[frozenset[str]]] = {}  # by names; row n checks against n - 2
     inv: Inventory | None = None  # the previous row's
-    for n in range(start, n_max + 1):
+    for n in series_rows(kind, n_max, budget):
         alg = series_algebra(kind, n)
         rec = struct = None
         if n >= guard:

@@ -10,7 +10,7 @@ representation-infinite signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import Algebra
 from .errors import CapExceeded, NotStringAlgebra
@@ -18,8 +18,7 @@ from .linalg import Matrix
 from .reps import Representation
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(NamedTuple):
     arrow: str
     inverse: bool
 
@@ -27,12 +26,25 @@ class Letter:
         return self.arrow + ("^-" if self.inverse else "")
 
 
-@dataclass(frozen=True)
 class StringWord:
     """Canonical walk: either a trivial word at a vertex or a letter sequence."""
 
-    letters: tuple[Letter, ...]
-    base_vertex: str  # start of the walk (for trivial words: the vertex)
+    __slots__ = ("letters", "base_vertex")
+
+    def __init__(self, letters: tuple[Letter, ...], base_vertex: str):
+        self.letters = letters
+        self.base_vertex = base_vertex  # start of the walk (for trivial words: the vertex)
+
+    def __eq__(self, other):
+        if other.__class__ is not StringWord:
+            return NotImplemented
+        return (self.letters, self.base_vertex) == (other.letters, other.base_vertex)
+
+    def __hash__(self):
+        return hash((self.letters, self.base_vertex))
+
+    def __repr__(self):
+        return f"StringWord(letters={self.letters!r}, base_vertex={self.base_vertex!r})"
 
     def __len__(self):
         return len(self.letters)

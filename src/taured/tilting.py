@@ -14,13 +14,12 @@ Their set equality on a given algebra is the central correctness check.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from itertools import accumulate, chain, combinations, product
 from math import prod
 from operator import or_
+from typing import NamedTuple
 
 from .algebra import Algebra, isomorphism, vertex_subalgebra_quotient
 from .errors import BadIndex, HasseError, InventoryError, UnknownVertex
@@ -45,28 +44,37 @@ from .strings import (
     string_to_rep,
 )
 
-log = logging.getLogger(__name__)
+
+def _warn(message: str, *args) -> None:
+    """Log a warning under this module's logger; ``logging`` loads with the first one."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
-@dataclass
 class IndecRecord:
-    id: int
-    name: str
-    rep: Representation
-    tau_rep: Representation
-    is_tau_rigid: bool
-    is_projective: bool
-    projective_vertex: str | None = None
-    tau_id: int | None = None
-    external: bool = False  # recorded but not offered as a pair candidate
+    __slots__ = ("id", "name", "rep", "tau_rep", "is_tau_rigid", "is_projective",
+                 "projective_vertex", "tau_id", "external")
+
+    def __init__(self, id: int, name: str, rep: Representation, tau_rep: Representation,
+                 is_tau_rigid: bool, is_projective: bool, projective_vertex: str | None = None,
+                 tau_id: int | None = None, external: bool = False):
+        self.id = id
+        self.name = name
+        self.rep = rep
+        self.tau_rep = tau_rep
+        self.is_tau_rigid = is_tau_rigid
+        self.is_projective = is_projective
+        self.projective_vertex = projective_vertex
+        self.tau_id = tau_id
+        self.external = external  # recorded but not offered as a pair candidate
 
     @property
     def dim_vector(self):
         return self.rep.dim_vector
 
 
-@dataclass(frozen=True, slots=True)
-class STPair:
+class STPair(NamedTuple):
     """A support tau-tilting pair: summand ids plus support-projective vertices."""
 
     modules: tuple[int, ...]
@@ -326,13 +334,15 @@ class Inventory(_PairNames):
         return self._support_cache[ids]
 
 
-@dataclass
 class Block:
     """A quotient of an inventory's algebra: its own inventory, and the
     inventory id of each of its records inflated so far (:meth:`Inventory.lift`)."""
 
-    inv: Inventory
-    lifted: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("inv", "lifted")
+
+    def __init__(self, inv: Inventory, lifted: dict[int, int] | None = None):
+        self.inv = inv
+        self.lifted = {} if lifted is None else lifted
 
 
 class BlockProduct(_PairNames):
@@ -356,7 +366,9 @@ class BlockProduct(_PairNames):
         self.blocks = blocks
         self.offsets = list(accumulate((len(b.records) for b in blocks), initial=0))[:-1]
         self.records = [
-            replace(r, id=o + r.id, tau_id=None if r.tau_id is None else o + r.tau_id)
+            IndecRecord(o + r.id, r.name, r.rep, r.tau_rep, r.is_tau_rigid, r.is_projective,
+                        r.projective_vertex, None if r.tau_id is None else o + r.tau_id,
+                        r.external)
             for o, b in zip(self.offsets, blocks) for r in b.records]
         self._name_rank: list[int] = []
         self.sizes = [len(b.pairs) for b in blocks]
@@ -505,7 +517,7 @@ def build_inventory(algebra: Algebra,
         for n, r in supplied:
             r.assert_valid()
             if not _is_local_endo_ring(r):
-                log.warning("supplied module %s fails the local-endomorphism audit", n)
+                _warn("supplied module %s fails the local-endomorphism audit", n)
 
     records: list[IndecRecord] = []
     for i, (name, rep) in enumerate(zip(names, reps)):
@@ -528,7 +540,7 @@ def build_inventory(algebra: Algebra,
         if not r.is_projective:
             match = inv.find_iso(t)
             if match is None:
-                log.warning("tau of %s is not in the inventory; recording standalone", r.name)
+                _warn("tau of %s is not in the inventory; recording standalone", r.name)
                 extra = IndecRecord(len(records), f"tau({r.name})", t, zero_rep(algebra),
                                     False, False, external=True)
                 inv.append(extra)
@@ -720,8 +732,7 @@ def _rigid_subsets(bad: list[int], k: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class PosetQuiver:
+class PosetQuiver(NamedTuple):
     """A finite DAG on the vertices 0..n-1; for a quiver of pairs, vertex i is pairs[i].
 
     It is a plain value: :func:`hasse` certifies the quivers it returns, and

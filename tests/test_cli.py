@@ -166,6 +166,23 @@ def test_reduce_bad_vertex(a3sq_file, capsys):
     assert main(["reduce", a3sq_file, "--vertex", "3"]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", None, "--vertex", "9"], "--vertex '9': no such vertex; vertices: 1, 2, 3"),
+    (["reduce", None, "--vertex", ""], "--vertex '': no such vertex; vertices: 1, 2, 3"),
+    (["series", "--kind", "A", "--max", "0"], "--max 0: n_max below the series start 1"),
+    (["series", "--kind", "D", "--max", "2"], "--max 2: n_max below the series start 3"),
+    (["series", "--kind", "A", "--max", "11"],
+     "--max 11: n_max 11 exceeds the enumeration budget 10"),
+], ids=["reduce-unknown-vertex", "reduce-empty-vertex", "series-A-below-start",
+        "series-D-below-start", "series-past-budget"])
+def test_out_of_range_arguments_exit_two(a3sq_file, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([a3sq_file if a is None else a for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: taured") and err.endswith(f"taured: error: {message}\n")
+
+
 def test_series_table(capsys):
     assert main(["series", "--kind", "A", "--max", "8", "--closed-form"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -228,6 +245,42 @@ def test_closed_stdout_exits_141_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def _fresh_python(code: str) -> str:
+    """The stdout of ``code`` run by a fresh interpreter that imports taured from this tree."""
+    src = os.path.dirname(os.path.dirname(taured.cli.__file__))
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=120).stdout
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_logging():
+    """A cold start runs no generated code: importing taured.cli adds none of these to the
+    modules a bare interpreter loads.  The records are typing.NamedTuple, which is free only
+    where a bare interpreter already has typing; the last assertion checks that premise."""
+    probe = "import sys; print(' '.join(sys.modules))"
+    bare = set(_fresh_python(probe).split())
+    added = set(_fresh_python("import taured.cli; " + probe).split()) - bare
+    assert "taured.cli" in added
+    assert not added & {"dataclasses", "inspect", "logging"}
+    assert "typing" in bare
+
+
+def test_the_audit_warning_reaches_logging_imported_after_taured():
+    out = _fresh_python("""
+import sys
+from taured.algebra import Arrow, Quiver, Relation, build_algebra
+from taured.reps import direct_sum, simple
+from taured.tilting import build_inventory
+assert "logging" not in sys.modules
+import logging
+logging.basicConfig(stream=sys.stdout, format="%(name)s %(levelname)s %(message)s")
+alg = build_algebra(Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3"))),
+                    [Relation.monomial(("a", "b"))])
+build_inventory(alg, supplied=[("fake", direct_sum([simple(alg, "1"), simple(alg, "3")])),
+                               ("s2", simple(alg, "2"))])
+""")
+    assert "taured.tilting WARNING supplied module fake fails the local-endomorphism audit" in out
 
 
 def test_an_os_error_without_a_path_is_not_a_file_error(a3sq_file, monkeypatch):

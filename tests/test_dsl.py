@@ -206,5 +206,15 @@ def test_module_map_before_its_dims_builds():
 
 
 def test_unterminated_module():
-    with pytest.raises(ParseError):
-        parse("algebra x\nvertices 1\nmodule m\ndim 1 1\n")
+    with pytest.raises(ParseError) as exc:
+        parse("algebra x\nvertices 1\n  module m\ndim 1 1\n")
+    assert (exc.value.line, exc.value.column) == (3, 2)  # at its `module` directive
+    assert exc.value.message == "unterminated module block 'm'"
+
+
+@pytest.mark.parametrize("text", ["", "# a comment\n", "field rational\n"])
+def test_file_without_an_algebra_is_located_at_its_start(text):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (1, 0)  # columns count from 0
+    assert exc.value.message == "file declares no algebra"
