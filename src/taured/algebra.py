@@ -94,10 +94,6 @@ class Relation(NamedTuple):
             raise ValueError("relation terms are not parallel")
 
     @property
-    def max_len(self) -> int:
-        return max(len(w) for _, w in self.terms)
-
-    @property
     def min_len(self) -> int:
         return min(len(w) for _, w in self.terms)
 
@@ -201,111 +197,85 @@ class Algebra:
                 f"arrows={[a.name for a in self.quiver.arrows]})")
 
 
-def _paths_up_to(quiver: Quiver, bound: int, budget: int = 500_000):
-    """All paths of length <= bound, grouped by length."""
-    by_arrow_src: dict[str, list[Arrow]] = {v: [] for v in quiver.vertices}
-    for a in quiver.arrows:
-        by_arrow_src[a.src].append(a)
-    levels = [[((), v, v) for v in quiver.vertices]]
-    total = len(quiver.vertices)
-    for ell in range(1, bound + 1):
-        nxt = []
-        for word, src, tgt in levels[ell - 1]:
-            for a in by_arrow_src[tgt]:
-                nxt.append((word + (a.name,), src, a.tgt))
-        total += len(nxt)
-        if total > budget:
-            raise NotFiniteDimensional(
-                f"path count exceeded budget {budget} at length {ell}")
-        levels.append(nxt)
-        if not nxt:
-            break
-    return levels
-
-
 def build_algebra(quiver: Quiver, relations, max_len: int = 30, field=QQ) -> Algebra:
     """Quotient of the path algebra by the ideal the relations generate.
 
     The basis consists of the paths of length < L that survive reduction,
     where L <= max_len is the least length at which every path lies in the
-    ideal (vacuously when no path of that length exists).
+    ideal (vacuously when no path of that length exists).  Paths are listed
+    one length d at a time, and those of length <= d reduced modulo the
+    generator products truncated at d; the reduction at L - 1 gives the
+    basis and the table.
 
-    Raises NotFiniteDimensional when no such L exists within the bound.
+    Raises NotFiniteDimensional when no such L exists within the bound, naming
+    a path of length max_len outside the ideal.
     """
     relations = list(relations)
     for r in relations:
         r.validate(quiver)
-    spread = max((r.max_len - r.min_len for r in relations), default=0)
+    out_of = {v: [a for a in quiver.arrows if a.src == v] for v in quiver.vertices}
+    # a path is (word, src, tgt); the empty word alone is ambiguous
+    levels = [[((), v, v) for v in quiver.vertices]]
+    total = len(quiver.vertices)
 
-    levels = _paths_up_to(quiver, max_len + spread)
-    # a path is identified by (src, word); the empty word alone is ambiguous
-    tgt_of: dict[tuple, str] = {}
-    for level in levels:
-        for w, s, t in level:
-            tgt_of[(s, w)] = t
-
-    def generator_products(bound: int):
-        """Vectors p*r*q whose lowest-degree term has length <= bound."""
+    def generator_products(d: int):
+        """Vectors p*r*q whose lowest-degree term has length <= d, truncated at d."""
         gens = []
         for r in relations:
-            arrows0 = [quiver.arrow(n) for n in r.terms[0][1]]
-            s0, t0 = arrows0[0].src, arrows0[-1].tgt
-            for wp, ps, pt in (p for lv in levels for p in lv):
-                if pt != s0 or len(wp) + r.min_len > bound:
+            if r.min_len > d:
+                continue
+            word0 = r.terms[0][1]
+            s0, t0 = quiver.arrow(word0[0]).src, quiver.arrow(word0[-1]).tgt
+            for wp, ps, pt in (p for lv in levels[:d - r.min_len + 1] for p in lv):
+                if pt != s0:
                     continue
-                for wq, qs, qt in (q for lv in levels for q in lv):
-                    if qs != t0 or len(wp) + r.min_len + len(wq) > bound:
+                for wq, qs, qt in (q for lv in levels[:d - r.min_len - len(wp) + 1] for q in lv):
+                    if qs != t0:
                         continue
                     vec = {}
                     for coeff, word in r.terms:
-                        key = (ps, wp + word + wq)
-                        vec[key] = vec.get(key, field.zero) + field.from_fraction(coeff)
+                        key = (wp + word + wq, ps, qt)
+                        if len(key[0]) <= d:
+                            vec[key] = vec.get(key, field.zero) + field.from_fraction(coeff)
                     gens.append(vec)
         return gens
 
     def path_preference(key):
-        return len(key[1]), key[1], key[0]
+        return len(key[0]), key[0], key[1]
 
-    max_avail = len(levels) - 1
-    nil = None
-    for cand in range(1, min(max_len, max_avail) + 1):
-        level_paths = levels[cand] if cand < len(levels) else []
-        if not level_paths:
-            nil = cand
+    below = None  # the normal form of the shorter paths, once a relation reaches them
+    alive = levels[0]
+    for nil in range(1, max_len + 1):
+        total += sum(len(out_of[t]) for _, _, t in levels[-1])
+        if total > 500_000:  # a guard on outside input, checked before the paths are listed
+            raise NotFiniteDimensional(f"path count exceeded budget 500000 at length {nil}")
+        level = [(w + (a.name,), s, a.tgt) for w, s, t in levels[-1] for a in out_of[t]]
+        if not level:
             break
-        gens = generator_products(cand)
+        levels.append(level)
+        gens = generator_products(nil)
         if not gens:
+            alive = level
             continue
         # a path lies in the ideal iff its normal form is zero
-        _, normal = _normal_form([(s, w) for lv in levels[: cand + 1] for w, s, _ in lv],
-                                 [{k: c for k, c in g.items() if len(k[1]) <= cand}
-                                  for g in gens], field, path_preference)
-        if not any(normal[(s, w)] for w, s, _ in level_paths):
-            nil = cand
+        here = _normal_form([p for lv in levels for p in lv], gens, field, path_preference)
+        alive = [p for p in level if here[1][p]]
+        if not alive:
             break
-    if nil is None:
+        below = here
+    else:
+        w, s, _ = min(alive, key=path_preference)
         raise NotFiniteDimensional(
-            f"no nilpotency degree <= {max_len}; the ideal is not admissible at this bound")
+            f"no nilpotency degree <= {max_len}; the path {' '.join(w)} from {s} is not in the ideal")
 
     # the paths below the nilpotency degree that survive, and the basis
-    # coordinates of each such path
-    survivors, rewrite = _normal_form(
-        [(s, w) for lv in levels[:nil] for w, s, _ in lv],
-        [{k: c for k, c in g.items() if len(k[1]) < nil} for g in generator_products(nil - 1)],
-        field, path_preference)
-    basis = [BasisElement(w, s, tgt_of[(s, w)]) for s, w in survivors]
-
-    mult: dict[tuple[int, int], Vec] = {}
-    for i, bi in enumerate(basis):
-        for j, bj in enumerate(basis):
-            if bi.tgt != bj.src:
-                continue
-            w = bi.word + bj.word
-            if len(w) >= nil:
-                continue
-            vec = rewrite[(bi.src, w)]
-            if vec:
-                mult[(i, j)] = dict(vec)
+    # coordinates of each such path; the identity when no relation reaches them
+    survivors, rewrite = below or _normal_form(
+        [p for lv in levels[:nil] for p in lv], [], field, path_preference)
+    basis = [BasisElement(*p) for p in survivors]
+    mult = {(i, j): dict(vec) for i, bi in enumerate(basis) for j, bj in enumerate(basis)
+            if bi.tgt == bj.src and len(bi.word) + len(bj.word) < nil
+            and (vec := rewrite[(bi.word + bj.word, bi.src, bj.tgt)])}
 
     alg = Algebra(field, quiver, relations, basis, mult, nil)
     _check_associativity(alg)

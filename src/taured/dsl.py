@@ -127,25 +127,25 @@ def _parse_relation(tokens: list[tuple[str, int]], line: int, known_arrows: set[
                 tok, col = tokens[i]
             else:
                 fail(f"unexpected token {tok!r}", col)
-        word: list[str] = []
+        word: list[tuple[str, int]] = []
         if tok == "(":
             i += 1
             while i < len(tokens) and tokens[i][0] != ")":
-                word.append(tokens[i][0])
+                word.append(tokens[i])
                 i += 1
             if i >= len(tokens):
                 fail("unclosed parenthesis", col)
             i += 1  # consume ')'
         else:
             while i < len(tokens) and tokens[i][0] not in ("+", "-"):
-                word.append(tokens[i][0])
+                word.append(tokens[i])
                 i += 1
         if not word:
             fail("empty relation term", col)
-        for w in word:
+        for w, wcol in word:
             if w not in known_arrows:
-                fail(f"unknown arrow {w!r} in relation", col)
-        terms.append((coeff, tuple(word)))
+                fail(f"unknown arrow {w!r} in relation", wcol)
+        terms.append((coeff, tuple(w for w, _ in word)))
         if i < len(tokens):
             op, opcol = tokens[i]
             if op == "+":
@@ -281,6 +281,8 @@ def parse(text: str) -> AlgebraFile:
             (v, vcol), (d, dcol) = args
             if v not in seen_vertices:
                 raise ParseError(f"unknown vertex {v!r}", lineno, vcol)
+            if v in current_module.dims:
+                raise ParseError(f"duplicate dim {v!r}", lineno, vcol)
             if not (d.isascii() and d.isdigit()):
                 raise ParseError(f"dimension {d!r} is not a nonnegative integer", lineno, dcol)
             current_module.dims[v] = int(d)
@@ -292,12 +294,19 @@ def parse(text: str) -> AlgebraFile:
             aname, acol = args[0]
             if aname not in arrow_names:
                 raise ParseError(f"unknown arrow {aname!r}", lineno, acol)
-            body_txt = "".join(t for t, _ in args[1:])
-            rows = []
-            for chunk in body_txt.split(";"):
-                if chunk == "":
-                    continue
-                rows.append([_rational(x, lineno, acol) for x in chunk.split(",")])
+            if aname in current_module.maps:
+                raise ParseError(f"duplicate map {aname!r}", lineno, acol)
+            # the column of each character of the body, and past its end
+            at = [col + k for t, col in args[1:] for k in range(len(t))] + [len(body)]
+            rows, pos = [], 0
+            for chunk in "".join(t for t, _ in args[1:]).split(";"):
+                if chunk:
+                    rows.append([])
+                    for x in chunk.split(","):
+                        rows[-1].append(_rational(x, lineno, at[pos]))
+                        pos += len(x) + 1
+                else:
+                    pos += 1
             current_module.maps[aname] = rows
             map_pos[aname] = (lineno, args[1][1])
         elif key == "end":

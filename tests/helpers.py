@@ -113,6 +113,28 @@ def tau_tilting_pairs(inv) -> list:
     return [p for p in inv.pairs if p.is_tau_tilting]
 
 
+def monomial_basis(quiver, relations) -> set:
+    """The paths with no relation as a subword, as (word, src, tgt): the basis of a
+    finite dimensional monomial algebra.
+
+    The reference for :func:`taured.algebra.build_algebra` on monomial
+    relations, which reduces modulo the generator products instead.  Paths grow
+    one arrow at a time, and a branch stops at the first relation it ends in.
+    """
+    if any(len(r.terms) != 1 for r in relations):
+        raise ValueError("monomial relations only")
+    zero = [r.terms[0][1] for r in relations]
+    basis = set()
+    stack = [((), v, v) for v in quiver.vertices]
+    while stack:
+        word, src, tgt = stack.pop()
+        if any(word[-len(z):] == z for z in zero):
+            continue
+        basis.add((word, src, tgt))
+        stack.extend((word + (a.name,), src, a.tgt) for a in quiver.arrows if a.src == tgt)
+    return basis
+
+
 def in_fac(N, M) -> bool:
     """Is N a factor of a finite direct sum of copies of M?
 

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -19,6 +20,8 @@ from taured.algebra import (
     quotient_by_elements,
     vertex_subalgebra_quotient,
 )
+from taured.corpus import standard_corpus
+from taured.dsl import parse_file
 from taured.errors import (
     EmptySupport,
     NotFiniteDimensional,
@@ -26,6 +29,11 @@ from taured.errors import (
     UnsupportedQuotient,
 )
 from taured.linalg import QQ, PrimeField
+from taured.series import series_algebra
+
+from helpers import monomial_basis
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def commutative_square():
@@ -253,6 +261,71 @@ def test_max_len_guard():
         build_algebra(q, [Relation.monomial(("l",) * 8)], max_len=4)
     alg = build_algebra(q, [Relation.monomial(("l", "l"))], max_len=4)
     assert alg.dim == 2
+
+
+def loops_rad_square_zero(names, field=QQ):
+    """One vertex, a loop for each name, and every path of length two a relation."""
+    quiver = Quiver(("1",), tuple(Arrow(x, "1", "1") for x in names))
+    return build_algebra(quiver, [Relation.monomial((x, y)) for x in names for y in names],
+                         field=field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
+def test_two_loops_modulo_the_square_of_the_radical(field):
+    # k<x,y>/(x,y)^2: its free path algebra has 2^d paths of length d, and
+    # none of them is listed past length 2
+    alg = loops_rad_square_zero("xy", field)
+    assert alg.dim == 3 and alg.nil_index == 2
+    assert {b.word for b in alg.basis} == {(), ("x",), ("y",)}
+    assert alg.mult.get((alg.arrow_idx["x"], alg.arrow_idx["y"])) is None
+
+
+def test_three_loops_modulo_the_square_of_the_radical():
+    assert loops_rad_square_zero("xyz").dim == 4
+
+
+def test_not_finite_dimensional_names_a_path_outside_the_ideal():
+    loop = Quiver(("1",), (Arrow("l", "1", "1"),))
+    with pytest.raises(NotFiniteDimensional,
+                       match="^no nilpotency degree <= 4; the path l l l l from 1 is not in the ideal$"):
+        build_algebra(loop, [Relation.monomial(("l",) * 8)], max_len=4)
+    # a relation reaches the bound: the witness is read off the normal form
+    q = Quiver(("1", "2"), (Arrow("l", "1", "1"), Arrow("a", "1", "2")))
+    with pytest.raises(NotFiniteDimensional, match="; the path l l l from 1 is not in the ideal$"):
+        build_algebra(q, [Relation.monomial(("l", "a"))], max_len=3)
+
+
+def test_path_budget_names_the_length_where_it_tripped():
+    # 100 loops: 10 101 paths up to length 2, and a million more at length 3
+    q = Quiver(("1",), tuple(Arrow(f"l{i}", "1", "1") for i in range(100)))
+    with pytest.raises(NotFiniteDimensional, match="^path count exceeded budget 500000 at length 3$"):
+        build_algebra(q, [])
+
+
+def _monomial_inputs():
+    yield from standard_corpus().items()
+    for name in ("rsz_A7", "rsz_D7", "nakayama_5_5", "nakayama_5_4"):
+        yield name, parse_file(os.path.join(GOLDEN, f"{name}.alg")).build()[0]
+    for n in range(1, 13):
+        yield f"A{n}", series_algebra("A", n)
+    for n in range(3, 12):
+        yield f"D{n}", series_algebra("D", n)
+    for n in range(1, 6):
+        for length in range(2, 7):
+            verts = tuple(str(i) for i in range(n))
+            arrows = tuple(Arrow(f"c{i}", str(i), str((i + 1) % n)) for i in range(n))
+            rels = [Relation.monomial(tuple(f"c{(i + k) % n}" for k in range(length)))
+                    for i in range(n)]
+            yield f"N({n},{length})", build_algebra(Quiver(verts, arrows), rels)
+
+
+def test_monomial_algebras_have_the_paths_without_a_relation_as_basis():
+    names = []
+    for name, alg in _monomial_inputs():
+        assert {(b.word, b.src, b.tgt) for b in alg.basis} == \
+            monomial_basis(alg.quiver, alg.relations), name
+        names.append(name)
+    assert len(names) == 14 + 4 + 12 + 9 + 25
 
 
 def test_idempotents_decompose_identity(corpus):

@@ -215,6 +215,16 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_two_loop_local_algebra_stops_at_the_string_cap(tmp_path, capsys):
+    # k<x,y>/(x,y)^2 is built (dimension 3); its band modules are what stop enumerate
+    path = _write(tmp_path, "algebra xy\nvertices 1\narrow x 1 1\narrow y 1 1\n"
+                            "relation x x\nrelation x y\nrelation y x\nrelation y y\n")
+    assert main(["enumerate", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "input looks representation-infinite" in err
+    assert "nilpotency" not in err and "path count" not in err
+
+
 def test_missing_file_exit_two(capsys):
     assert main(["enumerate", "/nonexistent/file.alg"]) == 2
 

@@ -218,3 +218,48 @@ def test_file_without_an_algebra_is_located_at_its_start(text):
         parse(text)
     assert (exc.value.line, exc.value.column) == (1, 0)  # columns count from 0
     assert exc.value.message == "file declares no algebra"
+
+
+MODULE = """\
+algebra x
+vertices 1 2
+arrow a 1 2
+relation a   zz
+module m
+dim 1 1
+dim 2 1
+{line}
+end
+"""
+
+
+@pytest.mark.parametrize("line, col, bad", [
+    ("  map a    x", 11, "'x'"),
+    ("map a 1, 0; 1,y", 14, "'y'"),
+    ("map a 1,0;1,", 12, "''"),
+])
+def test_bad_map_entry_located_at_the_entry(line, col, bad):
+    with pytest.raises(ParseError) as exc:
+        parse(MODULE.replace("relation a   zz\n", "").format(line=line))
+    assert (exc.value.line, exc.value.column) == (7, col)
+    assert exc.value.message == f"bad rational {bad}"
+
+
+@pytest.mark.parametrize("relation, col", [("relation a   zz", 13), ("relation 2*(a zz)", 14)])
+def test_unknown_arrow_in_relation_located_at_the_arrow(relation, col):
+    with pytest.raises(ParseError) as exc:
+        parse(MODULE.replace("relation a   zz", relation).format(line="map a 1"))
+    assert (exc.value.line, exc.value.column) == (4, col)
+    assert exc.value.message == "unknown arrow 'zz' in relation"
+
+
+@pytest.mark.parametrize("line, at, message", [
+    ("dim  1 2", (7, 5), "duplicate dim '1'"),
+    ("map a 1\n map  a 1", (8, 6), "duplicate map 'a'"),
+], ids=["dim", "map"])
+def test_repeated_module_directive_rejected(line, at, message):
+    # located at the repeated vertex or arrow, as a duplicate declaration is
+    with pytest.raises(ParseError) as exc:
+        parse(MODULE.replace("relation a   zz\n", "").format(line=line))
+    assert (exc.value.line, exc.value.column) == at
+    assert exc.value.message == message
