@@ -12,6 +12,7 @@ applied first, and ``target(a) == source(b)``.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from typing import NamedTuple
@@ -208,7 +209,8 @@ def build_algebra(quiver: Quiver, relations, max_len: int = 30, field=QQ) -> Alg
     basis and the table.
 
     Raises NotFiniteDimensional when no such L exists within the bound, naming
-    a path of length max_len outside the ideal.
+    a path of length max_len outside the ideal, or when the paths listed or
+    the reduction pass their budget, naming the length where that happens.
     """
     relations = list(relations)
     for r in relations:
@@ -243,8 +245,11 @@ def build_algebra(quiver: Quiver, relations, max_len: int = 30, field=QQ) -> Alg
     def path_preference(key):
         return len(key[0]), key[0], key[1]
 
-    below = None  # the normal form of the shorter paths, once a relation reaches them
-    alive = levels[0]
+    def ends(key):
+        return key[1:]
+
+    # the normal form of the shorter paths: the basis and its coordinates
+    below, alive = _normal_form(levels[0], [], field, path_preference, ends), levels[0]
     for nil in range(1, max_len + 1):
         total += sum(len(out_of[t]) for _, _, t in levels[-1])
         if total > 500_000:  # a guard on outside input, checked before the paths are listed
@@ -253,12 +258,17 @@ def build_algebra(quiver: Quiver, relations, max_len: int = 30, field=QQ) -> Alg
         if not level:
             break
         levels.append(level)
-        gens = generator_products(nil)
-        if not gens:
-            alive = level
-            continue
+        paths, gens = [p for lv in levels for p in lv], generator_products(nil)
+        # a second guard: the reduction holds, for each pair of end vertices
+        # that products lie between, a dense row per product and per path
+        # between them, each as long as that list of paths
+        width = Counter(ends(p) for p in paths)
+        height = Counter(ends(next(iter(g))) for g in gens)
+        if sum((h + width[e]) * width[e] for e, h in height.items()) > 16_000_000:
+            raise NotFiniteDimensional(
+                f"reduction size exceeded budget 16000000 entries at length {nil}")
         # a path lies in the ideal iff its normal form is zero
-        here = _normal_form([p for lv in levels for p in lv], gens, field, path_preference)
+        here = _normal_form(paths, gens, field, path_preference, ends)
         alive = [p for p in level if here[1][p]]
         if not alive:
             break
@@ -268,10 +278,7 @@ def build_algebra(quiver: Quiver, relations, max_len: int = 30, field=QQ) -> Alg
         raise NotFiniteDimensional(
             f"no nilpotency degree <= {max_len}; the path {' '.join(w)} from {s} is not in the ideal")
 
-    # the paths below the nilpotency degree that survive, and the basis
-    # coordinates of each such path; the identity when no relation reaches them
-    survivors, rewrite = below or _normal_form(
-        [p for lv in levels[:nil] for p in lv], [], field, path_preference)
+    survivors, rewrite = below
     basis = [BasisElement(*p) for p in survivors]
     mult = {(i, j): dict(vec) for i, bi in enumerate(basis) for j, bj in enumerate(basis)
             if bi.tgt == bj.src and len(bi.word) + len(bj.word) < nil
@@ -282,30 +289,43 @@ def build_algebra(quiver: Quiver, relations, max_len: int = 30, field=QQ) -> Alg
     return alg
 
 
-def _normal_form(keys, vecs: list[dict], field, preference) -> tuple[list, dict]:
+def _normal_form(keys, vecs: list[dict], field, preference, part) -> tuple[list, dict]:
     """Normal forms of ``keys`` modulo the span of ``vecs``, sparse vectors over them.
 
-    ``preference`` sorts keys from most to least preferred.  The span is
-    eliminated least-preferred key first, so the free columns of
+    ``preference`` sorts keys from most to least preferred.  ``part`` labels
+    each key with its block; every vector lies in one block, so each block is
+    reduced on its own, and a block without vectors is left as it is.  The span
+    is eliminated least-preferred key first, so the free columns of
     :func:`modulo` are the surviving keys and each key rewrites into them.
     Returns the survivors in preference order and, for every key, its normal
     form as a Vec over their positions; a survivor is its own unit vector.
     """
-    cols = sorted(keys, key=preference, reverse=True)
-    col_pos = {k: i for i, k in enumerate(cols)}
-    rows = []
+    blocks: dict = {}
+    for k in keys:
+        blocks.setdefault(part(k), ([], []))[0].append(k)
     for v in vecs:
-        row = [field.zero] * len(cols)
-        for k, c in v.items():
-            row[col_pos[k]] = row[col_pos[k]] + c
-        rows.append(row)
-    free, kernel = modulo(Matrix.from_rows(rows, len(cols), field))
-    survivors = sorted((cols[c] for c in free), key=preference)
+        if v:
+            blocks[part(next(iter(v)))][1].append(v)
+    survivors, normal = [], {}
+    for block_keys, block_vecs in blocks.values():
+        if not block_vecs:
+            survivors += block_keys
+            normal.update((k, {k: field.one}) for k in block_keys)
+            continue
+        cols = sorted(block_keys, key=preference, reverse=True)
+        col_pos = {k: i for i, k in enumerate(cols)}
+        m = Matrix.zeros(len(block_vecs), len(cols), field)
+        for row, v in zip(m.data, block_vecs):
+            for k, c in v.items():
+                row[col_pos[k]] = row[col_pos[k]] + c
+        free, kernel = modulo(m)
+        found = [cols[c] for c in free]
+        survivors += found
+        normal.update((k, {found[r]: x for r, row in enumerate(kernel.data) if (x := row[c])})
+                      for c, k in enumerate(cols))
+    survivors.sort(key=preference)
     position = {k: i for i, k in enumerate(survivors)}
-    labels = [position[cols[c]] for c in free]
-    normal = {k: {labels[r]: x for r, row in enumerate(kernel.data) if (x := row[c])}
-              for c, k in enumerate(cols)}
-    return survivors, normal
+    return survivors, {k: {position[s]: x for s, x in vec.items()} for k, vec in normal.items()}
 
 
 def _check_associativity(alg: Algebra) -> None:
@@ -414,7 +434,8 @@ def quotient_by_elements(alg: Algebra, gens: list[Vec]) -> Algebra:
 
     surviving, projection = _normal_form(
         range(alg.dim), [v for _, _, rows in slices for v in rows], field,
-        lambda i: (len(alg.basis[i].word), alg.basis[i].word))
+        lambda i: (len(alg.basis[i].word), alg.basis[i].word),
+        lambda i: (alg.basis[i].src, alg.basis[i].tgt))
     new_pos = {old: new for new, old in enumerate(surviving)}
 
     killed = set(range(alg.dim)).difference(new_pos)
@@ -586,9 +607,7 @@ def extract_presentation(alg: Algebra):
     max_word = max((len(b.word) for b in alg.basis), default=0)
     bound = max_word + 1
 
-    by_src: dict[str, list[Arrow]] = {v: [] for v in alg.vertices}
-    for a in alg.quiver.arrows:
-        by_src[a.src].append(a)
+    by_src = {v: [a for a in alg.quiver.arrows if a.src == v] for v in alg.vertices}
 
     def eval_word(word):
         vec = alg.element_of_vertex(alg.quiver.arrow(word[0]).src)
@@ -600,49 +619,28 @@ def extract_presentation(alg: Algebra):
 
     words_by_ends: dict[tuple[str, str], list[tuple]] = {}
     level = [((a.name,), a.src, a.tgt) for a in alg.quiver.arrows]
-    for ell in range(2, bound + 1):
-        nxt = []
-        for word, s, t in level:
-            for a in by_src[t]:
-                nxt.append((word + (a.name,), s, a.tgt))
-        for w, s, t in nxt:
+    for _ in range(2, bound + 1):
+        level = [(word + (a.name,), s, a.tgt) for word, s, t in level for a in by_src[t]]
+        for w, s, t in level:
             words_by_ends.setdefault((s, t), []).append(w)
-        level = nxt
 
     relations = []
     for (s, t), words in sorted(words_by_ends.items()):
         words = sorted(words, key=lambda w: (len(w), w))
-        cols = list(range(alg.dim))
-        rows = []
-        for w in words:
-            vec = eval_word(w)
-            row = [alg.field.zero] * alg.dim
-            for i, c in vec.items():
+        m = Matrix.zeros(len(words), alg.dim, alg.field)
+        for row, w in zip(m.data, words):
+            for i, c in eval_word(w).items():
                 row[i] = c
-            rows.append(row)
-        m = Matrix.from_rows(rows, alg.dim, alg.field)
         # kernel combinations of the evaluation map = relations among the words
-        ker = left_nullspace(m)
-        for krow in ker.data:
-            terms = []
-            for wi, c in enumerate(krow):
-                if c:
-                    lifted = Fraction(c.v) if isinstance(c, FpElement) else Fraction(c)
-                    terms.append((lifted, words[wi]))
+        for krow in left_nullspace(m).data:
+            terms = tuple((Fraction(c.v) if isinstance(c, FpElement) else Fraction(c), w)
+                          for c, w in zip(krow, words) if c)
             if terms:
-                relations.append(Relation(terms=tuple(terms)))
+                relations.append(Relation(terms=terms))
     # prefer pure monomial relations when a word evaluates to zero outright
-    cleaned = []
-    zero_words = set()
-    for r in relations:
-        if len(r.terms) == 1:
-            zero_words.add(r.terms[0][1])
-    for r in relations:
-        if len(r.terms) == 1:
-            w = r.terms[0][1]
-            if any(_contains(w, z) for z in zero_words if z != w and len(z) < len(w)):
-                continue
-        cleaned.append(r)
+    zero_words = {r.terms[0][1] for r in relations if len(r.terms) == 1}
+    cleaned = [r for r in relations if len(r.terms) > 1 or not any(
+        _contains(r.terms[0][1], z) for z in zero_words if len(z) < len(r.terms[0][1]))]
 
     rebuilt = build_algebra(alg.quiver, cleaned, max_len=max(bound + 2, 4), field=alg.field)
     if rebuilt.dim != alg.dim:

@@ -302,6 +302,29 @@ def test_path_budget_names_the_length_where_it_tripped():
         build_algebra(q, [])
 
 
+def test_reduction_budget_refuses_two_loops_with_one_square_relation():
+    # infinite dimensional, and its paths double with each length: the guard on
+    # the reduction trips long before max_len, and before the path count would
+    q = Quiver(("1",), (Arrow("x", "1", "1"), Arrow("y", "1", "1")))
+    with pytest.raises(NotFiniteDimensional,
+                       match="^reduction size exceeded budget 16000000 entries at length 11$"):
+        build_algebra(q, [Relation.monomial(("x", "x"))])
+
+
+def test_commutative_grid_is_reduced_block_by_block():
+    # the incidence algebra of a 6 x 6 grid poset: 21 comparable pairs in each
+    # coordinate; reduced as one dense block its last length would pass the budget
+    n = 6
+    arrows = [Arrow(f"r{i}{j}", f"{i}{j}", f"{i + 1}{j}") for i in range(n - 1) for j in range(n)]
+    arrows += [Arrow(f"u{i}{j}", f"{i}{j}", f"{i}{j + 1}") for i in range(n) for j in range(n - 1)]
+    squares = [Relation(((Fraction(1), (f"r{i}{j}", f"u{i + 1}{j}")),
+                         (Fraction(-1), (f"u{i}{j}", f"r{i}{j + 1}"))))
+               for i in range(n - 1) for j in range(n - 1)]
+    quiver = Quiver(tuple(f"{i}{j}" for i in range(n) for j in range(n)), tuple(arrows))
+    alg = build_algebra(quiver, squares)
+    assert alg.dim == 21 * 21 and alg.nil_index == 2 * (n - 1) + 1
+
+
 def _monomial_inputs():
     yield from standard_corpus().items()
     for name in ("rsz_A7", "rsz_D7", "nakayama_5_5", "nakayama_5_4"):
