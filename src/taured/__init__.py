@@ -51,7 +51,7 @@ from .reps import (
     simple,
     tau,
 )
-from .series import QuadInt, closed_form, series_algebra, series_counts, tau_tilt_count
+from .series import closed_form, series_algebra, series_counts, tau_tilt_count
 from .strings import StringWord, enumerate_strings, is_string_algebra, string_to_rep
 from .tilting import (
     BlockProduct,
@@ -78,7 +78,7 @@ __all__ = [
     "Morphism", "PresentationMap", "Representation", "bar", "direct_sum",
     "hom_basis", "inflate", "injective", "is_iso", "is_sincere",
     "minimal_presentation", "projective", "simple", "tau",
-    "QuadInt", "closed_form", "series_algebra", "series_counts", "tau_tilt_count",
+    "closed_form", "series_algebra", "series_counts", "tau_tilt_count",
     "StringWord", "enumerate_strings", "is_string_algebra", "string_to_rep",
     "BlockProduct", "IndecRecord", "Inventory", "PosetQuiver", "STPair",
     "build_inventory", "compatible", "enumerate_stpairs", "full_subquiver", "hasse",

@@ -80,18 +80,20 @@ class Relation(NamedTuple):
     def validate(self, quiver: Quiver) -> None:
         if not self.terms:
             raise ValueError("empty relation")
-        ends = set()
+        ends = {}  # path -> (source, target)
         for coeff, word in self.terms:
             if coeff == 0:
                 raise ValueError("zero coefficient in relation")
             if len(word) < 2:
                 raise ValueError("relation paths must have length >= 2")
+            if word in ends:
+                raise ValueError(f"path {' '.join(word)} appears twice in relation")
             arrows = [quiver.arrow(n) for n in word]
             for x, y in zip(arrows, arrows[1:]):
                 if x.tgt != y.src:
                     raise ValueError(f"non-composable path {' '.join(word)}")
-            ends.add((arrows[0].src, arrows[-1].tgt))
-        if len(ends) > 1:
+            ends[word] = (arrows[0].src, arrows[-1].tgt)
+        if len(set(ends.values())) > 1:
             raise ValueError("relation terms are not parallel")
 
     @property

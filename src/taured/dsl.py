@@ -99,9 +99,12 @@ def _rational(tok: str, line: int, col: int) -> Fraction:
         raise ParseError(f"bad rational {tok!r}", line, col)
 
 
-def _parse_relation(tokens: list[tuple[str, int]], line: int, known_arrows: set[str]) -> Relation:
-    """tokens: (text, column) after the ``relation`` keyword."""
+def _parse_relation(tokens: list[tuple[str, int]], line: int,
+                    known_arrows: set[str]) -> tuple[Relation, list[int]]:
+    """tokens: (text, column) after the ``relation`` keyword.  Also returns the
+    column of each term's first token, its coefficient if it has one."""
     terms: list[tuple[Fraction, tuple[str, ...]]] = []
+    starts: list[int] = []
     sign = Fraction(1)
     i = 0
 
@@ -110,6 +113,7 @@ def _parse_relation(tokens: list[tuple[str, int]], line: int, known_arrows: set[
 
     while i < len(tokens):
         tok, col = tokens[i]
+        starts.append(col)
         coeff = sign
         if tok not in ("(",) and not tok.replace("^", "").isidentifier() and tok not in known_arrows:
             # leading rational coefficient: requires `<rat>*`
@@ -157,7 +161,7 @@ def _parse_relation(tokens: list[tuple[str, int]], line: int, known_arrows: set[
             i += 1
             if i >= len(tokens):
                 fail("dangling sign", opcol)
-    return Relation(terms=tuple(terms))
+    return Relation(terms=tuple(terms)), starts
 
 
 def _tokenize(body: str):
@@ -261,12 +265,14 @@ def parse(text: str) -> AlgebraFile:
         elif key == "relation":
             if not args:
                 raise ParseError("empty relation", lineno, kcol)
-            rel = _parse_relation(args, lineno, arrow_names)
-            try:
-                rel.validate(Quiver(tuple(af.vertices),
-                                    tuple(Arrow(n, s, t) for n, s, t in af.arrows)))
-            except ValueError as e:
-                raise ParseError(str(e), lineno, kcol)
+            rel, starts = _parse_relation(args, lineno, arrow_names)
+            quiver = Quiver(tuple(af.vertices), tuple(Arrow(n, s, t) for n, s, t in af.arrows))
+            # the term at fault is the last of the shortest prefix that fails
+            for k, col in enumerate(starts, 1):
+                try:
+                    Relation(rel.terms[:k]).validate(quiver)
+                except ValueError as e:
+                    raise ParseError(str(e), lineno, col) from None
             af.relations.append(rel)
         elif key == "module":
             if len(args) != 1:

@@ -30,7 +30,6 @@ from .reps import (
     projective,
 )
 from .tilting import (
-    Block,
     BlockProduct,
     Inventory,
     build_inventory,
@@ -129,7 +128,7 @@ class ReductionContext:
         return self.qbar_rep.is_zero()
 
     @cached_property
-    def blocks(self) -> list[Block]:
+    def blocks(self) -> list[Inventory]:
         """The blocks B_C = quotient / <e_{V-C}>, one per component C of the quotient's quiver.
 
         Each is cut from the ambient algebra A by the socle element and the
@@ -149,13 +148,13 @@ class ReductionContext:
                        for u in self.algebra.vertices if u not in comp]
             algebra = (quotient_by_elements(self.algebra, [self.socle_element] + outside)
                        if outside else self.quotient)
-            out.append(Block(build_inventory(algebra) if self.classes is None
-                             else self.classes.inventory_of(algebra)))
+            out.append(build_inventory(algebra) if self.classes is None
+                       else self.classes.inventory_of(algebra))
         return out
 
     @cached_property
     def quotient_inv(self) -> BlockProduct:
-        return BlockProduct([b.inv for b in self.blocks])
+        return BlockProduct(self.blocks)
 
     @cached_property
     def flags(self) -> dict[tuple[bool, bool | None], list[list[bool]]]:
@@ -214,7 +213,7 @@ class ReductionContext:
         """
         found = None
         for offset, b in zip(self.quotient_inv.offsets, self.blocks):
-            algebra = b.inv.algebra
+            algebra = b.algebra
             if not any(rep.dims[v] for v in algebra.vertices):
                 continue
             image = bar(rep, algebra)
@@ -222,7 +221,7 @@ class ReductionContext:
                 continue
             if found is not None:
                 raise NonSimpleSocle("bar image meets two blocks of the quotient")
-            found = offset + _find(b.inv, image, NonSimpleSocle,
+            found = offset + _find(b, image, NonSimpleSocle,
                                    "bar image missing from the quotient inventory")
         return found
 
@@ -259,7 +258,7 @@ class ReductionContext:
         """Ambient id of each inflated quotient candidate."""
         return {offset + r.id: self.inv.lift(b, r.id)
                 for offset, b in zip(self.quotient_inv.offsets, self.blocks)
-                for r in b.inv.candidates()}
+                for r in b.candidates()}
 
 
 def socle_quotient(algebra: Algebra, v: str, inv: Inventory | None = None,

@@ -3,12 +3,11 @@
 The number of tau-tilting modules over these algebras satisfies the two-step
 additive recurrence (the reduction at the projective-injective P_n peels off
 the last vertex twice), which pins the counts to Fibonacci-type closed forms
-evaluated here exactly in Z[sqrt(5)] over rationals.
+evaluated here exactly in Z[sqrt(5)] on integer coordinates.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import Algebra, Arrow, Quiver, Relation, build_algebra
@@ -16,75 +15,6 @@ from .errors import BadIndex, NonIntegerResult, NotProjInjective
 from .linalg import QQ
 from .reduction import ReductionContext, socle_quotient
 from .tilting import Inventory, build_inventory
-
-
-class QuadInt:
-    """a + b sqrt(5) with exact rational coordinates; a value, equal by its coordinates."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: Fraction, b: Fraction):
-        self.a = a
-        self.b = b
-
-    def __eq__(self, other):
-        if other.__class__ is not QuadInt:
-            return NotImplemented
-        return (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        return f"QuadInt(a={self.a!r}, b={self.b!r})"
-
-    @classmethod
-    def of(cls, a, b=0) -> "QuadInt":
-        return cls(Fraction(a), Fraction(b))
-
-    def __add__(self, o: "QuadInt") -> "QuadInt":
-        return QuadInt(self.a + o.a, self.b + o.b)
-
-    def __sub__(self, o: "QuadInt") -> "QuadInt":
-        return QuadInt(self.a - o.a, self.b - o.b)
-
-    def __mul__(self, o: "QuadInt") -> "QuadInt":
-        return QuadInt(self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    def __neg__(self) -> "QuadInt":
-        return QuadInt(-self.a, -self.b)
-
-    def conj(self) -> "QuadInt":
-        return QuadInt(self.a, -self.b)
-
-    def __truediv__(self, o: "QuadInt") -> "QuadInt":
-        norm = o.a * o.a - 5 * o.b * o.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero norm element")
-        num = self * o.conj()
-        return QuadInt(num.a / norm, num.b / norm)
-
-    def __pow__(self, n: int) -> "QuadInt":
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        out = QuadInt.of(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def as_integer(self) -> int:
-        if self.b != 0 or self.a.denominator != 1:
-            raise NonIntegerResult(f"{self.a} + {self.b} sqrt5 is not a rational integer")
-        return int(self.a)
-
-
-SQRT5 = QuadInt.of(0, 1)
-ONE_PLUS = QuadInt.of(1, 1)    # 1 + sqrt5
-ONE_MINUS = QuadInt.of(1, -1)  # 1 - sqrt5
 
 
 def series_algebra(kind: str, n: int, field=QQ) -> Algebra:
@@ -207,20 +137,33 @@ def series_counts(kind: str, n_max: int, budget: int | None = None) -> SeriesRep
     return SeriesReport(kind, rows)
 
 
+# kind -> (least n, m - n, c, d): the count at n is
+# (c (1 + sqrt5)^m + d (1 - sqrt5)^m) / (sqrt5 2^m), with c and d in Z[sqrt5]
+_CLOSED_FORMS = {"A": (1, 1, (1, 0), (-1, 0)), "D": (3, -1, (-1, 2), (1, 2))}
+
+
+def _times(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    """(p0 + p1 sqrt5)(q0 + q1 sqrt5) as an integer pair."""
+    return p[0] * q[0] + 5 * p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
 def closed_form(kind: str, n: int) -> int:
-    """Exact closed form for the tau-tilting count of the series algebras."""
+    """Exact closed form for the tau-tilting count of the series algebras.
+
+    The numerator x + y sqrt5 is computed on integer pairs; the form is an
+    integer exactly when x is 0 and 2^m divides y, and NonIntegerResult is
+    raised otherwise.
+    """
     kind = kind.upper()
-    if kind == "A":
-        if n < 1:
-            raise BadIndex("A-series needs n >= 1")
-        num = ONE_PLUS ** (n + 1) - ONE_MINUS ** (n + 1)
-        den = SQRT5 * QuadInt.of(2 ** (n + 1))
-    elif kind == "D":
-        if n < 3:
-            raise BadIndex("D-series needs n >= 3")
-        num = (QuadInt.of(-1, 2) * ONE_PLUS ** (n - 1)
-               + QuadInt.of(1, 2) * ONE_MINUS ** (n - 1))
-        den = SQRT5 * QuadInt.of(2 ** (n - 1))
-    else:
+    if kind not in _CLOSED_FORMS:
         raise BadIndex(f"unknown series kind {kind!r}")
-    return (num / den).as_integer()
+    start, shift, plus, minus = _CLOSED_FORMS[kind]
+    if n < start:
+        raise BadIndex(f"{kind}-series needs n >= {start}")
+    m = n + shift
+    for _ in range(m):
+        plus, minus = _times(plus, (1, 1)), _times(minus, (1, -1))
+    x, y = plus[0] + minus[0], plus[1] + minus[1]
+    if x or y % 2 ** m:
+        raise NonIntegerResult(f"({x} + {y} sqrt5) / (sqrt5 2^{m}) is not an integer")
+    return y // 2 ** m

@@ -143,7 +143,8 @@ class Inventory(_PairNames):
             self.by_dim_vector.setdefault(r.dim_vector, []).append(r.id)
             self._by_maps.setdefault(_maps_key(r.rep), r.id)
         self._name_rank: list[int] = []
-        self._blocks: dict[frozenset, Block] = {}
+        self._blocks: dict[frozenset, Inventory] = {}
+        self.lifted: dict[int, int] = {}  # as a block: record id -> ambient id (:meth:`lift`)
         self._representatives: list[Inventory] = []
         # (source inventory, own vertex of each source vertex) when carried
         # from an isomorphic algebra's inventory; record ids are the source's
@@ -224,8 +225,8 @@ class Inventory(_PairNames):
     def __len__(self):
         return len(self.records)
 
-    def block(self, vertices: frozenset) -> Block:
-        """The block A/<e_{V-vertices}> of a connected vertex set.
+    def block(self, vertices: frozenset) -> Inventory:
+        """The inventory of the block A/<e_{V-vertices}> of a connected vertex set.
 
         It is kept for later calls when it can be a block of a socle
         quotient: a proper vertex set that at most one arrow joins to the
@@ -234,17 +235,17 @@ class Inventory(_PairNames):
         """
         block = self._blocks.get(vertices)
         if block is None:
-            block = Block(self.inventory_of(vertex_subalgebra_quotient(self.algebra, vertices)))
+            block = self.inventory_of(vertex_subalgebra_quotient(self.algebra, vertices))
             crossing = sum((a.src in vertices) != (a.tgt in vertices)
                            for a in self.algebra.arrows)
             if crossing <= 1 and len(vertices) < len(self.algebra.vertices):
                 self._blocks[vertices] = block
         return block
 
-    def lift(self, block: Block, i: int) -> int:
-        """The id of the record isomorphic to block record i inflated; kept in the block."""
+    def lift(self, block: Inventory, i: int) -> int:
+        """The id of the record isomorphic to record i of a block inventory inflated; kept there."""
         if i not in block.lifted:
-            rep = inflate(block.inv.records[i].rep)
+            rep = inflate(block.records[i].rep)
             match = self.find_iso(rep)
             if match is None:
                 raise InventoryError(
@@ -332,17 +333,6 @@ class Inventory(_PairNames):
             self._support_cache[ids] = frozenset(
                 v for i in ids for v, d in self.records[i].rep.dims.items() if d)
         return self._support_cache[ids]
-
-
-class Block:
-    """A quotient of an inventory's algebra: its own inventory, and the
-    inventory id of each of its records inflated so far (:meth:`Inventory.lift`)."""
-
-    __slots__ = ("inv", "lifted")
-
-    def __init__(self, inv: Inventory, lifted: dict[int, int] | None = None):
-        self.inv = inv
-        self.lifted = {} if lifted is None else lifted
 
 
 class BlockProduct(_PairNames):
@@ -708,7 +698,7 @@ def _block_tau_tilting(inv: Inventory, block: frozenset) -> list[tuple[int, ...]
     each quotient record is inflated and matched in the ambient inventory once.
     """
     blk = inv.block(block)
-    return [tuple(sorted(inv.lift(blk, i) for i in s)) for s in blk.inv.tilting_sets]
+    return [tuple(sorted(inv.lift(blk, i) for i in s)) for s in blk.tilting_sets]
 
 
 def _rigid_subsets(bad: list[int], k: int) -> list[tuple[int, ...]]:

@@ -78,6 +78,15 @@ def test_relation_validation():
         Relation(terms=((Fraction(1), ("a", "b")), (Fraction(1), ("a", "b", "a")))).validate(q)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_build_algebra_refuses_a_path_repeated_in_a_relation(sign):
+    """ab + ab means 2 ab and ab - ab means 0: either way the relation is not as written."""
+    q = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")))
+    twice = Relation(terms=((Fraction(1), ("a", "b")), (Fraction(sign), ("a", "b"))))
+    with pytest.raises(ValueError, match="^path a b appears twice in relation$"):
+        build_algebra(q, [twice])
+
+
 def test_dimension_identity(a3sq):
     total = 0
     for u in a3sq.vertices:

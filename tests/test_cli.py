@@ -215,6 +215,15 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_repeated_relation_path_is_a_parse_error(tmp_path, capsys):
+    # ab + ab is 2 ab, a monomial relation written as a sum: refused as written
+    bad = tmp_path / "twice.alg"
+    bad.write_text("algebra x\nvertices 1 2 3\narrow a 1 2\narrow b 2 3\n"
+                   "relation (a b) + (a b)\n")
+    assert main(["enumerate", str(bad)]) == 2
+    assert "line 5, col 17: path a b appears twice in relation" in capsys.readouterr().err
+
+
 def test_two_loop_local_algebra_stops_at_the_string_cap(tmp_path, capsys):
     # k<x,y>/(x,y)^2 is built (dimension 3); its band modules are what stop enumerate
     path = _write(tmp_path, "algebra xy\nvertices 1\narrow x 1 1\narrow y 1 1\n"

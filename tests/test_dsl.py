@@ -253,6 +253,25 @@ def test_unknown_arrow_in_relation_located_at_the_arrow(relation, col):
     assert exc.value.message == "unknown arrow 'zz' in relation"
 
 
+@pytest.mark.parametrize("arrows, relation, col, message", [
+    ("a 1 2|b 2 3", "relation (a b) - (b a)", 17, "non-composable path b a"),
+    ("a 1 2|b 2 3", "  relation a b - 2*(a a)", 17, "non-composable path a a"),
+    ("a 1 2|b 2 3", "relation 0*(a b)", 9, "zero coefficient in relation"),
+    ("a 1 2|b 2 3", "relation a", 9, "relation paths must have length >= 2"),
+    ("a 1 2|c 1 2|b 2 1", "relation (a b) - (c b) - (b a)", 25,
+     "relation terms are not parallel"),
+    ("a 1 2|b 2 3", "relation (a b) + (a b)", 17, "path a b appears twice in relation"),
+    ("a 1 2|b 2 3", "relation (a b) - (a b)", 17, "path a b appears twice in relation"),
+], ids=["composable", "coefficient", "zero", "short", "parallel", "twice+", "twice-"])
+def test_invalid_relation_located_at_the_term_at_fault(arrows, relation, col, message):
+    # at the term's first token: its coefficient if it has one
+    text = "".join(f"arrow {a}\n" for a in arrows.split("|"))
+    with pytest.raises(ParseError) as exc:
+        parse(f"algebra x\nvertices 1 2 3\n{text}{relation}\n")
+    assert (exc.value.line, exc.value.column) == (4 + arrows.count("|"), col)
+    assert exc.value.message == message
+
+
 @pytest.mark.parametrize("line, at, message", [
     ("dim  1 2", (7, 5), "duplicate dim '1'"),
     ("map a 1\n map  a 1", (8, 6), "duplicate map 'a'"),

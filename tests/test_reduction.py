@@ -23,7 +23,6 @@ from taured.reduction import (
 )
 from taured.series import series_algebra
 from taured.tilting import (
-    Block,
     BlockProduct,
     Inventory,
     PosetQuiver,
@@ -404,10 +403,10 @@ def _drop_first_quotient_arrow(monkeypatch):
 
     def dropped(self):
         out = blocks(self)
-        inv = copy.copy(out[-1].inv)
-        quiver = out[-1].inv.hasse_quiver
+        inv = copy.copy(out[-1])
+        quiver = out[-1].hasse_quiver
         inv.__dict__["hasse_quiver"] = PosetQuiver(quiver.n, quiver.arrows[1:])
-        return out[:-1] + [Block(inv, out[-1].lifted)]
+        return out[:-1] + [inv]
 
     monkeypatch.setattr(ReductionContext, "blocks", property(dropped))
 
