@@ -17,8 +17,8 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import NamedTuple
 
-from .errors import EmptySupport, NotFiniteDimensional, UnsupportedQuotient
-from .linalg import QQ, FpElement, Matrix, left_nullspace, modulo, rank_and_rowbasis
+from .errors import EmptySupport, NotFiniteDimensional, UnknownVertex, UnsupportedQuotient
+from .linalg import QQ, FpElement, Matrix, left_nullspace, modulo
 
 Vec = dict[int, object]  # sparse algebra element: basis index -> scalar
 
@@ -192,8 +192,14 @@ class Algebra:
     def basis_from(self, src: str) -> list[int]:
         return [i for i, b in enumerate(self.basis) if b.src == src]
 
-    def radical_indices(self) -> list[int]:
-        return [i for i, b in enumerate(self.basis) if not b.is_idempotent]
+    def path(self, word) -> Vec:
+        """The product of the arrows of a nonempty word, left to right; {} once a prefix vanishes."""
+        vec = self.element_of_arrow(word[0])
+        for name in word[1:]:
+            vec = self.multiply(vec, self.element_of_arrow(name))
+            if not vec:
+                break
+        return vec
 
     def __repr__(self):
         return (f"Algebra(dim={self.dim}, vertices={self.vertices}, "
@@ -340,11 +346,11 @@ def _check_associativity(alg: Algebra) -> None:
     basis elements x, y and every idempotent or arrow g.
 
     That proves full associativity once the idempotents and arrows generate
-    the algebra, which the word check shows for :func:`build_algebra` (its
-    words are paths of its quiver) and :func:`_check_generated_by_quiver`
-    shows for a quotient.  Then every element z is a combination of the e_v
-    and of products w a, a an arrow and w a shorter product, and by
-    induction on that length
+    the algebra, which the word check shows once the basis words are paths of
+    the quiver: :func:`build_algebra` lists paths, and
+    :func:`_check_generated_by_quiver` checks a quotient's words.  Then every
+    element z is a combination of the e_v and of products w a, a an arrow
+    and w a shorter product, and by induction on that length
     (x y)(w a) = ((x y) w) a = (x (y w)) a = x ((y w) a) = x (y (w a)).
     The check is exact at every dimension.
     """
@@ -372,81 +378,52 @@ def _check_associativity(alg: Algebra) -> None:
         if (alg.mult.get((alg.e_idx[b.src], i)) != unit
                 or alg.mult.get((i, alg.e_idx[b.tgt])) != unit):
             raise AssertionError(f"e_{b.src} and e_{b.tgt} are not units of basis element {i}")
-        if len(b.word) > 1:
-            prod = alg.element_of_arrow(b.word[0])
-            for name in b.word[1:]:
-                prod = alg.multiply(prod, alg.element_of_arrow(name))
-            if prod != unit:
-                raise AssertionError(f"basis element {i} is not the product of its arrows")
+        if len(b.word) > 1 and alg.path(b.word) != unit:
+            raise AssertionError(f"basis element {i} is not the product of its arrows")
 
 
-def two_sided_ideal_slices(alg: Algebra, gens: list[Vec]):
-    """Peirce slices of the two-sided ideal generated by ``gens``.
-
-    Returns a list of (src, tgt, rows) with rows a reduced basis of
-    e_src * <gens> * e_tgt in algebra coordinates.
-    """
-    field = alg.field
-    products: dict[tuple[str, str], list[Vec]] = {}
+def _ideal_products(alg: Algebra, gens: list[Vec]) -> list[Vec]:
+    """The nonzero products p g q, p and q basis elements and g a Peirce slice of a
+    generator: they span the ideal that ``gens`` generate, each in one Peirce block."""
+    one, basis = alg.field.one, alg.basis
+    products = []
     for g in gens:
-        # slice the generator, then multiply by basis elements on both sides
         slices: dict[tuple[str, str], Vec] = {}
         for i, c in g.items():
-            b = alg.basis[i]
-            slices.setdefault((b.src, b.tgt), {})[i] = c
+            slices.setdefault((basis[i].src, basis[i].tgt), {})[i] = c
         for (u, w), sv in slices.items():
-            for li in [alg.e_idx[x] for x in alg.vertices] + alg.radical_indices():
-                bl = alg.basis[li]
-                if bl.tgt != u:
-                    continue
-                left = alg.multiply({li: field.one}, sv)
-                if not left:
-                    continue
-                for ri in [alg.e_idx[x] for x in alg.vertices] + alg.radical_indices():
-                    br = alg.basis[ri]
-                    if br.src != w:
-                        continue
-                    prod = alg.multiply(left, {ri: field.one})
-                    if prod:
-                        products.setdefault((bl.src, br.tgt), []).append(prod)
-    out = []
-    for (u, w), vecs in sorted(products.items()):
-        cols = alg.basis_by_ends(u, w)
-        pos = {c: i for i, c in enumerate(cols)}
-        rows = [[field.zero] * len(cols) for _ in vecs]
-        for r, v in zip(rows, vecs):
-            for i, c in v.items():
-                r[pos[i]] = r[pos[i]] + c
-        _, basis = rank_and_rowbasis(Matrix.from_rows(rows, len(cols), field))
-        basis_rows = [{cols[i]: c for i, c in enumerate(row) if c} for row in basis.data]
-        if basis_rows:
-            out.append((u, w, basis_rows))
-    return out
+            right = alg.basis_from(w)
+            for p in (i for i, b in enumerate(basis) if b.tgt == u):
+                if left := alg.multiply({p: one}, sv):
+                    products += [pgq for q in right if (pgq := alg.multiply(left, {q: one}))]
+    return products
 
 
 def quotient_by_elements(alg: Algebra, gens: list[Vec]) -> Algebra:
     """Quotient by the two-sided ideal generated by ``gens``.
 
     The new basis is the subset of ``alg.basis`` surviving elimination; the
-    projection map is retained so modules can be inflated back.  An empty
-    ideal returns an isomorphic copy.
+    projection map is retained so modules can be inflated back.  The ideal's
+    basis in each Peirce block is read off the normal forms: e_k minus the
+    normal form of e_k for each killed k.  An empty ideal returns a copy.
     """
     field = alg.field
-    slices = two_sided_ideal_slices(alg, gens)
-
     surviving, projection = _normal_form(
-        range(alg.dim), [v for _, _, rows in slices for v in rows], field,
+        range(alg.dim), _ideal_products(alg, gens), field,
         lambda i: (len(alg.basis[i].word), alg.basis[i].word),
         lambda i: (alg.basis[i].src, alg.basis[i].tgt))
     new_pos = {old: new for new, old in enumerate(surviving)}
 
-    killed = set(range(alg.dim)).difference(new_pos)
+    killed = [i for i in range(alg.dim) if i not in new_pos]
+    slices: dict[tuple[str, str], list[Vec]] = {}
     for old in killed:
         b = alg.basis[old]
         if b.is_idempotent and projection[old]:
             raise UnsupportedQuotient(f"idempotent e_{b.src} rewrites to a nonzero element")
+        slices.setdefault((b.src, b.tgt), []).append(
+            {old: field.one} | {surviving[s]: -x for s, x in projection[old].items()})
 
-    new_vertices = tuple(v for v in alg.vertices if alg.e_idx[v] not in killed)
+    new_vertices = tuple(v for v in alg.vertices if alg.e_idx[v] in new_pos)
     for old in surviving:
         b = alg.basis[old]
         if b.src not in new_vertices or b.tgt not in new_vertices:
@@ -474,8 +451,9 @@ def quotient_by_elements(alg: Algebra, gens: list[Vec]) -> Algebra:
             if vec:
                 new_mult[(ni, nj)] = vec
 
+    ideal_slices = [(u, w, rows) for (u, w), rows in sorted(slices.items())]
     quoti = Algebra(field, new_quiver, None, new_basis, new_mult, alg.nil_index,
-                    parent=alg, projection=projection, ideal_slices=slices)
+                    parent=alg, projection=projection, ideal_slices=ideal_slices)
     _check_generated_by_quiver(quoti)
     _check_associativity(quoti)
     return quoti
@@ -484,36 +462,15 @@ def quotient_by_elements(alg: Algebra, gens: list[Vec]) -> Algebra:
 def _check_generated_by_quiver(alg: Algebra) -> None:
     """The surviving idempotents and arrows must generate the quotient.
 
-    Products are reduced against an echelon basis kept as it grows (row p has
-    leading index p and coefficient one there), and only the elements that
-    enlarged the span are multiplied by the arrows in the next round.
+    Checked: every letter of a basis word is an arrow of the quiver.  The words
+    are distinct paths of the parent's quiver, so they are then paths of this
+    one, and the word check of :func:`_check_associativity` makes each the
+    product of its arrows.  Elimination kills the words greatest in
+    length-then-lexicographic order, so a word containing a killed arrow is
+    killed, and no quotient generated by its quiver fails.
     """
-    field = alg.field
-    echelon: dict[int, Vec] = {}
-
-    def enlarges(v: Vec) -> bool:
-        v = dict(v)
-        while v:
-            p = min(v)
-            row = echelon.get(p)
-            if row is None:
-                scale = field.inverse(v[p])
-                echelon[p] = {k: c * scale for k, c in v.items()}
-                return True
-            c = v[p]
-            for k, ck in row.items():
-                s = v.get(k, field.zero) - c * ck
-                if s:
-                    v[k] = s
-                else:
-                    v.pop(k, None)
-        return False
-
-    arrows = [alg.element_of_arrow(a.name) for a in alg.quiver.arrows]
-    new = [x for x in [alg.element_of_vertex(v) for v in alg.vertices] + arrows if enlarges(x)]
-    while new:
-        new = [p for x in new for a in arrows if (p := alg.multiply(x, a)) and enlarges(p)]
-    if len(echelon) != alg.dim:
+    arrows = {a.name for a in alg.quiver.arrows}
+    if any(name not in arrows for b in alg.basis for name in b.word):
         raise UnsupportedQuotient("quotient is not generated by its surviving quiver")
 
 
@@ -524,7 +481,6 @@ def vertex_subalgebra_quotient(alg: Algebra, support) -> Algebra:
         raise EmptySupport("support must be a nonempty vertex set")
     for v in support:
         if v not in alg.vertices:
-            from .errors import UnknownVertex
             raise UnknownVertex(v)
     outside = [v for v in alg.vertices if v not in support]
     gens = [alg.element_of_vertex(v) for v in outside]
@@ -611,14 +567,6 @@ def extract_presentation(alg: Algebra):
 
     by_src = {v: [a for a in alg.quiver.arrows if a.src == v] for v in alg.vertices}
 
-    def eval_word(word):
-        vec = alg.element_of_vertex(alg.quiver.arrow(word[0]).src)
-        for name in word:
-            vec = alg.multiply(vec, alg.element_of_arrow(name))
-            if not vec:
-                return {}
-        return vec
-
     words_by_ends: dict[tuple[str, str], list[tuple]] = {}
     level = [((a.name,), a.src, a.tgt) for a in alg.quiver.arrows]
     for _ in range(2, bound + 1):
@@ -631,7 +579,7 @@ def extract_presentation(alg: Algebra):
         words = sorted(words, key=lambda w: (len(w), w))
         m = Matrix.zeros(len(words), alg.dim, alg.field)
         for row, w in zip(m.data, words):
-            for i, c in eval_word(w).items():
+            for i, c in alg.path(w).items():
                 row[i] = c
         # kernel combinations of the evaluation map = relations among the words
         for krow in left_nullspace(m).data:

@@ -7,8 +7,7 @@ from .tilting import Inventory, PosetQuiver, STPair
 
 
 def emit_dot(pq: PosetQuiver, labels: list[str], double_border: set[int] | None = None,
-             highlight: set[int] | None = None, ascii_labels: bool = False,
-             name: str = "hasse") -> str:
+             highlight: set[int] | None = None, ascii_labels: bool = False) -> str:
     """A DOT digraph with deterministic vertex and edge order.
 
     Vertex i is the DOT node ``labels[i]``, so the labels must be distinct.
@@ -22,7 +21,7 @@ def emit_dot(pq: PosetQuiver, labels: list[str], double_border: set[int] | None 
     double_border = double_border or set()
     highlight = highlight or set()
     joiner = "+" if ascii_labels else "⊕"
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph hasse {"]
     for i in sorted(range(pq.n), key=labels.__getitem__):
         lbl = labels[i]
         shown = lbl if lbl == "0" else lbl.replace("+", joiner)

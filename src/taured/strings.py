@@ -84,15 +84,6 @@ def canonical(alg: Algebra, w: StringWord) -> StringWord:
     return min(w, inv, key=lambda x: _word_key(x.letters, x.base_vertex))
 
 
-def _path_nonzero(alg: Algebra, arrow_names: list[str]) -> bool:
-    vec = alg.element_of_arrow(arrow_names[0])
-    for name in arrow_names[1:]:
-        vec = alg.multiply(vec, alg.element_of_arrow(name))
-        if not vec:
-            return False
-    return True
-
-
 def is_string_algebra(alg: Algebra) -> tuple[bool, str]:
     """Check the string-algebra conditions; the certificate names the first failure."""
     # monomial multiplication: products of basis words are 0 or a single basis word
@@ -115,10 +106,10 @@ def is_string_algebra(alg: Algebra) -> tuple[bool, str]:
         if outdeg[v] > 2:
             return False, f"vertex {v} has more than two outgoing arrows"
     for b in alg.arrows:
-        cont = [g for g in alg.arrows if g.src == b.tgt and _path_nonzero(alg, [b.name, g.name])]
+        cont = [g for g in alg.arrows if g.src == b.tgt and alg.path((b.name, g.name))]
         if len(cont) > 1:
             return False, f"arrow {b.name} has two surviving continuations"
-        pre = [d for d in alg.arrows if d.tgt == b.src and _path_nonzero(alg, [d.name, b.name])]
+        pre = [d for d in alg.arrows if d.tgt == b.src and alg.path((d.name, b.name))]
         if len(pre) > 1:
             return False, f"arrow {b.name} has two surviving predecessors"
     return True, "ok"
@@ -146,7 +137,7 @@ def _valid_extension(alg: Algebra, letters: list[Letter], new: Letter) -> bool:
     else:
         path = [l.arrow for l in run]
     # single arrows are never zero over an admissible quotient
-    return len(path) < 2 or _path_nonzero(alg, path)
+    return len(path) < 2 or bool(alg.path(path))
 
 
 def enumerate_strings(alg: Algebra) -> list[StringWord]:

@@ -134,6 +134,7 @@ class Inventory(_PairNames):
         self.records = records
         self.words = words
         self._hom_cache: dict[tuple[int, int], list] = {}
+        self._hom_to_tau: dict[tuple[int, int], int] = {}
         self._support_cache: dict[frozenset, frozenset] = {}
         self._simple_top: dict[int, bool] = {}
         self._generators: dict[int, frozenset] = {}
@@ -276,8 +277,10 @@ class Inventory(_PairNames):
         return self._hom_cache[(i, j)]
 
     def hom_to_tau(self, i: int, j: int) -> int:
-        """dim Hom(X_i, tau X_j)."""
-        return len(hom_basis(self.records[i].rep, self.records[j].tau_rep))
+        """dim Hom(X_i, tau X_j), computed once per pair."""
+        if (i, j) not in self._hom_to_tau:
+            self._hom_to_tau[(i, j)] = len(hom_basis(self.records[i].rep, self.records[j].tau_rep))
+        return self._hom_to_tau[(i, j)]
 
     def hom_proj_dim(self, v: str, i: int) -> int:
         """dim Hom(P_v, X_i) = dim X_i at v."""

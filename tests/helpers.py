@@ -3,7 +3,7 @@
 from math import prod
 
 from taured.errors import AlgebraMismatch, UnknownVertex
-from taured.linalg import Matrix
+from taured.linalg import Matrix, rank_and_rowbasis
 from taured.reduction import (
     ReductionSets,
     Report,
@@ -49,6 +49,38 @@ def solve_right(a: Matrix, b: Matrix) -> Matrix | None:
         for j in range(b.cols):
             x.data[pc][j] = r.data[i][a.cols + j]
     return x
+
+
+def slice_matrix(alg, ends: tuple[str, str], vecs: list[dict]) -> Matrix:
+    """The vectors of one Peirce block e_u A e_w as rows, on the columns ``alg.basis_by_ends(u, w)``."""
+    cols = alg.basis_by_ends(*ends)
+    return Matrix.from_rows([[v.get(c, alg.field.zero) for c in cols] for v in vecs],
+                            len(cols), alg.field)
+
+
+def reference_ideal_slices(alg, gens) -> dict[tuple[str, str], Matrix]:
+    """The row-reduced products p g q in each Peirce block (u, w) that the two-sided
+    ideal generated by ``gens`` meets, as a :func:`slice_matrix`; p and q are basis
+    elements and g a Peirce slice of a generator.
+
+    The reference for the ``ideal_slices`` of
+    :func:`taured.algebra.quotient_by_elements`, which reduces the products once
+    with the rest of the basis and reads each block's basis off the normal forms.
+    """
+    one, basis = alg.field.one, alg.basis
+    products: dict[tuple[str, str], list[dict]] = {}
+    for g in gens:
+        slices: dict[tuple[str, str], dict] = {}
+        for i, c in g.items():
+            slices.setdefault((basis[i].src, basis[i].tgt), {})[i] = c
+        for (u, w), sv in slices.items():
+            for p in (i for i, b in enumerate(basis) if b.tgt == u):
+                left = alg.multiply({p: one}, sv)
+                for q in (i for i, b in enumerate(basis) if b.src == w):
+                    if prod := alg.multiply(left, {q: one}):
+                        products.setdefault((basis[p].src, basis[q].tgt), []).append(prod)
+    return {ends: rank_and_rowbasis(slice_matrix(alg, ends, vecs))[1]
+            for ends, vecs in products.items()}
 
 
 def record_by_name(inv, name: str):

@@ -1,6 +1,7 @@
 import os
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,20 +29,33 @@ from taured.errors import (
     UnknownVertex,
     UnsupportedQuotient,
 )
-from taured.linalg import QQ, PrimeField
+from taured.linalg import QQ, Matrix, PrimeField
+from taured.reduction import find_proj_injectives
 from taured.series import series_algebra
 
-from helpers import monomial_basis
+from helpers import monomial_basis, reference_ideal_slices, same_rowspace, slice_matrix
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
-def commutative_square():
+def commutative_square(field=QQ):
     q = Quiver(("1", "2", "3", "4"),
                (Arrow("a", "1", "2"), Arrow("b", "2", "4"),
                 Arrow("c", "1", "3"), Arrow("d", "3", "4")))
     rel = Relation(terms=((Fraction(1), ("a", "b")), (Fraction(-1), ("c", "d"))))
-    return build_algebra(q, [rel])
+    return build_algebra(q, [rel], field=field)
+
+
+def commutative_grid(n, field=QQ):
+    """The incidence algebra of the n x n grid poset: arrows r (first coordinate) and
+    u (second), and every square commutes."""
+    arrows = [Arrow(f"r{i}{j}", f"{i}{j}", f"{i + 1}{j}") for i in range(n - 1) for j in range(n)]
+    arrows += [Arrow(f"u{i}{j}", f"{i}{j}", f"{i}{j + 1}") for i in range(n) for j in range(n - 1)]
+    squares = [Relation(((Fraction(1), (f"r{i}{j}", f"u{i + 1}{j}")),
+                         (Fraction(-1), (f"u{i}{j}", f"r{i}{j + 1}"))))
+               for i in range(n - 1) for j in range(n - 1)]
+    quiver = Quiver(tuple(f"{i}{j}" for i in range(n) for j in range(n)), tuple(arrows))
+    return build_algebra(quiver, squares, field=field)
 
 
 def test_a3sq_basis(a3sq):
@@ -231,6 +245,56 @@ def test_quotient_dimension_drop(a3sq):
         assert quot.dim == a3sq.dim - ideal_dim
 
 
+def _quotient_inputs(field):
+    """(name, algebra, generators): every vertex quotient and socle quotient of the
+    standard corpus, the commutative square and the 3 x 3 grid, and three sets of
+    random radical generators on each."""
+    rng = random.Random(25)
+    algebras = {**standard_corpus(field), "square": commutative_square(field),
+                "grid3": commutative_grid(3, field)}
+    for name, alg in algebras.items():
+        for size in range(1, len(alg.vertices)):
+            for kept in combinations(alg.vertices, size):
+                yield name, alg, [alg.element_of_vertex(v) for v in alg.vertices if v not in kept]
+        for soc, _, _ in find_proj_injectives(alg).values():
+            yield name, alg, [soc]
+        radical = [i for i, b in enumerate(alg.basis) if b.word]
+        for _ in range(3):
+            yield name, alg, [{i: field.from_fraction(Fraction(rng.randint(1, 3)))
+                               for i in rng.sample(radical, min(2, len(radical)))}
+                              for _ in range(rng.randint(1, 2))]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=str)
+def test_ideal_slices_span_the_reduced_products(field):
+    """Each Peirce block of the ideal read off the normal forms has the reference's row space."""
+    seen = 0
+    for name, alg, gens in _quotient_inputs(field):
+        quot = quotient_by_elements(alg, gens)
+        ref = reference_ideal_slices(alg, gens)
+        got = {(u, w): slice_matrix(alg, (u, w), rows) for u, w, rows in quot.ideal_slices}
+        assert got.keys() == ref.keys(), name
+        for ends, m in ref.items():
+            assert got[ends].rows == m.rows and same_rowspace(got[ends], m), (name, ends)
+        assert quot.dim == alg.dim - sum(m.rows for m in ref.values())
+        seen += 1
+    assert seen > 500
+
+
+def test_quotient_reduces_the_ideal_once_per_block(monkeypatch):
+    """One elimination per Peirce block that the ideal meets, and none besides."""
+    calls = []
+    rref = Matrix.rref
+    monkeypatch.setattr(Matrix, "rref", lambda m: calls.append(m) or rref(m))
+    blocks = 0
+    for name, alg, gens in _quotient_inputs(QQ):
+        calls.clear()
+        quot = quotient_by_elements(alg, gens)
+        assert len(calls) == len(quot.ideal_slices), name
+        blocks += len(calls)
+    assert blocks > 0
+
+
 def test_commutative_square_dim():
     sq = commutative_square()
     assert sq.dim == 9  # 4 idempotents + 4 arrows + 1 diagonal class
@@ -324,13 +388,7 @@ def test_commutative_grid_is_reduced_block_by_block():
     # the incidence algebra of a 6 x 6 grid poset: 21 comparable pairs in each
     # coordinate; reduced as one dense block its last length would pass the budget
     n = 6
-    arrows = [Arrow(f"r{i}{j}", f"{i}{j}", f"{i + 1}{j}") for i in range(n - 1) for j in range(n)]
-    arrows += [Arrow(f"u{i}{j}", f"{i}{j}", f"{i}{j + 1}") for i in range(n) for j in range(n - 1)]
-    squares = [Relation(((Fraction(1), (f"r{i}{j}", f"u{i + 1}{j}")),
-                         (Fraction(-1), (f"u{i}{j}", f"r{i}{j + 1}"))))
-               for i in range(n - 1) for j in range(n - 1)]
-    quiver = Quiver(tuple(f"{i}{j}" for i in range(n) for j in range(n)), tuple(arrows))
-    alg = build_algebra(quiver, squares)
+    alg = commutative_grid(n)
     assert alg.dim == 21 * 21 and alg.nil_index == 2 * (n - 1) + 1
 
 

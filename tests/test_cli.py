@@ -208,6 +208,44 @@ def test_verify_hasse_certificate_failure(a3sq_file, capsys, monkeypatch):
     assert captured.err == "FAILED: hasse-certificate\n"
 
 
+SINK_TEXT = "algebra sink\nvertices 1 2 3\narrow a 1 2\narrow b 3 2\n"
+
+
+def test_verify_skips_the_reduction_without_a_projective_injective(tmp_path, capsys):
+    # hereditary 1 -> 2 <- 3: P_2 = S_2 is not injective, and P_1, P_3 have socle S_2
+    assert main(["verify", _write(tmp_path, SINK_TEXT)]) == 0
+    out = capsys.readouterr().out
+    assert "[SKIP] reduction: no indecomposable projective-injective module\n" in out
+    assert out.endswith("all checks passed\n")
+
+
+def test_reduce_without_a_projective_injective_exits_one(tmp_path, capsys):
+    assert main(["reduce", _write(tmp_path, SINK_TEXT)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "no indecomposable projective-injective module\n"
+    assert captured.out == ""
+
+
+def test_verify_oracle_mismatch_fails(a3sq_file, capsys, monkeypatch):
+    oracle = taured.cli.oracle_stpairs_via_quotients
+    monkeypatch.setattr(taured.cli, "oracle_stpairs_via_quotients", lambda inv: oracle(inv)[:-1])
+    assert main(["verify", a3sq_file]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] oracle-equivalence: clique enumeration matches" in captured.out
+    assert "all checks passed" not in captured.out
+    assert captured.err == "FAILED: oracle-equivalence\n"
+
+
+def test_series_closed_form_mismatch_fails(capsys, monkeypatch):
+    closed = taured.cli.closed_form
+    monkeypatch.setattr(taured.cli, "closed_form", lambda kind, n: closed(kind, n) + (n == 5))
+    assert main(["series", "--kind", "A", "--max", "6", "--closed-form"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "series check FAILED\n"
+    row = next(line.split() for line in captured.out.splitlines() if line.split()[0] == "5")
+    assert int(row[-1]) == int(row[1]) + 1
+
+
 def test_parse_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.alg"
     bad.write_text("algebra x\nvertices 1\narrow a 1 9\n")
