@@ -33,10 +33,6 @@ class UnsupportedQuotient(TauredError):
     """The quotient is not presentable on the induced quiver (outside supported scope)."""
 
 
-class InconsistentSum(TauredError):
-    """A direct sum of projectives or injectives disagrees with its path bookkeeping."""
-
-
 class NotProjInjective(TauredError):
     pass
 

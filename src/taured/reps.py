@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import Algebra, Vec
-from .errors import AlgebraMismatch, InconsistentSum, QuotientMismatch, UnknownVertex, ZeroModule
+from .errors import AlgebraMismatch, QuotientMismatch, UnknownVertex, ZeroModule
 from .linalg import Matrix, is_invertible, modulo, nullspace, rank_and_rowbasis
 
 
@@ -150,43 +150,14 @@ def projective(algebra: Algebra, v: str) -> Representation:
     """P_v: basis at w = residue paths v -> w; arrows act by right concatenation."""
     if v not in algebra.vertices:
         raise UnknownVertex(v)
-    rows_at = {w: algebra.basis_by_ends(v, w) for w in algebra.vertices}
-    dims = {w: len(rows_at[w]) for w in algebra.vertices}
-    field = algebra.field
-    maps = {}
-    for a in algebra.arrows:
-        m = Matrix.zeros(dims[a.src], dims[a.tgt], field)
-        col_pos = {b: k for k, b in enumerate(rows_at[a.tgt])}
-        ar = algebra.element_of_arrow(a.name)
-        for r, bidx in enumerate(rows_at[a.src]):
-            prod = algebra.multiply({bidx: field.one}, ar)
-            for k, c in prod.items():
-                m.data[r][col_pos[k]] = c
-        maps[a.name] = m
-    return Representation(algebra, dims, maps)
+    return ProjSum(algebra, [v]).rep
 
 
 def injective(algebra: Algebra, v: str) -> Representation:
     """I_v: basis at w = residue paths w -> v; arrows act by dualized left concatenation."""
     if v not in algebra.vertices:
         raise UnknownVertex(v)
-    rows_at = {w: algebra.basis_by_ends(w, v) for w in algebra.vertices}
-    dims = {w: len(rows_at[w]) for w in algebra.vertices}
-    field = algebra.field
-    maps = {}
-    for a in algebra.arrows:
-        m = Matrix.zeros(dims[a.src], dims[a.tgt], field)
-        col_pos = {b: k for k, b in enumerate(rows_at[a.tgt])}
-        ar = algebra.element_of_arrow(a.name)
-        # (q^* . a)(x) = q^*(a x): entry at (q, x) is the q-coefficient of a.x
-        for r, q in enumerate(rows_at[a.src]):
-            for x in rows_at[a.tgt]:
-                prod = algebra.multiply(ar, {x: field.one})
-                c = prod.get(q)
-                if c:
-                    m.data[r][col_pos[x]] = c
-        maps[a.name] = m
-    return Representation(algebra, dims, maps)
+    return InjSum(algebra, [v]).rep
 
 
 def direct_sum(parts: list[Representation], algebra: Algebra | None = None) -> Representation:
@@ -292,40 +263,29 @@ def _is_iso_map(f: Morphism) -> bool:
     return all(is_invertible(m) for m in f.blocks.values()) and f.verify()
 
 
-def radical_subspaces(M: Representation) -> dict[str, Matrix]:
-    """Rows spanning M.rad at each vertex (sum of arrow images)."""
-    alg = M.algebra
-    out = {}
-    for v in alg.vertices:
-        mats = [M.maps[a.name] for a in alg.arrows if a.tgt == v]
-        out[v] = rank_and_rowbasis(Matrix.stack(mats, M.dims[v], alg.field))[1]
-    return out
+def top_lifts(M: Representation) -> list[tuple[str, int]]:
+    """Unit vectors of M whose classes form a basis of M / M.rad, as (vertex, coordinate).
 
-
-def top_lifts(M: Representation) -> list[tuple[str, list]]:
-    """Vectors in M whose classes form a basis of M / M.rad, as (vertex, row)."""
+    At each vertex they are the free columns of the stacked arrow images.
+    """
     alg = M.algebra
-    rad = radical_subspaces(M)
     out = []
     for v in alg.vertices:
-        d = M.dims[v]
-        if d == 0:
-            continue
-        for c in modulo(rad[v])[0]:
-            row = [alg.field.zero] * d
-            row[c] = alg.field.one
-            out.append((v, row))
+        if M.dims[v]:
+            rad = Matrix.stack([M.maps[a.name] for a in alg.arrows if a.tgt == v], M.dims[v], alg.field)
+            out.extend((v, c) for c in modulo(rad)[0])
     return out
 
 
 class _SlotSum:
     """Direct sum of P_v or I_v over a vertex list, with per-slot path bookkeeping.
 
-    ``paths(v, w)`` lists the basis paths of the summand at ``v`` that sit at
-    vertex ``w``; ``summand(algebra, v)`` builds that summand.
+    A subclass gives ``_paths(v, w)``, the basis paths of the summand at ``v``
+    that sit at vertex ``w``, and ``_entries``, the nonzero entries of an
+    arrow's block in one summand.
     """
 
-    def __init__(self, algebra: Algebra, vertices: list[str], paths, summand):
+    def __init__(self, algebra: Algebra, vertices: list[str]):
         self.algebra = algebra
         self.vertices = list(vertices)
         self.slot_paths = {}  # (slot, vertex) -> list of basis indices
@@ -333,21 +293,34 @@ class _SlotSum:
         dims = {v: 0 for v in algebra.vertices}
         for s, sv in enumerate(self.vertices):
             for w in algebra.vertices:
-                self.slot_paths[(s, w)] = paths(sv, w)
+                self.slot_paths[(s, w)] = self._paths(sv, w)
                 self.offsets[(s, w)] = dims[w]
                 dims[w] += len(self.slot_paths[(s, w)])
-        self.rep = direct_sum([summand(algebra, v) for v in self.vertices], algebra)
-        if self.rep.dims != dims:
-            raise InconsistentSum(
-                f"summands over {self.vertices} have dimensions {self.rep.dims}, "
-                f"their paths count {dims}")
+        maps = {}
+        for a in algebra.arrows:
+            m = Matrix.zeros(dims[a.src], dims[a.tgt], algebra.field)
+            ar = algebra.element_of_arrow(a.name)
+            for s in range(len(self.vertices)):
+                ro, co = self.offsets[(s, a.src)], self.offsets[(s, a.tgt)]
+                for r, k, c in self._entries(ar, self.slot_paths[(s, a.src)],
+                                             self.slot_paths[(s, a.tgt)]):
+                    m.data[ro + r][co + k] = c
+            maps[a.name] = m
+        self.rep = Representation(algebra, dims, maps)
 
 
 class ProjSum(_SlotSum):
     """Direct sum of projectives P_{v_i}; slot paths are the paths v_i -> w."""
 
-    def __init__(self, algebra: Algebra, vertices: list[str]):
-        super().__init__(algebra, vertices, algebra.basis_by_ends, projective)
+    def _paths(self, v: str, w: str) -> list[int]:
+        return self.algebra.basis_by_ends(v, w)
+
+    def _entries(self, ar: Vec, rows: list[int], cols: list[int]):
+        """Row p of the arrow's block is p . a."""
+        col_pos = {b: k for k, b in enumerate(cols)}
+        for r, p in enumerate(rows):
+            for k, c in self.algebra.multiply({p: self.algebra.field.one}, ar).items():
+                yield r, col_pos[k], c
 
     def generator_coord(self, slot: int) -> tuple[str, int]:
         """Vertex and coordinate of the slot generator e_{v_slot}."""
@@ -360,8 +333,15 @@ class ProjSum(_SlotSum):
 class InjSum(_SlotSum):
     """Direct sum of injectives I_{v_i}; slot paths are the paths w -> v_i."""
 
-    def __init__(self, algebra: Algebra, vertices: list[str]):
-        super().__init__(algebra, vertices, lambda v, w: algebra.basis_by_ends(w, v), injective)
+    def _paths(self, v: str, w: str) -> list[int]:
+        return self.algebra.basis_by_ends(w, v)
+
+    def _entries(self, ar: Vec, rows: list[int], cols: list[int]):
+        """(q^* . a)(x) = q^*(a x): entry (q, x) is the q-coefficient of a . x."""
+        row_pos = {q: r for r, q in enumerate(rows)}
+        for k, x in enumerate(cols):
+            for q, c in self.algebra.multiply(ar, {x: self.algebra.field.one}).items():
+                yield row_pos[q], k, c
 
 
 class PresentationMap(NamedTuple):
@@ -385,26 +365,24 @@ class PresentationMap(NamedTuple):
 
 
 def projective_cover_map(M: Representation) -> tuple[ProjSum, Morphism]:
+    """The cover sending each slot generator to its top lift e_c.
+
+    A path b sends e_c to row c of b's action; an idempotent keeps e_c.
+    """
     lifts = top_lifts(M)
     alg = M.algebra
     ps = ProjSum(alg, [v for v, _ in lifts])
-    field = alg.field
-    blocks = {w: Matrix.zeros(ps.rep.dims[w], M.dims[w], field) for w in alg.vertices}
-    for slot, (v, row) in enumerate(lifts):
+    blocks = {w: Matrix.zeros(ps.rep.dims[w], M.dims[w], alg.field) for w in alg.vertices}
+    for slot, (v, c) in enumerate(lifts):
         for w in alg.vertices:
-            paths = ps.slot_paths[(slot, w)]
             off = ps.offsets[(slot, w)]
-            for k, bidx in enumerate(paths):
+            for k, bidx in enumerate(ps.slot_paths[(slot, w)]):
                 b = alg.basis[bidx]
                 if b.is_idempotent:
-                    img = row
+                    blocks[w].data[off + k][c] = alg.field.one
                 else:
-                    act = M.word_action(b.word)
-                    img = Matrix.from_rows([row], M.dims[v], field) @ act
-                    img = img.data[0]
-                blocks[w].data[off + k] = list(img)
-    f = Morphism(ps.rep, M, blocks)
-    return ps, f
+                    blocks[w].data[off + k] = M.word_action(b.word).data[c][:]
+    return ps, Morphism(ps.rep, M, blocks)
 
 
 def kernel_of(f: Morphism) -> tuple[Representation, Morphism]:
@@ -520,34 +498,27 @@ def _images_fill(N: Representation, homs) -> bool:
     return True
 
 
-def module_times_ideal(M: Representation, slices) -> dict[str, Matrix]:
-    """Rows spanning M . J at each vertex, J given by Peirce slices."""
-    alg = M.algebra
-    rows: dict[str, list[Matrix]] = {v: [] for v in alg.vertices}
-    for (u, w, vecs) in slices:
-        if M.dims[u] and M.dims[w]:  # an element of e_u A e_w acts by a map M_u -> M_w
-            rows[w].extend(M.element_action(vec, u, w) for vec in vecs)
-    return {v: rank_and_rowbasis(Matrix.stack(rows[v], M.dims[v], alg.field))[1] if rows[v]
-            else Matrix(0, M.dims[v], [], alg.field) for v in alg.vertices}
-
-
 def bar(M: Representation, quotient: Algebra) -> Representation:
     """M / (M . J) as a module over the quotient algebra A/J.
 
-    At each vertex the free unit vectors of :func:`modulo` of M . J are the
-    basis, and the nullspace's transpose projects onto it.
+    At each vertex the actions of the ideal's Peirce slices are stacked, so
+    their row space is M . J there; the free unit vectors of :func:`modulo`
+    are the basis, and the nullspace's transpose projects onto it.
     """
     if quotient.parent is not M.algebra:
         raise QuotientMismatch("quotient algebra does not come from this module's algebra")
     alg = M.algebra
-    mj = module_times_ideal(M, quotient.ideal_slices)
-    if not any(m.rows for m in mj.values()):
+    acts: dict[str, list[Matrix]] = {v: [] for v in alg.vertices}
+    for (u, w, vecs) in quotient.ideal_slices:
+        if M.dims[u] and M.dims[w]:  # an element of e_u A e_w acts by a map M_u -> M_w
+            acts[w].extend(M.element_action(vec, u, w) for vec in vecs)
+    if all(m.is_zero() for ms in acts.values() for m in ms):
         # M . J = 0, so M is a module over A/J as it is; J holds e_v for each killed v
         return Representation(quotient, {v: M.dims[v] for v in quotient.vertices},
                               {a.name: M.maps[a.name].copy() for a in quotient.arrows})
     free, proj = {}, {}
     for v in alg.vertices:
-        free[v], kernel = modulo(mj[v])
+        free[v], kernel = modulo(Matrix.stack(acts[v], M.dims[v], alg.field))
         proj[v] = kernel.transpose()
         if v not in quotient.vertices and free[v]:
             raise QuotientMismatch("quotient module lives on a killed vertex")

@@ -31,8 +31,8 @@ from .reps import (
     inflate,
     is_iso,
     projective,
-    radical_subspaces,
     tau,
+    top_lifts,
     zero_rep,
 )
 from .strings import (
@@ -307,9 +307,7 @@ class Inventory(_PairNames):
     def has_simple_top(self, j: int) -> bool:
         """Is X_j / rad X_j one-dimensional?"""
         if j not in self._simple_top:
-            rep = self.records[j].rep
-            rad = sum(m.rows for m in radical_subspaces(rep).values())
-            self._simple_top[j] = rep.total_dim - rad == 1
+            self._simple_top[j] = len(top_lifts(self.records[j].rep)) == 1
         return self._simple_top[j]
 
     def generators(self, j: int) -> frozenset:
@@ -469,24 +467,13 @@ def _is_local_endo_ring(rep: Representation) -> bool:
     n = len(homs)
     if n == 1:
         return True
-    alg = rep.algebra
-    field = alg.field
-
-    def compose_blocks(f, g):
-        return {v: f.blocks[v] @ g.blocks[v] for v in alg.vertices}
-
+    field = rep.algebra.field
     gram = Matrix.zeros(n, n, field)
-    for i in range(n):
-        for j in range(n):
-            prod = compose_blocks(homs[i], homs[j])
-            tr = field.zero
-            for v in alg.vertices:
-                m = prod[v]
-                for k in range(m.rows):
-                    tr = tr + m.data[k][k]
-            gram.data[i][j] = tr
-    radical_dim = n - gram.rank()
-    return n - radical_dim == 1
+    for i, f in enumerate(homs):
+        for j, g in enumerate(homs):
+            gram.data[i][j] = sum((m.data[k][k] for m in f.compose(g).blocks.values()
+                                   for k in range(m.rows)), field.zero)
+    return gram.rank() == 1
 
 
 def build_inventory(algebra: Algebra,
@@ -525,14 +512,14 @@ def build_inventory(algebra: Algebra,
                     raise InventoryError(
                         f"records {records[ids[i]].name} and {records[ids[j]].name} are isomorphic")
 
-    # records is inv.records, so external tau records appended below are visited too
+    # records is inv.records: the external tau records appended below are visited, not extended
     for r in records:
         t = tau(r.rep)
         r.tau_rep = t
         r.is_projective = t.is_zero()
         if not r.is_projective:
             match = inv.find_iso(t)
-            if match is None:
+            if match is None and not r.external:
                 _warn("tau of %s is not in the inventory; recording standalone", r.name)
                 extra = IndecRecord(len(records), f"tau({r.name})", t, zero_rep(algebra),
                                     False, False, external=True)

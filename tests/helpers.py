@@ -12,7 +12,7 @@ from taured.reduction import (
     reconstruct_tau_tilt,
     socle_quotient,
 )
-from taured.reps import _images_fill, direct_sum, hom_basis, inflate, is_sincere
+from taured.reps import Representation, _images_fill, direct_sum, hom_basis, inflate, is_sincere
 from taured.tilting import PosetQuiver, build_inventory, full_subquiver
 
 
@@ -81,6 +81,57 @@ def reference_ideal_slices(alg, gens) -> dict[tuple[str, str], Matrix]:
                         products.setdefault((basis[p].src, basis[q].tgt), []).append(prod)
     return {ends: rank_and_rowbasis(slice_matrix(alg, ends, vecs))[1]
             for ends, vecs in products.items()}
+
+
+def reference_projective(algebra, v: str) -> Representation:
+    """P_v: basis at w = residue paths v -> w; arrows act by right concatenation.
+
+    The reference for :func:`taured.reps.projective` and ``ProjSum``, which
+    fill every summand's arrow blocks in one builder.
+    """
+    if v not in algebra.vertices:
+        raise UnknownVertex(v)
+    rows_at = {w: algebra.basis_by_ends(v, w) for w in algebra.vertices}
+    dims = {w: len(rows_at[w]) for w in algebra.vertices}
+    field = algebra.field
+    maps = {}
+    for a in algebra.arrows:
+        m = Matrix.zeros(dims[a.src], dims[a.tgt], field)
+        col_pos = {b: k for k, b in enumerate(rows_at[a.tgt])}
+        ar = algebra.element_of_arrow(a.name)
+        for r, bidx in enumerate(rows_at[a.src]):
+            prod = algebra.multiply({bidx: field.one}, ar)
+            for k, c in prod.items():
+                m.data[r][col_pos[k]] = c
+        maps[a.name] = m
+    return Representation(algebra, dims, maps)
+
+
+def reference_injective(algebra, v: str) -> Representation:
+    """I_v: basis at w = residue paths w -> v; arrows act by dualized left concatenation.
+
+    The reference for :func:`taured.reps.injective` and ``InjSum``, which
+    compute one product per column where this computes one per entry.
+    """
+    if v not in algebra.vertices:
+        raise UnknownVertex(v)
+    rows_at = {w: algebra.basis_by_ends(w, v) for w in algebra.vertices}
+    dims = {w: len(rows_at[w]) for w in algebra.vertices}
+    field = algebra.field
+    maps = {}
+    for a in algebra.arrows:
+        m = Matrix.zeros(dims[a.src], dims[a.tgt], field)
+        col_pos = {b: k for k, b in enumerate(rows_at[a.tgt])}
+        ar = algebra.element_of_arrow(a.name)
+        # (q^* . a)(x) = q^*(a x): entry at (q, x) is the q-coefficient of a.x
+        for r, q in enumerate(rows_at[a.src]):
+            for x in rows_at[a.tgt]:
+                prod = algebra.multiply(ar, {x: field.one})
+                c = prod.get(q)
+                if c:
+                    m.data[r][col_pos[x]] = c
+        maps[a.name] = m
+    return Representation(algebra, dims, maps)
 
 
 def record_by_name(inv, name: str):

@@ -529,6 +529,21 @@ def test_module_breaking_relation_exit_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_supplied_kronecker_inventory_ends(tmp_path, capsys):
+    # the tau-orbit of s1 is infinite: only tau(s1) is recorded, not its own translate
+    path = _write(tmp_path, "algebra kronecker\nvertices 1 2\narrow a 1 2\narrow b 1 2\n"
+                            "module s1\ndim 1 1\nend\nmodule s2\ndim 2 1\nend\n")
+    assert main(["enumerate", path]) == 0
+    out = capsys.readouterr().out
+    assert "3 indecomposables" in out
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("  [")] == \
+        ["s1", "s2", "tau(s1)"]
+    assert main(["enumerate", path, "--format", "json"]) == 1
+    err = capsys.readouterr().err
+    assert "error: an almost complete pair has 1 completions" in err
+    assert "Traceback" not in err
+
+
 def _script(name):
     path = os.path.join(os.path.dirname(__file__), "..", "scripts", f"{name}.py")
     spec = importlib.util.spec_from_file_location(name, path)
@@ -566,12 +581,6 @@ def test_verify_corpus_script_over_f2_counts_as_over_q(capsys):
     rational = counts([])
     assert len(rational) == len(standard_corpus())
     assert counts(["--field", "fp:2"]) == rational
-
-
-def test_series_table_script(capsys):
-    assert _script("series_table").main(["--kind", "A", "--max", "8"]) == 0
-    rows = capsys.readouterr().out.splitlines()[1:]
-    assert [int(row.split()[1]) for row in rows] == [1, 2, 3, 5, 8, 13, 21, 34]
 
 
 def test_draw_example_quivers_script(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,10 +13,12 @@ from taured.algebra import (
     vertex_subalgebra_quotient,
 )
 from taured.corpus import hereditary_a, hereditary_d3, standard_corpus
-from taured.errors import AlgebraMismatch, InconsistentSum, UnknownVertex, ZeroModule
+from taured.dsl import parse_file
+from taured.errors import AlgebraMismatch, UnknownVertex, ZeroModule
 from taured.linalg import Matrix, QQ, PrimeField
 from taured.reps import (
     Morphism,
+    InjSum,
     ProjSum,
     Representation,
     bar,
@@ -30,13 +33,23 @@ from taured.reps import (
     projective,
     simple,
     tau,
+    top_lifts,
     zero_rep,
 )
 from taured.reduction import find_proj_injectives, socle_quotient, verify_reduction
 from taured.strings import enumerate_strings, string_name, string_to_rep
 from taured.tilting import build_inventory, oracle_stpairs_via_quotients
 
-from helpers import hom_dim, in_fac, satisfies_table_by_all_pairs, solve_right
+from helpers import (
+    hom_dim,
+    in_fac,
+    reference_injective,
+    reference_projective,
+    satisfies_table_by_all_pairs,
+    solve_right,
+)
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +78,35 @@ def test_injectives(a3sq):
     assert injective(a3sq, "1").dim_vector == (1, 0, 0)
     ka2 = build_algebra(Quiver(("1", "2"), (Arrow("a", "2", "1"),)), [])
     assert injective(ka2, "1").dim_vector == (1, 1)
+
+
+def _slot_sum_inputs():
+    for field in (QQ, PrimeField(2)):
+        for name, alg in standard_corpus(field).items():
+            yield f"{name}/{field}", alg
+    for name in ("rsz_A7", "rsz_D7", "nakayama_5_5", "nakayama_5_4"):
+        yield name, parse_file(os.path.join(GOLDEN, f"{name}.alg")).build()[0]
+    square = Quiver(("1", "2", "3", "4"), (Arrow("a", "1", "2"), Arrow("b", "2", "4"),
+                                           Arrow("c", "1", "3"), Arrow("d", "3", "4")))
+    yield "square", build_algebra(
+        square, [Relation(terms=((Fraction(1), ("a", "b")), (Fraction(-1), ("c", "d"))))])
+
+
+def _same_rep(M, N) -> bool:
+    return M.dims == N.dims and M.maps == N.maps
+
+
+def test_slot_sums_match_the_reference_builders():
+    for name, alg in _slot_sum_inputs():
+        vertices = list(alg.vertices)
+        for v in vertices:
+            assert _same_rep(projective(alg, v), reference_projective(alg, v)), (name, v)
+            assert _same_rep(injective(alg, v), reference_injective(alg, v)), (name, v)
+        repeated = vertices[:2] + vertices + vertices[:1]
+        assert _same_rep(ProjSum(alg, repeated).rep,
+                         direct_sum([reference_projective(alg, v) for v in repeated])), name
+        assert _same_rep(InjSum(alg, repeated).rep,
+                         direct_sum([reference_injective(alg, v) for v in repeated])), name
 
 
 def test_hom_examples(a3sq, named):
@@ -302,13 +344,8 @@ def test_table_algebra_violation_rejected():
         bad.assert_valid()
 
 
-def test_slot_sum_checks_its_bookkeeping(a3sq, monkeypatch):
-    import taured.reps as reps
-
+def test_slot_sum_checks_its_bookkeeping(a3sq):
     assert ProjSum(a3sq, ["1", "1"]).rep.dim_vector == (2, 2, 0)
-    monkeypatch.setattr(reps, "projective", simple)
-    with pytest.raises(InconsistentSum):
-        ProjSum(a3sq, ["1"])
 
 
 def _hom_dims(inv, M) -> list[int]:
@@ -343,6 +380,40 @@ def _cyclic_nakayama(n, length, field):
     rels = [Relation.monomial(tuple(f"c{(i + k) % n}" for k in range(length)))
             for i in range(n)]
     return build_algebra(Quiver(verts, arrows), rels, field=field)
+
+
+@pytest.fixture()
+def rref_calls(monkeypatch):
+    """Count the Matrix.rref calls, each one elimination."""
+    calls = [0]
+    real = Matrix.rref
+
+    def counted(m):
+        calls[0] += 1
+        return real(m)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    return calls
+
+
+def test_bar_makes_one_elimination_per_vertex(corpus, rref_calls):
+    alg = corpus["A5^2"]
+    for v in find_proj_injectives(alg):
+        quotient = socle_quotient(alg, v).quotient
+        for w in alg.vertices:
+            p = projective(alg, w)
+            rref_calls[0] = 0
+            bar(p, quotient)
+            # none when P_w . J = 0: then P_w is a quotient module as it is
+            assert rref_calls[0] == (len(alg.vertices) if w == v else 0), (v, w)
+
+
+def test_top_lifts_make_one_elimination_per_nonzero_vertex(corpus_invs, rref_calls):
+    for inv in corpus_invs.values():
+        for r in inv.records:
+            rref_calls[0] = 0
+            top_lifts(r.rep)
+            assert rref_calls[0] == sum(1 for d in r.rep.dims.values() if d)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
