@@ -54,10 +54,10 @@ def _cmd_enumerate(args) -> int:
     pairs = inv.pairs
     keep = [i for i, p in enumerate(pairs) if p.is_tau_tilting or not args.tau_tilt_only]
     pairs = [pairs[i] for i in keep]
-    if args.format != "table":
-        # the restriction is the full subquiver on tau-tilting vertices,
-        # not a recomputed Hasse quiver of the subposet
-        H = full_subquiver(inv.hasse_quiver, keep)
+    # built in every format, since the Hasse certificate checks the pair list; the
+    # restriction is the full subquiver on tau-tilting vertices, not a recomputed
+    # Hasse quiver of the subposet
+    H = full_subquiver(inv.hasse_quiver, keep)
     if args.format == "json":
         import json
 
@@ -174,42 +174,44 @@ def _cmd_series(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    af, algebra, inv = _load(args)
-    failures = []
-
+def verify_suite(algebra, name: str, inv) -> Report:
+    """The checks of ``taured verify``: clique enumeration against the oracle, the
+    Hasse certificate, then the reduction claims of :func:`verify_reduction`."""
+    report = Report(name)
     pairs = inv.pairs
     try:
         oracle = oracle_stpairs_via_quotients(inv)
-        eq = {p.key() for p in pairs} == {p.key() for p in oracle}
-        print(f"[{'PASS' if eq else 'FAIL'}] oracle-equivalence: clique enumeration "
-              f"matches the quotient-definition oracle ({len(pairs)} pairs)")
-        if not eq:
-            failures.append("oracle-equivalence")
     except NotStringAlgebra as e:
         # vertex quotients need the string backend; supplied inventories may not
-        print(f"[SKIP] oracle-equivalence: {e}")
+        report.add("oracle-equivalence", str(e), None)
+    else:
+        report.add("oracle-equivalence", "clique enumeration matches the quotient-definition "
+                   f"oracle ({len(pairs)} pairs)",
+                   {p.key() for p in pairs} == {p.key() for p in oracle})
 
-    statement = "hasse-certificate: the mutation quiver is the covering relation of the Fac order"
+    statement = "the mutation quiver is the covering relation of the Fac order"
     try:
         arrows = len(inv.hasse_quiver.arrows)
     except HasseError as e:
         # the reduction checks read the Hasse quiver, so they cannot run
-        print(f"[FAIL] {statement}  [{e}]")
-        failures.append("hasse-certificate")
-    else:
-        print(f"[PASS] {statement} ({arrows} arrows)")
-        try:
-            report = verify_reduction(algebra, af.name, inv=inv)
-            for line in report.lines():
-                print(line)
-            if not report.passed:
-                failures.extend(c.name for c in report.checks if not c.passed)
-        except NoProjInjective:
-            print("[SKIP] reduction: no indecomposable projective-injective module")
+        report.add("hasse-certificate", statement, False, str(e))
+        return report
+    report.add("hasse-certificate", f"{statement} ({arrows} arrows)", True)
+    try:
+        report.checks += verify_reduction(algebra, name, inv=inv).checks
+    except NoProjInjective as e:
+        report.add("reduction", str(e), None)
+    return report
 
-    if failures:
-        print(f"FAILED: {failures[0]}", file=sys.stderr)
+
+def _cmd_verify(args) -> int:
+    af, algebra, inv = _load(args)
+    report = verify_suite(algebra, af.name, inv)
+    for line in report.lines():
+        print(line)
+    if not report.passed:
+        failed = next(c for c in report.checks if c.passed is False)
+        print(f"FAILED: {failed.name}", file=sys.stderr)
         return 1
     print("all checks passed")
     return 0

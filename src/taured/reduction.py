@@ -12,10 +12,9 @@ executably, one report entry per claim.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Iterator
 from functools import cached_property
-from itertools import compress, product
+from itertools import product
 from typing import NamedTuple
 
 from .algebra import Algebra, quotient_by_elements
@@ -111,21 +110,21 @@ class ReductionContext:
     """
 
     def __init__(self, algebra: Algebra, vertex: str, socle_vertex: str, socle_element: dict,
-                 quotient: Algebra, q_rep: Representation, qbar_rep: Representation,
+                 quotient: Algebra, q_rep: Representation,
                  inv: Inventory | None = None, classes: Inventory | None = None):
         # Q = P_vertex; socle_element spans Soc(Q) and quotient is the algebra modulo
-        # its span; qbar_rep is Q/Soc(Q) over the quotient.  The cached properties
-        # store their values in the same __dict__.
+        # its span.  The cached properties store their values in the same __dict__.
         vars(self).update(algebra=algebra, vertex=vertex, socle_vertex=socle_vertex,
                           socle_element=socle_element, quotient=quotient, q_rep=q_rep,
-                          qbar_rep=qbar_rep, inv=inv, classes=classes)
+                          inv=inv, classes=classes)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign field {name!r} of a ReductionContext")
 
     @property
     def q_is_simple(self) -> bool:
-        return self.qbar_rep.is_zero()
+        # Q/Soc(Q) is zero exactly when Q is simple, that is, one dimensional
+        return self.q_rep.total_dim == 1
 
     @cached_property
     def blocks(self) -> list[Inventory]:
@@ -184,26 +183,11 @@ class ReductionContext:
     def extend(self) -> list[bool]:
         """For each code: is it in the surgery family N = ``members[False, True]`` with one
         support vertex in all, that is, one summand short?  No code is when Q is simple."""
-        qinv = self.quotient_inv
-        out = [False] * qinv.total
         if self.q_is_simple:
-            return out
-        # per block, the weighted positions of its parts in N with no and with one support
-        # vertex: a code of N is one short when one part has one and the others have none.
-        # A block lists its pairs by support count (Inventory.pair_sort_key), so these
-        # parts lie in the prefix of pairs with at most one.
-        none, one = [], []
-        for flags, b, s in zip(self.flags[False, True], qinv.blocks, qinv.strides):
-            pairs, parts = b.pairs, ([], [])
-            for a in compress(range(bisect_right(pairs, 1, key=lambda p: len(p.supports))),
-                              flags):
-                parts[len(pairs[a].supports)].append(a * s)
-            none.append(parts[0])
-            one.append(parts[1])
-        for j in range(len(one)):
-            for parts in product(*none[:j], one[j], *none[j + 1:]):
-                out[sum(parts)] = True
-        return out
+            return [False] * self.quotient_inv.total
+        # a code's support count is the sum of its parts'
+        supports = product(*([len(p.supports) for p in b.pairs] for b in self.blocks))
+        return [n and k == 1 for n, k in zip(self.members[False, True], map(sum, supports))]
 
     def _bar_id(self, rep: Representation) -> int | None:
         """Quotient id of the image of ``rep``; None where the image is zero.
@@ -283,8 +267,8 @@ def socle_quotient(algebra: Algebra, v: str, inv: Inventory | None = None,
             raise NonSimpleSocle("socle span is not a two-sided ideal")
 
     quotient = quotient_by_elements(algebra, [soc_vec])
-    return ReductionContext(algebra, v, socle_vertex, soc_vec, quotient,
-                            q_rep, bar(q_rep, quotient), inv, inv if classes is None else classes)
+    return ReductionContext(algebra, v, socle_vertex, soc_vec, quotient, q_rep, inv,
+                            inv if classes is None else classes)
 
 
 class ReductionSets(NamedTuple):
@@ -345,17 +329,19 @@ def reconstruct_tau_tilt(ctx: ReductionContext, nsets: ReductionSets) -> list[fr
 
 
 class Check:
+    """One claim and its outcome: passed, failed, or None when it could not run (SKIP)."""
+
     __slots__ = ("name", "statement", "passed", "witness")
 
-    def __init__(self, name: str, statement: str, passed: bool, witness: str = ""):
+    def __init__(self, name: str, statement: str, passed: bool | None, witness: str = ""):
         self.name = name
         self.statement = statement
         self.passed = passed
         self.witness = witness
 
     def line(self) -> str:
-        tag = "PASS" if self.passed else "FAIL"
-        extra = f"  [{self.witness}]" if (self.witness and not self.passed) else ""
+        tag = {True: "PASS", False: "FAIL", None: "SKIP"}[self.passed]
+        extra = f"  [{self.witness}]" if (self.witness and self.passed is False) else ""
         return f"[{tag}] {self.name}: {self.statement}{extra}"
 
 
@@ -366,12 +352,14 @@ class Report:
         self.algebra_name = algebra_name
         self.checks = [] if checks is None else checks
 
-    def add(self, name: str, statement: str, passed: bool, witness: str = "") -> None:
-        self.checks.append(Check(name, statement, bool(passed), witness))
+    def add(self, name: str, statement: str, passed: bool | None, witness: str = "") -> None:
+        self.checks.append(Check(name, statement, None if passed is None else bool(passed),
+                                 witness))
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """No check failed; a skipped check is not a failure."""
+        return all(c.passed is not False for c in self.checks)
 
     def lines(self) -> list[str]:
         return [c.line() for c in self.checks]
@@ -523,7 +511,7 @@ def reductions(algebra: Algebra, report: Report, inv: Inventory | None = None,
                        "the tau-tilt quiver matches the quotient-side quiver, arrows both ways",
                        ok, wit)
 
-            if ctx.qbar_rep.dims.get(ctx.socle_vertex, 0) > 0:
+            if ctx.q_rep.dims[ctx.socle_vertex] > 1:  # Q/Soc(Q) meets the socle vertex
                 report.add(f"{tag}/socle-factor-forces-empty",
                            "Q/Soc(Q) has the socle as composition factor, so the "
                            "boundary family is empty",

@@ -12,7 +12,15 @@ from taured.reduction import (
     reconstruct_tau_tilt,
     socle_quotient,
 )
-from taured.reps import Representation, _images_fill, direct_sum, hom_basis, inflate, is_sincere
+from taured.reps import (
+    Representation,
+    _images_fill,
+    bar,
+    direct_sum,
+    hom_basis,
+    inflate,
+    is_sincere,
+)
 from taured.tilting import PosetQuiver, build_inventory, full_subquiver
 
 
@@ -353,6 +361,7 @@ def reference_reductions(algebra, name: str, inv) -> Report:
         report.add(f"{tag}/socle-simple", "Soc(Q) is one dimensional", True)
         report.add(f"{tag}/socle-two-sided",
                    "the socle span is a two-sided ideal (arrow products vanish)", True)
+        qbar_rep = bar(ctx.q_rep, ctx.quotient)  # Q/Soc(Q), built rather than read off Q
         qinv = ctx.quotient_inv
         qpairs = product_pairs(qinv)
         QH = product_hasse_quiver(qinv)
@@ -376,7 +385,7 @@ def reference_reductions(algebra, name: str, inv) -> Report:
             return iso_along_map(src, full_subquiver(QH, targets), vmap, src_label,
                                  lambda k: qinv.pair_label(qpairs[targets[k]]))
 
-        if ctx.q_is_simple:
+        if qbar_rep.is_zero():
             all_have_q = all(q in p.modules for p in tau_pairs)
             ok, wit = ((False, "a tau-tilting module misses Q") if not all_have_q
                        else iso_onto([j for j, p in enumerate(qpairs) if p.is_tau_tilting]))
@@ -413,7 +422,7 @@ def reference_reductions(algebra, name: str, inv) -> Report:
             report.add(f"{tag}/tau-tilt-bijection",
                        "the tau-tilt quiver matches the quotient-side quiver, arrows both ways",
                        ok, wit)
-            if ctx.qbar_rep.dims.get(ctx.socle_vertex, 0) > 0:
+            if qbar_rep.dims[ctx.socle_vertex] > 0:
                 report.add(f"{tag}/socle-factor-forces-empty",
                            "Q/Soc(Q) has the socle as composition factor, so the "
                            "boundary family is empty",

@@ -10,11 +10,13 @@ import pytest
 import taured.cli
 import taured.reduction
 import taured.tilting
+from taured.algebra import extract_presentation
 from taured.cli import main
 from taured.corpus import standard_corpus
+from taured.dsl import AlgebraFile, emit, parse_file
 from taured.errors import HasseError, NotStringAlgebra
 from taured.emit import emit_dot
-from taured.tilting import Inventory, PosetQuiver
+from taured.tilting import Inventory, PosetQuiver, build_inventory
 
 
 def check_dot_grammar(text: str) -> None:
@@ -533,15 +535,16 @@ def test_supplied_kronecker_inventory_ends(tmp_path, capsys):
     # the tau-orbit of s1 is infinite: only tau(s1) is recorded, not its own translate
     path = _write(tmp_path, "algebra kronecker\nvertices 1 2\narrow a 1 2\narrow b 1 2\n"
                             "module s1\ndim 1 1\nend\nmodule s2\ndim 2 1\nend\n")
-    assert main(["enumerate", path]) == 0
-    out = capsys.readouterr().out
-    assert "3 indecomposables" in out
-    assert [line.split()[1] for line in out.splitlines() if line.startswith("  [")] == \
-        ["s1", "s2", "tau(s1)"]
-    assert main(["enumerate", path, "--format", "json"]) == 1
-    err = capsys.readouterr().err
-    assert "error: an almost complete pair has 1 completions" in err
-    assert "Traceback" not in err
+    algebra, supplied = parse_file(path).build()
+    inv = build_inventory(algebra, supplied=supplied)
+    assert [r.name for r in inv.records] == ["s1", "s2", "tau(s1)"]
+    # the Hasse certificate refuses that pair list in every format
+    for fmt in ("table", "json", "dot"):
+        assert main(["enumerate", path, "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: an almost complete pair has 1 completions" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def _script(name):
@@ -552,13 +555,32 @@ def _script(name):
     return module
 
 
-def test_verify_corpus_script_certifies_every_hasse_quiver(capsys):
-    assert _script("verify_corpus").main(["--skip-oracle"]) == 0
+def _corpus_reports(capsys, argv=(), code=0) -> tuple[dict[str, list[str]], str]:
+    """Run scripts/verify_corpus.py: each member's check lines by name, and the whole output."""
+    assert _script("verify_corpus").main(list(argv)) == code
     out = capsys.readouterr().out
+    reports = {}
+    for line in out[:out.index("\ntotal ")].splitlines():
+        if line.startswith("["):
+            lines.append(line)
+        else:
+            reports[line] = lines = []
+    return reports, out
+
+
+ORACLE_14 = ("[PASS] oracle-equivalence: clique enumeration matches the quotient-definition "
+             "oracle (14 pairs)")
+HASSE = "hasse-certificate: the mutation quiver is the covering relation of the Fac order"
+
+
+def test_verify_corpus_script_certifies_every_hasse_quiver(capsys):
+    reports, _ = _corpus_reports(capsys)
+    assert list(reports) == list(standard_corpus())
     # neither has a projective-injective, so verify_reduction never builds their quivers
     for name in ("D3^2", "KD3"):
-        assert re.search(rf"^{re.escape(name)} +14 pairs, hasse ok \(21 arrows\), "
-                         "no projective-injective$", out, re.M)
+        assert reports[name] == [
+            ORACLE_14, f"[PASS] {HASSE} (21 arrows)",
+            "[SKIP] reduction: no indecomposable projective-injective module"]
 
 
 def test_verify_corpus_script_reports_hasse_failure(monkeypatch, capsys):
@@ -566,21 +588,26 @@ def test_verify_corpus_script_reports_hasse_failure(monkeypatch, capsys):
         raise HasseError("mutations 1 and 2 are incomparable in the Fac order")
 
     monkeypatch.setattr(taured.tilting, "hasse", fail)
-    assert _script("verify_corpus").main(["--skip-oracle"]) == 1
-    out = capsys.readouterr().out
-    assert "KD3          14 pairs, hasse FAILED\n" in out
-    assert "  KD3: hasse-certificate: mutations 1 and 2 are incomparable" in out
+    reports, out = _corpus_reports(capsys, code=1)
+    assert reports["KD3"] == [
+        ORACLE_14, f"[FAIL] {HASSE}  [mutations 1 and 2 are incomparable in the Fac order]"]
+    assert "\n  KD3: hasse-certificate\n" in out
 
 
 def test_verify_corpus_script_over_f2_counts_as_over_q(capsys):
-    def counts(argv):
-        assert _script("verify_corpus").main(["--skip-oracle", *argv]) == 0
-        return re.findall(r"^(\S+) +(\d+) pairs, hasse ok \((\d+) arrows\)",
-                          capsys.readouterr().out, re.M)
+    rational, _ = _corpus_reports(capsys)
+    assert _corpus_reports(capsys, ["--field", "fp:2"])[0] == rational
 
-    rational = counts([])
-    assert len(rational) == len(standard_corpus())
-    assert counts(["--field", "fp:2"]) == rational
+
+@pytest.mark.parametrize("name", ["A4^2", "KD3"])  # with and without a projective-injective
+def test_verify_prints_the_corpus_script_lines(tmp_path, capsys, name):
+    quiver, rels = extract_presentation(standard_corpus()[name])
+    path = _write(tmp_path, emit(AlgebraFile(
+        name="member", vertices=list(quiver.vertices),
+        arrows=[(a.name, a.src, a.tgt) for a in quiver.arrows], relations=list(rels))))
+    assert main(["verify", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == _corpus_reports(capsys)[0][name] + ["all checks passed"]
 
 
 def test_draw_example_quivers_script(tmp_path, capsys):

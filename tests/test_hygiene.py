@@ -1,6 +1,8 @@
-"""Static checks on the package source: every import is used, every error is raised."""
+"""Static checks on the package source: every import is used, every error is raised,
+every private helper is used."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "taured"
@@ -60,3 +62,20 @@ def test_every_error_class_is_raised():
     errors = next(tree for name, _, tree in modules if name == "errors.py")
     defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
     assert defined - raised == set()
+
+
+def _name_reads(node) -> Counter:
+    """How often each name is read under ``node``, bare or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_definition_is_used():
+    # a module-level function or class named with a leading underscore is read
+    # somewhere in the package outside its own body
+    trees = [tree for _, _, tree in _modules()]
+    reads = sum(map(_name_reads, trees), Counter())
+    unused = [node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+              and reads[node.name] == _name_reads(node)[node.name]]
+    assert unused == []

@@ -21,6 +21,7 @@ from taured.reduction import (
     socle_quotient,
     verify_reduction,
 )
+from taured.reps import bar
 from taured.series import series_algebra
 from taured.tilting import (
     BlockProduct,
@@ -70,7 +71,7 @@ def test_socle_quotient_a3sq(a3sq):
     assert not ctx.q_is_simple
     assert ctx.quotient.dim == 4
     assert [a.name for a in ctx.quotient.quiver.arrows] == ["b"]
-    assert ctx.qbar_rep.dim_vector == (1, 0, 0)
+    assert bar(ctx.q_rep, ctx.quotient).dim_vector == (1, 0, 0)
 
 
 def test_socle_quotient_errors(a3sq):
