@@ -26,7 +26,7 @@ from .errors import (
 )
 from .linalg import field_from_name
 from .reduction import Report, find_proj_injectives, reductions, verify_reduction
-from .series import closed_form, series_counts, series_rows
+from .series import closed_form, series_counts
 from .tilting import build_inventory, full_subquiver, oracle_stpairs_via_quotients
 
 
@@ -150,10 +150,9 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_series(args) -> int:
     try:
-        series_rows(args.kind, args.max)
+        rep = series_counts(args.kind, args.max)
     except BadIndex as e:
         raise UsageError(f"--max {args.max}: {e}") from None
-    rep = series_counts(args.kind, args.max)
     header = f"{'n':>3}  {'count':>8}  {'recurrence':>10}  {'boundary':>8}"
     if args.closed_form:
         header += f"  {'closed':>8}"

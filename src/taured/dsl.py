@@ -332,10 +332,6 @@ def parse(text: str) -> AlgebraFile:
     return af
 
 
-def _format_rational(c: Fraction) -> str:
-    return str(c)
-
-
 def emit(af: AlgebraFile) -> str:
     """Canonical text for an AlgebraFile; parse(emit(parse(x))) == parse(x)."""
     lines = [f"algebra {af.name}", f"field {af.field_mode.replace(':', ' ', 1) if af.field_mode.startswith('fp:') else af.field_mode}"]
@@ -347,7 +343,7 @@ def emit(af: AlgebraFile) -> str:
         parts = []
         for k, (coeff, word) in enumerate(rel.terms):
             mag = abs(coeff)
-            prefix = "" if mag == 1 else f"{_format_rational(mag)}*"
+            prefix = "" if mag == 1 else f"{mag}*"
             term = prefix + "(" + " ".join(word) + ")"
             if k == 0:
                 term = ("-" + term) if coeff < 0 else term
@@ -362,7 +358,7 @@ def emit(af: AlgebraFile) -> str:
                 lines.append(f"dim {v} {blk.dims[v]}")
         for aname in sorted(blk.maps):
             rows = blk.maps[aname]
-            body = ";".join(",".join(_format_rational(c) for c in row) for row in rows)
+            body = ";".join(",".join(str(c) for c in row) for row in rows)
             lines.append(f"map {aname} {body}")
         lines.append("end")
     return "\n".join(lines) + "\n"

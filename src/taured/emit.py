@@ -39,7 +39,7 @@ def emit_dot(pq: PosetQuiver, labels: list[str], double_border: set[int] | None 
 
 
 def json_payload(name: str, inv: Inventory, pairs: list[STPair],
-                 pq: PosetQuiver | None) -> dict:
+                 pq: PosetQuiver) -> dict:
     """The stable JSON schema: algebra, indecomposables, stpairs, hasse.
 
     Vertex i of ``pq`` is ``pairs[i]``; edges are listed in the order of
@@ -60,10 +60,8 @@ def json_payload(name: str, inv: Inventory, pairs: list[STPair],
             "support_vertices": sorted(p.supports),
             "is_tau_tilting": p.is_tau_tilting,
         })
-    edges = []
-    if pq is not None:
-        labels = [inv.pair_label(p) for p in pairs]
-        edges = [list(a) for a in sorted(pq.arrows, key=lambda a: (labels[a[0]], labels[a[1]]))]
+    labels = [inv.pair_label(p) for p in pairs]
+    edges = [list(a) for a in sorted(pq.arrows, key=lambda a: (labels[a[0]], labels[a[1]]))]
     return {
         "algebra": name,
         "indecomposables": indecs,

@@ -26,28 +26,16 @@ class Letter(NamedTuple):
         return self.arrow + ("^-" if self.inverse else "")
 
 
-class StringWord:
-    """Canonical walk: either a trivial word at a vertex or a letter sequence."""
+class StringWord(NamedTuple):
+    """Canonical walk: either a trivial word at a vertex or a letter sequence.
 
-    __slots__ = ("letters", "base_vertex")
+    ``base_vertex`` is the start of the walk (for a trivial word, the vertex).
+    Words compare as the tuple ``(letters, base_vertex)``, letters as
+    ``(arrow, inverse)``.
+    """
 
-    def __init__(self, letters: tuple[Letter, ...], base_vertex: str):
-        self.letters = letters
-        self.base_vertex = base_vertex  # start of the walk (for trivial words: the vertex)
-
-    def __eq__(self, other):
-        if other.__class__ is not StringWord:
-            return NotImplemented
-        return (self.letters, self.base_vertex) == (other.letters, other.base_vertex)
-
-    def __hash__(self):
-        return hash((self.letters, self.base_vertex))
-
-    def __repr__(self):
-        return f"StringWord(letters={self.letters!r}, base_vertex={self.base_vertex!r})"
-
-    def __len__(self):
-        return len(self.letters)
+    letters: tuple[Letter, ...]
+    base_vertex: str
 
     @property
     def is_trivial(self) -> bool:
@@ -60,28 +48,13 @@ def _letter_ends(alg: Algebra, letter: Letter) -> tuple[str, str]:
 
 
 def walk_vertices(alg: Algebra, w: StringWord) -> list[str]:
-    verts = [w.base_vertex]
-    for letter in w.letters:
-        s, t = _letter_ends(alg, letter)
-        verts.append(t)
-    return verts
-
-
-def _word_key(letters: tuple[Letter, ...], base: str):
-    return ([(l.arrow, l.inverse) for l in letters], base)
-
-
-def _inverse_word(alg: Algebra, w: StringWord) -> StringWord:
-    if w.is_trivial:
-        return w
-    letters = tuple(Letter(l.arrow, not l.inverse) for l in reversed(w.letters))
-    base = walk_vertices(alg, w)[-1]
-    return StringWord(letters, base)
+    return [w.base_vertex] + [_letter_ends(alg, letter)[1] for letter in w.letters]
 
 
 def canonical(alg: Algebra, w: StringWord) -> StringWord:
-    inv = _inverse_word(alg, w)
-    return min(w, inv, key=lambda x: _word_key(x.letters, x.base_vertex))
+    """The lesser of ``w`` and its inverse, the same walk read from its end."""
+    return min(w, StringWord(tuple(Letter(l.arrow, not l.inverse) for l in reversed(w.letters)),
+                             walk_vertices(alg, w)[-1]))
 
 
 def is_string_algebra(alg: Algebra) -> tuple[bool, str]:
@@ -116,28 +89,17 @@ def is_string_algebra(alg: Algebra) -> tuple[bool, str]:
 
 
 def _valid_extension(alg: Algebra, letters: list[Letter], new: Letter) -> bool:
-    if letters:
-        last = letters[-1]
-        if last.arrow == new.arrow and last.inverse != new.inverse:
-            return False  # immediate backtracking
-        _, last_end = _letter_ends(alg, last)
-        new_start, _ = _letter_ends(alg, new)
-        if last_end != new_start:
-            return False
+    """Whether ``new``, which starts where ``letters`` ends, extends them to a string."""
+    if letters and letters[-1].arrow == new.arrow and letters[-1].inverse != new.inverse:
+        return False  # immediate backtracking
     # the maximal direct / inverse run ending at `new` must avoid the ideal
-    run = [new]
+    back = [new.arrow]  # the run's arrows from `new` backwards
     for l in reversed(letters):
-        if l.inverse == new.inverse:
-            run.append(l)
-        else:
+        if l.inverse != new.inverse:
             break
-    run.reverse()
-    if new.inverse:
-        path = [l.arrow for l in reversed(run)]
-    else:
-        path = [l.arrow for l in run]
+        back.append(l.arrow)
     # single arrows are never zero over an admissible quotient
-    return len(path) < 2 or bool(alg.path(path))
+    return len(back) < 2 or bool(alg.path(back if new.inverse else back[::-1]))
 
 
 def enumerate_strings(alg: Algebra) -> list[StringWord]:
@@ -149,69 +111,42 @@ def enumerate_strings(alg: Algebra) -> list[StringWord]:
     if not ok:
         raise NotStringAlgebra(f"not a string algebra: {cert}")
     cap = 2 * alg.dim
-    found: dict = {}
-    for v in alg.vertices:
-        w = StringWord((), v)
-        found[_str_key(alg, w)] = w
+    found = {StringWord((), v) for v in alg.vertices}
+    all_letters = [Letter(a.name, inverse) for a in alg.arrows for inverse in (False, True)]
 
-    all_letters = []
-    for a in alg.arrows:
-        all_letters.append(Letter(a.name, False))
-        all_letters.append(Letter(a.name, True))
-
-    def extend(letters: list[Letter], start: str):
+    def extend(letters: list[Letter], start: str, end: str):
         if len(letters) > cap:
             raise CapExceeded(
                 f"a string of length {cap + 1} exists; input looks representation-infinite")
         if letters:
-            w = canonical(alg, StringWord(tuple(letters), start))
-            found[_str_key(alg, w)] = w
-        end = walk_vertices(alg, StringWord(tuple(letters), start))[-1]
+            found.add(canonical(alg, StringWord(tuple(letters), start)))
         for letter in all_letters:
-            s, _ = _letter_ends(alg, letter)
-            if s != end:
-                continue
-            if _valid_extension(alg, letters, letter):
+            s, t = _letter_ends(alg, letter)
+            if s == end and _valid_extension(alg, letters, letter):
                 letters.append(letter)
-                extend(letters, start)
+                extend(letters, start, t)
                 letters.pop()
 
     try:
         for v in alg.vertices:
-            extend([], v)
+            extend([], v, v)
     finally:
         del extend  # the recursive closure is a reference cycle through its own cell
-    return sorted(found.values(), key=lambda w: (len(w), _str_key(alg, w)))
-
-
-def _str_key(alg: Algebra, w: StringWord):
-    letters, base = _word_key(w.letters, w.base_vertex)
-    return (tuple(letters), base)
+    return sorted(found, key=lambda w: (len(w.letters), w))
 
 
 def string_to_rep(alg: Algebra, w: StringWord) -> Representation:
     """One basis vector per walk position; arrows step forward, inverses backward."""
-    verts = walk_vertices(alg, w)
-    positions: dict[str, list[int]] = {v: [] for v in alg.vertices}
-    for k, v in enumerate(verts):
-        positions[v].append(k)
-    dims = {v: len(positions[v]) for v in alg.vertices}
-    coord = {}
-    for v in alg.vertices:
-        for idx, k in enumerate(positions[v]):
-            coord[k] = idx
+    dims = dict.fromkeys(alg.vertices, 0)
+    coord = []  # walk position -> its index among the positions at its vertex
+    for v in walk_vertices(alg, w):
+        coord.append(dims[v])
+        dims[v] += 1
     field = alg.field
-    maps = {}
-    for a in alg.arrows:
-        m = Matrix.zeros(dims[a.src], dims[a.tgt], field)
-        for k, letter in enumerate(w.letters):
-            if letter.arrow != a.name:
-                continue
-            if letter.inverse:
-                m.data[coord[k + 1]][coord[k]] = field.one
-            else:
-                m.data[coord[k]][coord[k + 1]] = field.one
-        maps[a.name] = m
+    maps = {a.name: Matrix.zeros(dims[a.src], dims[a.tgt], field) for a in alg.arrows}
+    for k, letter in enumerate(w.letters):
+        i, j = (coord[k + 1], coord[k]) if letter.inverse else (coord[k], coord[k + 1])
+        maps[letter.arrow].data[i][j] = field.one
     rep = Representation(alg, dims, maps)
     rep.assert_valid()
     return rep

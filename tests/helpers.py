@@ -1,5 +1,6 @@
 """Small queries that only the tests ask of the library, and the reference routes it replaced."""
 
+from itertools import groupby
 from math import prod
 
 from taured.errors import AlgebraMismatch, UnknownVertex
@@ -224,6 +225,41 @@ def monomial_basis(quiver, relations) -> set:
         basis.add((word, src, tgt))
         stack.extend((word + (a.name,), src, a.tgt) for a in quiver.arrows if a.src == tgt)
     return basis
+
+
+def reference_strings(alg) -> list[tuple[tuple[tuple[str, bool], ...], str]]:
+    """Every string of ``alg`` as ``(letters, base)`` with letters ``(arrow, inverse)``,
+    in the order of :func:`taured.strings.enumerate_strings`.
+
+    The reference for that enumeration, sharing none of its code.  Walks grow
+    one letter at a time, and each is checked from scratch: no letter undoes
+    the one before it, and every maximal direct or inverse run is a nonzero
+    path (an inverse run read backwards).  A walk is named by the lesser of
+    itself and its inverse under the key ``(length, [(arrow, inverse), ...],
+    base)``, and the names are sorted by that key.
+    """
+    ends = {}
+    for a in alg.arrows:
+        ends[a.name, False] = (a.src, a.tgt)
+        ends[a.name, True] = (a.tgt, a.src)
+
+    def is_string(letters):
+        if any(x[0] == y[0] and x[1] != y[1] for x, y in zip(letters, letters[1:])):
+            return False
+        runs = [[a for a, _ in run][::-1 if inverse else 1]
+                for inverse, run in groupby(letters, key=lambda l: l[1])]
+        return all(alg.path(run) for run in runs)
+
+    keys = set()
+    level = [((), v, v) for v in alg.vertices]  # (letters, start, end)
+    while level:
+        assert len(level[0][0]) <= 2 * alg.dim, "a string longer than twice the dimension"
+        for letters, start, end in level:
+            inverse = tuple((a, not inv) for a, inv in reversed(letters))
+            keys.add(min((len(letters), letters, start), (len(letters), inverse, end)))
+        level = [(letters + (l,), start, ends[l][1]) for letters, start, end in level
+                 for l in ends if ends[l][0] == end and is_string(letters + (l,))]
+    return [(letters, base) for _, letters, base in sorted(keys)]
 
 
 def in_fac(N, M) -> bool:

@@ -1,7 +1,8 @@
 """Static checks on the package source: every import is used, every error is raised,
-every private helper is used."""
+every private helper is used, and README names every NamedTuple."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -79,3 +80,17 @@ def test_every_private_definition_is_used():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
               and reads[node.name] == _name_reads(node)[node.name]]
     assert unused == []
+
+
+def test_readme_lists_every_named_tuple():
+    # README's sentence "The immutable values (...) are `typing.NamedTuple`s"
+    # names exactly the classes of the package with a NamedTuple base
+    named_tuples = {node.name for _, _, tree in _modules() for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef)
+                    and any(getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple"
+                            for b in node.bases)}
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"The immutable values\s*\((.*?)\)\s*are `typing\.NamedTuple`s",
+                       readme, re.DOTALL)
+    assert listed is not None
+    assert set(re.findall(r"`(\w+)`", listed.group(1))) == named_tuples

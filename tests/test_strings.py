@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import pytest
 
+from helpers import reference_strings
 from taured.algebra import Arrow, Quiver, Relation, build_algebra
 from taured.corpus import standard_corpus
+from taured.dsl import parse
 from taured.errors import CapExceeded, NotStringAlgebra
+from taured.linalg import field_from_name
 from taured.reps import injective, is_iso, projective
 from taured.series import series_algebra
 from taured.strings import (
@@ -113,3 +118,22 @@ def test_projectives_and_injectives_among_strings(corpus):
             for target in (projective(alg, v), injective(alg, v)):
                 assert any(r.dim_vector == target.dim_vector and is_iso(r, target)
                            for r in reps)
+
+
+ROOT = Path(__file__).parent.parent
+ALG_FILES = {p.name: p for p in [*sorted((ROOT / "tests" / "golden").glob("*.alg")),
+                                 ROOT / "scripts" / "a3sq.alg"]}
+
+
+@pytest.mark.parametrize("source", ["rational", "fp:2", *ALG_FILES])
+def test_enumerate_strings_matches_the_reference(source):
+    """The same words in the same order as the walk-by-walk reference, on the standard
+    corpus over a field or on one ``.alg`` input: the order that numbers the records."""
+    if source in ALG_FILES:
+        algebras = {source: parse(ALG_FILES[source].read_text()).build()[0]}
+    else:
+        algebras = standard_corpus(field_from_name(source))
+    for name, alg in algebras.items():
+        got = [(tuple((l.arrow, l.inverse) for l in w.letters), w.base_vertex)
+               for w in enumerate_strings(alg)]
+        assert got == reference_strings(alg), name
