@@ -51,10 +51,15 @@ def walk_vertices(alg: Algebra, w: StringWord) -> list[str]:
     return [w.base_vertex] + [_letter_ends(alg, letter)[1] for letter in w.letters]
 
 
+def _inverse(alg: Algebra, w: StringWord) -> StringWord:
+    """The same walk read from its end."""
+    return StringWord(tuple(Letter(l.arrow, not l.inverse) for l in reversed(w.letters)),
+                      walk_vertices(alg, w)[-1])
+
+
 def canonical(alg: Algebra, w: StringWord) -> StringWord:
-    """The lesser of ``w`` and its inverse, the same walk read from its end."""
-    return min(w, StringWord(tuple(Letter(l.arrow, not l.inverse) for l in reversed(w.letters)),
-                             walk_vertices(alg, w)[-1]))
+    """The lesser of ``w`` and its inverse."""
+    return min(w, _inverse(alg, w))
 
 
 def is_string_algebra(alg: Algebra) -> tuple[bool, str]:
@@ -133,6 +138,60 @@ def enumerate_strings(alg: Algebra) -> list[StringWord]:
     finally:
         del extend  # the recursive closure is a reference cycle through its own cell
     return sorted(found, key=lambda w: (len(w.letters), w))
+
+
+def _add_cohook(alg: Algebra, w: StringWord) -> StringWord | None:
+    """``w`` with a cohook added at its end: one direct letter, then the maximal inverse run.
+
+    None when no direct letter extends ``w``.  A string algebra leaves at most
+    one choice for each letter after the first.
+    """
+    letters, end, inverse = list(w.letters), walk_vertices(alg, w)[-1], False
+    while True:
+        for a in alg.arrows:
+            letter = Letter(a.name, inverse)
+            s, t = _letter_ends(alg, letter)
+            if s == end and _valid_extension(alg, letters, letter):
+                break
+        else:
+            return StringWord(tuple(letters), w.base_vertex) if inverse else None
+        letters.append(letter)
+        end, inverse = t, True
+
+
+def _delete_hook(w: StringWord) -> StringWord | None:
+    """``w`` with a hook deleted at its end: the trailing direct run, then one inverse letter.
+
+    None when no inverse letter is left to delete.
+    """
+    letters = list(w.letters)
+    while letters and not letters[-1].inverse:
+        letters.pop()
+    return StringWord(tuple(letters[:-1]), w.base_vertex) if letters else None
+
+
+def string_tau(alg: Algebra, w: StringWord) -> StringWord | None:
+    """The canonical word of tau M(w), or None when M(w) is projective.
+
+    Butler-Ringel (*Auslander-Reiten sequences with few middle terms*, 1987):
+    tau M(C) = M(_cC_c).  At each end a cohook is added where one exists;
+    otherwise a hook is deleted, and a missing hook means M(w) is projective.
+    Both additions come before either deletion: over D3 (3 -> 1, 3 -> 2),
+    tau(3/1) is the simple 2 only in that order.  The left end is the right
+    end of the inverse word, so the walk is turned after each end.
+    """
+    added = []
+    for _ in range(2):
+        grown = _add_cohook(alg, w)
+        added.append(grown is not None)
+        w = _inverse(alg, grown or w)
+    for grown in added:
+        if not grown:
+            w = _delete_hook(w)
+            if w is None:
+                return None
+        w = _inverse(alg, w)
+    return canonical(alg, w)
 
 
 def string_to_rep(alg: Algebra, w: StringWord) -> Representation:

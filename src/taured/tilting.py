@@ -41,6 +41,7 @@ from .strings import (
     canonical,
     enumerate_strings,
     string_name,
+    string_tau,
     string_to_rep,
 )
 
@@ -121,11 +122,11 @@ class Inventory(_PairNames):
     """The universe of indecomposables over one algebra, with tau precomputed.
 
     ``words`` are the strings of the records in id order when the records are
-    exactly the string modules; None otherwise (supplied modules, or a tau
-    recorded standalone).  Only such inventories are kept as the
-    representatives of :meth:`inventory_of`.  A carried inventory is its
-    source under new names, in its source's pair order: one order per class
-    of isomorphic algebras, which its own :meth:`pair_sort_key` need not follow.
+    the string modules; None for supplied modules.  Only string inventories
+    are kept as the representatives of :meth:`inventory_of`.  A carried
+    inventory is its source under new names, in its source's pair order: one
+    order per class of isomorphic algebras, which its own
+    :meth:`pair_sort_key` need not follow.
     """
 
     def __init__(self, algebra: Algebra, records: list[IndecRecord],
@@ -481,8 +482,10 @@ def build_inventory(algebra: Algebra,
     """Enumerate the indecomposables and precompute tau for each.
 
     Without ``supplied`` the string modules are enumerated (complete for
-    string algebras); otherwise the supplied (name, module) list is trusted,
-    auditing each module's endomorphism ring for local-ness.
+    string algebras), and tau rewrites each string by hooks and cohooks;
+    otherwise the supplied (name, module) list is trusted, auditing each
+    module's endomorphism ring for local-ness, and tau is computed from
+    minimal projective presentations.
     """
     if supplied is None:
         words = enumerate_strings(algebra)
@@ -512,7 +515,26 @@ def build_inventory(algebra: Algebra,
                     raise InventoryError(
                         f"records {records[ids[i]].name} and {records[ids[j]].name} are isomorphic")
 
+    if words is None:
+        _translate_supplied(inv)  # first: a translate recorded standalone may be projective
+    for v in algebra.vertices:
+        i = inv.find_iso(projective(algebra, v))
+        if i is not None:
+            records[i].projective_vertex = v
+    if words is not None:
+        _translate_strings(inv, words)  # then: string tau must vanish exactly on these
+    for r in records:
+        r.is_tau_rigid = len(hom_basis(r.rep, r.tau_rep)) == 0
+    return inv
+
+
+def _translate_supplied(inv: Inventory) -> None:
+    """tau of each supplied record from a minimal projective presentation, then found by iso test.
+
+    A translate that matches no record is recorded once, as an external record.
+    """
     # records is inv.records: the external tau records appended below are visited, not extended
+    records = inv.records
     for r in records:
         t = tau(r.rep)
         r.tau_rep = t
@@ -521,19 +543,32 @@ def build_inventory(algebra: Algebra,
             match = inv.find_iso(t)
             if match is None and not r.external:
                 _warn("tau of %s is not in the inventory; recording standalone", r.name)
-                extra = IndecRecord(len(records), f"tau({r.name})", t, zero_rep(algebra),
+                extra = IndecRecord(len(records), f"tau({r.name})", t, zero_rep(inv.algebra),
                                     False, False, external=True)
                 inv.append(extra)
                 match = extra.id
             r.tau_id = match
-        r.is_tau_rigid = len(hom_basis(r.rep, r.tau_rep)) == 0
-    if words is not None and len(words) != len(records):
-        inv.words = None
-    for v in algebra.vertices:
-        i = inv.find_iso(projective(algebra, v))
-        if i is not None:
-            records[i].projective_vertex = v
-    return inv
+
+
+def _translate_strings(inv: Inventory, words: list[StringWord]) -> None:
+    """tau of each string record by :func:`string_tau`, one dict probe among the words.
+
+    The projectives are the records found isomorphic to some P_v; string_tau
+    must be None exactly on them, and every translate must be a record.
+    """
+    index = {w: i for i, w in enumerate(words)}
+    for r, w in zip(inv.records, words):
+        r.is_projective = r.projective_vertex is not None
+        t = string_tau(inv.algebra, w)
+        if (t is None) != r.is_projective:
+            raise InventoryError(f"string tau of {r.name} is {'zero' if t is None else 'nonzero'},"
+                                 f" but {r.name} is {'' if r.is_projective else 'not '}projective")
+        if t is not None:
+            r.tau_id = index.get(t)
+            if r.tau_id is None:
+                raise InventoryError(f"tau of {r.name} ({string_name(inv.algebra, t)}) "
+                                     "is not in the inventory")
+            r.tau_rep = inv.records[r.tau_id].rep
 
 
 def _carry(src: Inventory, algebra: Algebra, vertex: dict[str, str],
@@ -558,11 +593,14 @@ def _carry(src: Inventory, algebra: Algebra, vertex: dict[str, str],
         return Representation(algebra, {v: rep.dims[vertex[v]] for v in algebra.vertices},
                               {a.name: rep.maps[arrow[a.name]] for a in algebra.arrows})
 
-    records = [IndecRecord(r.id, name, relabel(r.rep), relabel(r.tau_rep), r.is_tau_rigid,
-                           r.is_projective,
+    zero = zero_rep(algebra)
+    records = [IndecRecord(r.id, name, relabel(r.rep), zero, r.is_tau_rigid, r.is_projective,
                            None if r.projective_vertex is None else back[r.projective_vertex],
                            r.tau_id)
                for r, name in zip(src.records, _names_for(algebra, words))]
+    for r in records:
+        if r.tau_id is not None:
+            r.tau_rep = records[r.tau_id].rep
     inv = Inventory(algebra, records, words)
     inv._source = (src, back)
     return inv

@@ -1,10 +1,12 @@
 """Small queries that only the tests ask of the library, and the reference routes it replaced."""
 
+from collections import Counter
 from itertools import groupby
 from math import prod
 
+from taured.algebra import Arrow, Quiver, Relation, build_algebra
 from taured.errors import AlgebraMismatch, UnknownVertex
-from taured.linalg import Matrix, rank_and_rowbasis
+from taured.linalg import QQ, Matrix, rank_and_rowbasis
 from taured.reduction import (
     ReductionSets,
     Report,
@@ -260,6 +262,47 @@ def reference_strings(alg) -> list[tuple[tuple[tuple[str, bool], ...], str]]:
         level = [(letters + (l,), start, ends[l][1]) for letters, start, end in level
                  for l in ends if ends[l][0] == end and is_string(letters + (l,))]
     return [(letters, base) for _, letters, base in sorted(keys)]
+
+
+def cyclic_nakayama(n, length, field=QQ):
+    """Cyclic quiver on 0..n-1 with every path of the given length zero."""
+    verts = tuple(str(i) for i in range(n))
+    arrows = tuple(Arrow(f"c{i}", str(i), str((i + 1) % n)) for i in range(n))
+    rels = [Relation.monomial(tuple(f"c{(i + k) % n}" for k in range(length)))
+            for i in range(n)]
+    return build_algebra(Quiver(verts, arrows), rels, field=field)
+
+
+def string_hom_dim(alg, C, D) -> int:
+    """dim Hom(M(C), M(D)) for strings C and D, by Crawley-Boevey's count.
+
+    The reference for ``len(hom_basis(...))`` on string modules (Crawley-Boevey,
+    *Maps between representations of zero-relation algebras*, J. Algebra 126,
+    1989): a basis is indexed by the pairs (factor string of C, substring of
+    D) that are equal up to inversion.  A direct letter maps walk position k to
+    k + 1.  So a substring, which spans a submodule, has a direct letter or
+    nothing on its left and an inverse letter or nothing on its right; a
+    factor string has the reverse.  Pieces are occurrences, counted by
+    position, and a piece is named by the lesser of itself and its inverse.
+    """
+    tgt = {a.name: a.tgt for a in alg.arrows}
+    src = {a.name: a.src for a in alg.arrows}
+
+    def pieces(w, factor: bool) -> Counter:
+        letters = [(l.arrow, l.inverse) for l in w.letters]
+        verts = [w.base_vertex] + [src[a] if inv else tgt[a] for a, inv in letters]
+        n = len(letters)
+        found = Counter()
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                if (i == 0 or letters[i - 1][1] == factor) and (j == n or letters[j][1] != factor):
+                    piece = (tuple(letters[i:j]), verts[i])
+                    inverse = (tuple((a, not inv) for a, inv in reversed(letters[i:j])), verts[j])
+                    found[min(piece, inverse)] += 1
+        return found
+
+    subs = pieces(D, factor=False)
+    return sum(k * subs[piece] for piece, k in pieces(C, factor=True).items())
 
 
 def in_fac(N, M) -> bool:

@@ -7,9 +7,9 @@ from itertools import combinations
 import pytest
 
 import taured.tilting
-from taured.algebra import Arrow, Quiver, Relation, build_algebra, vertex_subalgebra_quotient
+from taured.algebra import Arrow, Quiver, build_algebra, vertex_subalgebra_quotient
 from taured.errors import HasseError
-from taured.linalg import QQ, PrimeField
+from taured.linalg import PrimeField
 from taured.reps import inflate
 from taured.series import series_algebra
 from taured.tilting import (
@@ -20,7 +20,7 @@ from taured.tilting import (
     oracle_stpairs_via_quotients,
 )
 
-from helpers import order_ge, record_by_name
+from helpers import cyclic_nakayama, order_ge, record_by_name
 
 
 class _MemoFac:
@@ -75,20 +75,11 @@ def _oracle_by_supports(inv):
     return sorted(pairs, key=inv.pair_sort_key)
 
 
-def _cyclic_nakayama(n, length, field=QQ):
-    """Cyclic quiver on 0..n-1 with every path of the given length zero."""
-    verts = tuple(str(i) for i in range(n))
-    arrows = tuple(Arrow(f"c{i}", str(i), str((i + 1) % n)) for i in range(n))
-    rels = [Relation.monomial(tuple(f"c{(i + k) % n}" for k in range(length)))
-            for i in range(n)]
-    return build_algebra(Quiver(verts, arrows), rels, field=field)
-
-
 EXTRA = {
     **{f"rsz-A{n}": (lambda n=n: series_algebra("A", n)) for n in range(2, 8)},
     **{f"rsz-D{n}": (lambda n=n: series_algebra("D", n)) for n in range(4, 8)},
-    "nakayama-3-3": lambda: _cyclic_nakayama(3, 3),
-    "nakayama-4-3-F3": lambda: _cyclic_nakayama(4, 3, PrimeField(3)),
+    "nakayama-3-3": lambda: cyclic_nakayama(3, 3),
+    "nakayama-4-3-F3": lambda: cyclic_nakayama(4, 3, PrimeField(3)),
     "vertex-0": lambda: build_algebra(Quiver(("0", "1"), (Arrow("a", "0", "1"),)), []),
 }
 
@@ -113,7 +104,7 @@ def test_block_oracle_matches_support_oracle_on_corpus(corpus_invs, a3_sink_inv)
 
 @pytest.mark.parametrize("name", sorted(EXTRA) + ["nakayama-3-3-F3"])
 def test_block_oracle_matches_support_oracle(name):
-    alg = _cyclic_nakayama(3, 3, PrimeField(3)) if name == "nakayama-3-3-F3" else EXTRA[name]()
+    alg = cyclic_nakayama(3, 3, PrimeField(3)) if name == "nakayama-3-3-F3" else EXTRA[name]()
     inv = build_inventory(alg)
     oracle = oracle_stpairs_via_quotients(inv)
     assert oracle == _oracle_by_supports(inv)
@@ -137,7 +128,7 @@ def test_hasse_matches_order_builder_off_simple_tops(monkeypatch, a3_sink_inv):
 
 def test_fac_rank_tests_once_per_pair_of_records(monkeypatch):
     # P*R Fac questions, answered from at most R^2 single-source rank tests
-    inv = build_inventory(_cyclic_nakayama(5, 5))
+    inv = build_inventory(cyclic_nakayama(5, 5))
     pairs = inv.pairs
     records = len({x for p in pairs for x in p.modules})
     calls = {"fac": 0, "fill": 0}

@@ -41,6 +41,7 @@ from taured.strings import enumerate_strings, string_name, string_to_rep
 from taured.tilting import build_inventory, oracle_stpairs_via_quotients
 
 from helpers import (
+    cyclic_nakayama,
     hom_dim,
     in_fac,
     reference_injective,
@@ -374,14 +375,6 @@ def hom_calls(monkeypatch):
     return calls
 
 
-def _cyclic_nakayama(n, length, field):
-    verts = tuple(str(i) for i in range(n))
-    arrows = tuple(Arrow(f"c{i}", str(i), str((i + 1) % n)) for i in range(n))
-    rels = [Relation.monomial(tuple(f"c{(i + k) % n}" for k in range(length)))
-            for i in range(n)]
-    return build_algebra(Quiver(verts, arrows), rels, field=field)
-
-
 @pytest.fixture()
 def rref_calls(monkeypatch):
     """Count the Matrix.rref calls, each one elimination."""
@@ -418,7 +411,7 @@ def test_top_lifts_make_one_elimination_per_nonzero_vertex(corpus_invs, rref_cal
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
 def test_is_iso_certifies_bricks_without_search(field, hom_calls):
-    alg = _cyclic_nakayama(5, 5, field)
+    alg = cyclic_nakayama(5, 5, field)
     longest = [string_to_rep(alg, w) for w in enumerate_strings(alg)]
     longest = [m for m in longest if m.total_dim == 5]
     assert len(longest) == 5
@@ -432,7 +425,7 @@ def test_is_iso_certifies_bricks_without_search(field, hom_calls):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
 def test_is_iso_certifies_non_brick_indecomposables(field, hom_calls):
-    alg = _cyclic_nakayama(2, 4, field)
+    alg = cyclic_nakayama(2, 4, field)
     mods = [string_to_rep(alg, w) for w in enumerate_strings(alg)]
     mods = [m for m in mods if hom_dim(m, m) == 2]
     assert sorted(m.dim_vector for m in mods) == [(1, 2), (2, 1), (2, 2), (2, 2)]
@@ -492,7 +485,7 @@ def _change_basis(rep, v):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
 def test_is_iso_equal_structure_maps_need_no_hom_basis(field, hom_calls):
-    alg = _cyclic_nakayama(2, 4, field)
+    alg = cyclic_nakayama(2, 4, field)
     mods = [string_to_rep(alg, w) for w in enumerate_strings(alg)]
     for m in mods:
         assert is_iso(m, _copy(m))
@@ -503,7 +496,7 @@ def test_is_iso_equal_structure_maps_need_no_hom_basis(field, hom_calls):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
 def test_is_iso_finds_a_changed_basis_through_the_search(field, hom_calls):
-    alg = _cyclic_nakayama(2, 4, field)
+    alg = cyclic_nakayama(2, 4, field)
     mods = [string_to_rep(alg, w) for w in enumerate_strings(alg)]
     moved = 0
     for m in mods:
@@ -521,7 +514,7 @@ def test_is_iso_finds_a_changed_basis_through_the_search(field, hom_calls):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
 def test_is_iso_refuses_different_modules_of_one_dimension_vector(field, hom_calls):
-    alg = _cyclic_nakayama(2, 4, field)
+    alg = cyclic_nakayama(2, 4, field)
     mods = [string_to_rep(alg, w) for w in enumerate_strings(alg)]
     pairs = [(m, n) for m in mods for n in mods
              if m is not n and m.dim_vector == n.dim_vector]
@@ -558,7 +551,7 @@ def test_is_iso_agrees_with_hom_dims_in_the_pipeline(corpus, monkeypatch):
     import taured.reps
     import taured.tilting
 
-    algebras = list(corpus.values()) + [_cyclic_nakayama(3, 5, QQ), _cyclic_nakayama(2, 4, QQ)]
+    algebras = list(corpus.values()) + [cyclic_nakayama(3, 5, QQ), cyclic_nakayama(2, 4, QQ)]
     answers = []
 
     def recorded(M, N):

@@ -2,20 +2,23 @@ from pathlib import Path
 
 import pytest
 
-from helpers import reference_strings
+import taured.tilting
+from helpers import cyclic_nakayama, record_by_name, reference_strings, string_hom_dim
 from taured.algebra import Arrow, Quiver, Relation, build_algebra
-from taured.corpus import standard_corpus
+from taured.corpus import hereditary_a, standard_corpus
 from taured.dsl import parse
-from taured.errors import CapExceeded, NotStringAlgebra
+from taured.errors import CapExceeded, InventoryError, NotStringAlgebra
 from taured.linalg import field_from_name
-from taured.reps import injective, is_iso, projective
+from taured.reps import hom_basis, injective, is_iso, projective, tau
 from taured.series import series_algebra
 from taured.strings import (
     enumerate_strings,
     is_string_algebra,
     string_name,
+    string_tau,
     string_to_rep,
 )
+from taured.tilting import build_inventory
 
 
 def test_is_string_algebra(a3sq, corpus):
@@ -125,15 +128,98 @@ ALG_FILES = {p.name: p for p in [*sorted((ROOT / "tests" / "golden").glob("*.alg
                                  ROOT / "scripts" / "a3sq.alg"]}
 
 
+def _monomial(vertices, arrows, relations):
+    quiver = Quiver(tuple(vertices), tuple(Arrow(*a) for a in arrows))
+    return build_algebra(quiver, [Relation.monomial(tuple(r)) for r in relations])
+
+
+TAU_INPUTS = {
+    **{f"KA{n}": (lambda n=n: hereditary_a(n)) for n in range(4, 8)},
+    **{f"N({n},{l})": (lambda n=n, l=l: cyclic_nakayama(n, l))
+       for n, l in [(1, 2), (1, 5), (2, 4), (3, 6), (4, 3), (5, 7), (6, 6)]},
+    "A5/abc": lambda: _monomial("12345", [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"),
+                                          ("d", "4", "5")], ["abc"]),
+    "loop+arrow": lambda: _monomial("12", [("x", "1", "1"), ("a", "1", "2")], ["xx", "xa"]),
+    "2-cycle+loop": lambda: _monomial("12", [("a", "1", "2"), ("b", "2", "1"), ("x", "1", "1")],
+                                      ["xx", "ab", "ba", "xa", "bx"]),
+}
+
+
+def _algebras(source):
+    if source in ALG_FILES:
+        return {source: parse(ALG_FILES[source].read_text()).build()[0]}
+    if source in TAU_INPUTS:
+        return {source: TAU_INPUTS[source]()}
+    return standard_corpus(field_from_name(source))
+
+
 @pytest.mark.parametrize("source", ["rational", "fp:2", *ALG_FILES])
 def test_enumerate_strings_matches_the_reference(source):
     """The same words in the same order as the walk-by-walk reference, on the standard
     corpus over a field or on one ``.alg`` input: the order that numbers the records."""
-    if source in ALG_FILES:
-        algebras = {source: parse(ALG_FILES[source].read_text()).build()[0]}
-    else:
-        algebras = standard_corpus(field_from_name(source))
-    for name, alg in algebras.items():
+    for name, alg in _algebras(source).items():
         got = [(tuple((l.arrow, l.inverse) for l in w.letters), w.base_vertex)
                for w in enumerate_strings(alg)]
         assert got == reference_strings(alg), name
+
+
+@pytest.mark.parametrize("source", ["rational", "fp:2", *ALG_FILES, *TAU_INPUTS])
+def test_string_tau_matches_presentations(source):
+    """Butler-Ringel's hooks and cohooks against tau by minimal presentations:
+    the same record for every non-projective string, and None exactly on the
+    projectives."""
+    for name, alg in _algebras(source).items():
+        inv = build_inventory(alg)
+        for r, w in zip(inv.records, inv.words):
+            got, ref = string_tau(alg, w), tau(r.rep)
+            assert (got is None) == r.is_projective == ref.is_zero(), (name, r.name)
+            if got is not None:
+                assert inv.words.index(got) == inv.find_iso(ref), (name, r.name)
+
+
+def test_string_tau_adds_cohooks_before_deleting_hooks(corpus):
+    """0 -> 2 -> P3 -> 3/1 -> 0 over D3: the cohook at the left end of 3/1 comes
+    first, then the hook at its right end goes."""
+    kd3 = corpus["KD3"]
+    ws = enumerate_strings(kd3)
+    w = next(w for w in ws if string_name(kd3, w) == "3/1")
+    assert string_name(kd3, string_tau(kd3, w)) == "2"
+
+
+@pytest.mark.parametrize("source", ["rational", *ALG_FILES])
+def test_string_hom_dims_match_hom_bases(source):
+    for name, alg in _algebras(source).items():
+        ws = enumerate_strings(alg)
+        reps = [string_to_rep(alg, w) for w in ws]
+        for C, M in zip(ws, reps):
+            for D, N in zip(ws, reps):
+                assert string_hom_dim(alg, C, D) == len(hom_basis(M, N)), (name, C, D)
+
+
+def test_missing_tau_string_is_named(monkeypatch, a3sq):
+    """tau(1) = 2 over a3sq; without the string 2 the record 1 has no translate."""
+    words = enumerate_strings(a3sq)
+    two = next(w for w in words if string_name(a3sq, w) == "2")
+    monkeypatch.setattr(taured.tilting, "enumerate_strings",
+                        lambda alg: [w for w in words if w != two])
+    with pytest.raises(InventoryError, match=r"^tau of 1 \("):
+        build_inventory(a3sq)
+
+
+def test_string_tau_must_vanish_exactly_on_projectives(monkeypatch, a3sq):
+    monkeypatch.setattr(taured.tilting, "string_tau", lambda alg, w: None)
+    with pytest.raises(InventoryError, match="^string tau of 1 is zero, but 1 is not projective"):
+        build_inventory(a3sq)
+
+
+def test_string_inventories_build_no_presentations(monkeypatch, a3sq_inv):
+    def refuse(rep):
+        raise AssertionError("tau by presentations on a string inventory")
+
+    monkeypatch.setattr(taured.tilting, "tau", refuse)
+    inv = build_inventory(a3sq_inv.algebra)
+    assert not any(r.external for r in inv.records)
+    assert [(r.name, r.tau_id, r.is_projective, r.is_tau_rigid) for r in inv.records] == \
+        [(r.name, r.tau_id, r.is_projective, r.is_tau_rigid) for r in a3sq_inv.records]
+    assert all(r.tau_rep is inv.records[r.tau_id].rep for r in inv.records if r.tau_id is not None)
+    assert record_by_name(inv, "1").tau_id == record_by_name(inv, "2").id
