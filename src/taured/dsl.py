@@ -277,6 +277,8 @@ def parse(text: str) -> AlgebraFile:
         elif key == "module":
             if len(args) != 1:
                 raise ParseError("module takes one name", lineno, kcol)
+            if any(blk.name == args[0][0] for blk in af.modules):
+                raise ParseError(f"duplicate module {args[0][0]!r}", lineno, args[0][1])
             current_module = ModuleBlock(args[0][0], line=lineno, column=kcol)
             map_pos = {}
         elif key == "dim":

@@ -44,10 +44,8 @@ def series_algebra(kind: str, n: int, field=QQ) -> Algebra:
 
 
 def tau_tilt_count(algebra: Algebra, inv: Inventory | None = None) -> int:
-    """The number of tau-tilting modules over ``algebra``; ``inv`` is its inventory if built."""
-    if inv is None:
-        inv = build_inventory(algebra)
-    return sum(1 for p in inv.pairs if p.is_tau_tilting)
+    """The number of tau-tilting modules: the tilting sets of ``algebra``'s inventory ``inv``."""
+    return len((build_inventory(algebra) if inv is None else inv).tilting_sets)
 
 
 class SeriesRow(NamedTuple):
@@ -104,11 +102,11 @@ def series_counts(kind: str, n_max: int, budget: int | None = None) -> SeriesRep
     The recurrence is asserted only where both predecessors exist and P_n is
     projective-injective: n >= 3 for A, n >= 5 for D.  Enumeration refuses
     past the desk budget (A: 10, D: 9 by default) instead of grinding.  Each
-    algebra is built and enumerated once: the boundary check of row n reads
-    the tau-tilting modules of row n - 2, kept by summand names, and its
-    socle quotient Lambda_n / Soc(P_n) = Lambda_{n-1} x k carries the block
-    Lambda_{n-1} from row n - 1's inventory, which is then freed.  The
-    algebras are built over the rationals.
+    algebra is built once over the rationals; its count and tau-tilting
+    modules are read off :attr:`Inventory.tilting_sets`, so the last row lists
+    no pairs.  The boundary check of row n reads those of row n - 2 by summand
+    names, and the pairs of Lambda_n / Soc(P_n) = Lambda_{n-1} x k, whose block
+    Lambda_{n-1} is carried from row n - 1's inventory, which is then freed.
     """
     kind = kind.upper()
     guard = 3 if kind == "A" else 5
@@ -131,8 +129,7 @@ def series_counts(kind: str, n_max: int, budget: int | None = None) -> SeriesRep
         inv = None  # free row n - 1 before row n is built
         inv = build_inventory(alg)
         c = counts[n] = tau_tilt_count(alg, inv)
-        tilting[n] = {frozenset(inv.records[i].name for i in p.modules)
-                      for p in inv.pairs if p.is_tau_tilting}
+        tilting[n] = {frozenset(inv.records[i].name for i in s) for s in inv.tilting_sets}
         rows.append(SeriesRow(n, c, rec and c == counts[n - 1] + counts[n - 2], struct))
     return SeriesReport(kind, rows)
 

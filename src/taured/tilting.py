@@ -93,7 +93,6 @@ class _PairNames:
     """Labels and the canonical order of pairs, read from ``records`` by summand name."""
 
     records: list[IndecRecord]
-    _name_rank: list[int]
 
     def candidates(self) -> list[IndecRecord]:
         return [r for r in self.records if not r.external]
@@ -103,18 +102,15 @@ class _PairNames:
             return "0"
         return "+".join(sorted(self.records[i].name for i in pair.modules))
 
-    def pair_sort_key(self, pair: STPair):
-        """Support count, then the sorted summand names, then the sorted supports.
+    @cached_property
+    def name_rank(self) -> list[int]:
+        """Each record's rank among the distinct names, which orders as the names do."""
+        index = {n: k for k, n in enumerate(sorted({r.name for r in self.records}))}
+        return [index[r.name] for r in self.records]
 
-        Names are compared by their rank among the distinct names, which
-        orders as the names do (equal names share a rank).
-        """
-        rank = self._name_rank
-        if len(rank) != len(self.records):
-            names = sorted({r.name for r in self.records})
-            index = {n: k for k, n in enumerate(names)}
-            rank[:] = [index[r.name] for r in self.records]
-        return (len(pair.supports), tuple(sorted(map(rank.__getitem__, pair.modules))),
+    def pair_sort_key(self, pair: STPair):
+        """Support count, then the sorted summand names, then the sorted supports."""
+        return (len(pair.supports), tuple(sorted(map(self.name_rank.__getitem__, pair.modules))),
                 tuple(sorted(pair.supports)))
 
 
@@ -144,7 +140,6 @@ class Inventory(_PairNames):
         for r in records:
             self.by_dim_vector.setdefault(r.dim_vector, []).append(r.id)
             self._by_maps.setdefault(_maps_key(r.rep), r.id)
-        self._name_rank: list[int] = []
         self._blocks: dict[frozenset, Inventory] = {}
         self.lifted: dict[int, int] = {}  # as a block: record id -> ambient id (:meth:`lift`)
         self._representatives: list[Inventory] = []
@@ -362,7 +357,6 @@ class BlockProduct(_PairNames):
                         r.projective_vertex, None if r.tau_id is None else o + r.tau_id,
                         r.external)
             for o, b in zip(self.offsets, blocks) for r in b.records]
-        self._name_rank: list[int] = []
         self.sizes = [len(b.pairs) for b in blocks]
         self.strides = [prod(self.sizes[j + 1:]) for j in range(len(blocks))]
         self.total = prod(self.sizes)  # the number of pairs
@@ -627,17 +621,18 @@ def compatible(inv: Inventory, x, y) -> bool:
 
 
 def enumerate_stpairs(inv: Inventory) -> list[STPair]:
-    """All size-n cliques in the compatibility graph, canonically ordered.
+    """All size-n cliques in the compatibility graph, in :meth:`pair_sort_key` order.
 
-    The elements are the tau-rigid candidates in id order, then the vertices
-    sorted by name, so a clique read in index order has its module ids
-    ascending and its supports sorted.  A branch stops once fewer elements
-    are allowed than summands are still needed.  Every clique is a tau-rigid
-    pair, a summand of a support tau-tilting pair (AIR Thm 2.10), so the
-    n-element cliques are exactly the maximal ones.
+    The elements are the tau-rigid candidates by name, then the vertices by
+    name.  A branch stops once fewer elements are allowed than summands are
+    still needed.  Every clique is a tau-rigid pair, a summand of a support
+    tau-tilting pair (AIR Thm 2.10), so the n-element cliques are exactly the
+    maximal ones.  Listed by support count, each in lexicographic order, they
+    are in key order unless two candidates share a name; then they are sorted.
     """
     n = len(inv.algebra.vertices)
-    mods = [r for r in inv.candidates() if r.is_tau_rigid]
+    rank = inv.name_rank
+    mods = sorted((r for r in inv.candidates() if r.is_tau_rigid), key=lambda r: rank[r.id])
     elements: list = mods + sorted(inv.algebra.vertices)
     m = len(elements)
     adj = [0] * m
@@ -647,33 +642,39 @@ def enumerate_stpairs(inv: Inventory) -> list[STPair]:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     members = [r.id for r in mods] + elements[len(mods):]
-    pairs: list[STPair] = []
+    buckets: list[list[STPair]] = [[] for _ in range(n + 1)]  # by support count
 
     def leaf(chosen: tuple[int, ...]):
         k = bisect_left(chosen, len(mods))
         # tuples from lists are allocated at their size; from a generator they are not
-        pairs.append(STPair(tuple([members[i] for i in chosen[:k]]),
-                            tuple([members[i] for i in chosen[k:]])))
+        buckets[n - k].append(STPair(tuple(sorted([members[i] for i in chosen[:k]])),
+                                     tuple([members[i] for i in chosen[k:]])))
 
     _cliques(adj, (1 << m) - 1, n, (), leaf)
-    pairs.sort(key=inv.pair_sort_key)
+    pairs = list(chain.from_iterable(buckets))
+    if len({rank[r.id] for r in mods}) < len(mods):  # equal keys keep module id order
+        pairs.sort(key=lambda p: (inv.pair_sort_key(p), p.modules))
     return pairs
 
 
 def _cliques(adj: list[int], allowed: int, need: int, chosen: tuple[int, ...], leaf) -> None:
     """Call ``leaf`` on ``chosen`` plus each ``need`` set bits of ``allowed`` that form a clique.
 
-    The bits are walked from the lowest up, so each clique comes ascending; a
+    The bits are walked from the lowest up, so the cliques come ascending
+    and in lexicographic order; the last bit is chosen in the loop, and a
     branch stops as soon as fewer than ``need`` bits are left to choose from.
     """
     if not need:
-        leaf(chosen)
+        leaf(chosen)  # the one pair of an algebra without vertices
         return
     while allowed.bit_count() >= need:
         low = allowed & -allowed
         allowed ^= low
         i = low.bit_length() - 1
-        _cliques(adj, allowed & adj[i], need - 1, chosen + (i,), leaf)
+        if need == 1:
+            leaf(chosen + (i,))
+        else:
+            _cliques(adj, allowed & adj[i], need - 1, chosen + (i,), leaf)
 
 
 def oracle_stpairs_via_quotients(inv: Inventory) -> list[STPair]:

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from taured.algebra import Arrow, Quiver, Relation, build_algebra
 from taured.corpus import standard_corpus
+from taured.dsl import parse_file
+from taured.series import series_algebra
 from taured.tilting import build_inventory
 
 
@@ -43,6 +47,19 @@ def corpus():
 @pytest.fixture(scope="session")
 def corpus_invs(corpus):
     return {name: build_inventory(alg) for name, alg in corpus.items()}
+
+
+@pytest.fixture(scope="session")
+def pair_invs(corpus_invs):
+    """Inventories whose pair lists the tests compare with other routes: the corpus,
+    the four golden inputs and the rows of ``taured series`` (A1..A10, D3..D9)."""
+    invs = dict(corpus_invs)
+    for name in ("rsz_A7", "rsz_D7", "nakayama_5_5", "nakayama_5_4"):
+        path = Path(__file__).parent / "golden" / f"{name}.alg"
+        invs[name] = build_inventory(parse_file(str(path)).build()[0])
+    for kind, rows in (("A", range(1, 11)), ("D", range(3, 10))):
+        invs.update((f"{kind}{n}", build_inventory(series_algebra(kind, n))) for n in rows)
+    return invs
 
 
 @pytest.fixture()

@@ -1,7 +1,7 @@
 """Small queries that only the tests ask of the library, and the reference routes it replaced."""
 
 from collections import Counter
-from itertools import groupby
+from itertools import combinations, groupby
 from math import prod
 
 from taured.algebra import Arrow, Quiver, Relation, build_algebra
@@ -24,7 +24,7 @@ from taured.reps import (
     inflate,
     is_sincere,
 )
-from taured.tilting import PosetQuiver, build_inventory, full_subquiver
+from taured.tilting import PosetQuiver, STPair, build_inventory, compatible, full_subquiver
 
 
 def hom_dim(M, N) -> int:
@@ -205,6 +205,24 @@ def sum_rep(inv, ids):
 
 def tau_tilting_pairs(inv) -> list:
     return [p for p in inv.pairs if p.is_tau_tilting]
+
+
+def reference_stpairs(inv) -> list:
+    """Every pairwise compatible set of n tau-rigid candidates and vertices, sorted by
+    :meth:`pair_sort_key`, as :func:`itertools.combinations` lists them: k modules, then
+    n - k of the vertices compatible with all k, for each k."""
+    vertices = sorted(inv.algebra.vertices)
+    rigid = [r for r in inv.candidates() if compatible(inv, r, r)]
+    n = len(vertices)
+    clash = {(x.id, y.id) for x, y in combinations(rigid, 2) if not compatible(inv, x, y)}
+    pairs = []
+    for k in range(n + 1):
+        for mods in combinations([r.id for r in rigid], k):
+            if clash.isdisjoint(combinations(mods, 2)):
+                free = [v for v in vertices
+                        if all(compatible(inv, inv.records[i], v) for i in mods)]
+                pairs += [STPair(tuple(sorted(mods)), sups) for sups in combinations(free, n - k)]
+    return sorted(pairs, key=inv.pair_sort_key)
 
 
 def monomial_basis(quiver, relations) -> set:

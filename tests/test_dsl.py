@@ -113,6 +113,14 @@ def test_duplicate_names_rejected():
         parse("algebra x\nvertices 1 2\narrow a 1 2\narrow a 2 1\n")
 
 
+def test_repeated_module_name_located_at_the_second_name():
+    text = MODULE.replace("relation a   zz\n", "").format(line="")
+    with pytest.raises(ParseError) as exc:
+        parse(text + "module  m\ndim 1 1\nend\n")
+    assert (exc.value.line, exc.value.column) == (9, 8)
+    assert exc.value.message == "duplicate module 'm'"
+
+
 def test_field_directive():
     af = parse("algebra x\nfield fp 5\nvertices 1\n")
     assert af.field_mode == "fp:5"

@@ -105,8 +105,22 @@ def test_series_builds_each_inventory_once(monkeypatch):
     # one per row, and one per boundary check for the one-vertex block k of
     # the socle quotient Lambda_{n-1} x k; the block Lambda_{n-1} is carried
     # from row n - 1's inventory, and row n - 2 is read from its own row, so
-    # neither is built again
-    assert calls == {"build_inventory": 10 + 7 + (8 + 5), "enumerate_stpairs": 10 + 7 + (8 + 5)}
+    # neither is built again.  Counts are read off the tau-tilting sets, so
+    # pairs are listed only where a boundary check reads them: the rows
+    # carried into the next row's quotient (A2..A9, D4..D8) and every k.  The
+    # first rows (A1, D3) precede the checks and the last (A10, D9) has none.
+    assert calls == {"build_inventory": 10 + 7 + (8 + 5), "enumerate_stpairs": 8 + 5 + (8 + 5)}
+
+
+def test_tilting_sets_are_the_tau_tilting_pairs(pair_invs):
+    """The count and the sets ``series`` reads off the tilting sets are those of the pairs."""
+    for name, inv in pair_invs.items():
+        pairs = [frozenset(p.modules) for p in inv.pairs if p.is_tau_tilting]
+        assert len(inv.tilting_sets) == len(pairs), name
+        assert {frozenset(s) for s in inv.tilting_sets} == set(pairs), name
+    for kind, rows in (("A", range(1, 11)), ("D", range(3, 10))):
+        assert series_counts(kind, rows[-1]).counts == [
+            sum(p.is_tau_tilting for p in pair_invs[f"{kind}{n}"].pairs) for n in rows]
 
 
 def test_series_frees_each_row_before_the_next(monkeypatch):

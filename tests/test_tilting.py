@@ -2,7 +2,7 @@ import gc
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -20,10 +20,8 @@ from taured.strings import enumerate_strings, string_to_rep
 from taured.reduction import verify_reduction
 from taured.tilting import (
     BlockProduct,
-    IndecRecord,
     Inventory,
     PosetQuiver,
-    STPair,
     _rigid_subsets,
     build_inventory,
     compatible,
@@ -40,6 +38,7 @@ from helpers import (
     product_hasse_quiver,
     product_pairs,
     record_by_name,
+    reference_stpairs,
     sum_rep,
     tau_tilting_pairs,
 )
@@ -92,19 +91,6 @@ def test_single_vertex_algebra():
     assert len(H.arrows) == 1
 
 
-def _cliques_by_brute_force(inv):
-    """Every size-n set of candidates and vertices that is pairwise compatible,
-    each element with itself included, as pairs in canonical order."""
-    n = len(inv.algebra.vertices)
-    pairs = []
-    for subset in combinations(inv.candidates() + list(inv.algebra.vertices), n):
-        if all(compatible(inv, x, y) for x, y in combinations_with_replacement(subset, 2)):
-            pairs.append(STPair(
-                tuple(sorted(x.id for x in subset if isinstance(x, IndecRecord))),
-                tuple(sorted(x for x in subset if not isinstance(x, IndecRecord)))))
-    return sorted(pairs, key=inv.pair_sort_key)
-
-
 UNSORTED_VERTICES = """\
 algebra unsorted
 field rational
@@ -115,8 +101,9 @@ relation a b
 """
 
 
-def test_cliques_match_brute_force(corpus_invs, a3_sink_inv):
-    invs = dict(corpus_invs)
+def test_cliques_match_brute_force(pair_invs, a3_sink_inv):
+    # the reference is sorted by the key, and the cliques come out in its order unsorted
+    invs = dict(pair_invs)
     invs["1>2<3"] = a3_sink_inv
     invs["vertex-0"] = build_inventory(
         build_algebra(Quiver(("0", "1"), (Arrow("a", "0", "1"),)), []))
@@ -125,10 +112,23 @@ def test_cliques_match_brute_force(corpus_invs, a3_sink_inv):
     invs["3 1 2"] = build_inventory(unsorted)
     for name, inv in invs.items():
         pairs = enumerate_stpairs(inv)
-        assert pairs == _cliques_by_brute_force(inv), name
+        assert pairs == reference_stpairs(inv), name
         for p in pairs:
             assert list(p.modules) == sorted(p.modules), name
             assert list(p.supports) == sorted(p.supports), name
+
+
+def test_string_enumeration_reads_no_pair_key(pair_invs, monkeypatch):
+    # string names are distinct, so the clique order is the key order
+    keyed = []
+    pair_sort_key = Inventory.pair_sort_key
+    monkeypatch.setattr(Inventory, "pair_sort_key",
+                        lambda self, pair: keyed.append(pair) or pair_sort_key(self, pair))
+    for name in ("A8", "D8", "nakayama_5_5", "KA2xK"):
+        inv = pair_invs[name]
+        assert inv.words is not None
+        assert enumerate_stpairs(inv) == inv.pairs, name
+    assert not keyed
 
 
 @st.composite
