@@ -31,9 +31,11 @@ from .reps import (
 from .tilting import (
     BlockProduct,
     Inventory,
+    STPair,
     build_inventory,
     components,
     full_subquiver,
+    restricted_stpairs,
 )
 
 
@@ -102,10 +104,12 @@ class ReductionContext:
     The quotient is the product of its blocks, and ``quotient_inv`` is read
     from theirs.  Each map is computed in one pass on first read.  The
     quotient side (``blocks``, ``quotient_inv``, ``qbar_id``, ``hom_to_q``,
-    ``flags``, ``members``, ``extend``) reads ``inv``, the ambient inventory,
-    only for its cached blocks, and
+    ``flags``, ``members``, ``extend``, ``boundary``) reads ``inv``, the
+    ambient inventory, only for its cached blocks, and
     ``classes`` for the blocks' isomorphism classes, and works without either;
     the ambient side (``q_id``, ``bar_of``, ``lift_of``) needs ``inv``.
+    ``flags`` and all that reads it list the blocks' pairs; ``boundary`` lists
+    the family that ``extend`` marks without them.
     It is a value: no field is assigned after construction.
     """
 
@@ -188,6 +192,35 @@ class ReductionContext:
         # a code's support count is the sum of its parts'
         supports = product(*([len(p.supports) for p in b.pairs] for b in self.blocks))
         return [n and k == 1 for n, k in zip(self.members[False, True], map(sum, supports))]
+
+    @cached_property
+    def boundary(self) -> list[STPair]:
+        """The pairs that :attr:`extend` marks, listed without the blocks' pairs, in pair order.
+
+        Such a pair is a tuple of the blocks' pairs with one support vertex in
+        all, each part Hom-less to Q, and the part in the block of Q/Soc(Q)
+        holds it.  So each block lists its pairs with at most one support
+        vertex among its records zero at the socle vertex (:attr:`hom_to_q`),
+        holding Q/Soc(Q) in its block (:func:`restricted_stpairs`), and one
+        block gives the part with the support vertex.
+        """
+        if self.q_is_simple:
+            return []
+        qinv, qbar = self.quotient_inv, self.qbar_id
+        homless = {i for i, d in self.hom_to_q.items() if not d}
+        parts = []  # per block: its parts without and with a support vertex, in quotient ids
+        for o, b in zip(qinv.offsets, self.blocks):
+            ids = range(o, o + len(b.records))
+            split: tuple[list, list] = ([], [])
+            for p in restricted_stpairs(b, {i - o for i in homless if i in ids},
+                                        qbar - o if qbar in ids else None):
+                split[len(p.supports)].append(STPair(tuple(o + m for m in p.modules), p.supports))
+            parts.append(split)
+        out = [STPair(tuple(m for p in tup for m in p.modules),
+                      tuple(v for p in tup for v in p.supports))
+               for j in range(len(parts))
+               for tup in product(*(split[k == j] for k, split in enumerate(parts)))]
+        return sorted(out, key=qinv.pair_sort_key)
 
     def _bar_id(self, rep: Representation) -> int | None:
         """Quotient id of the image of ``rep``; None where the image is zero.
@@ -291,8 +324,9 @@ class ReductionSets(NamedTuple):
 
 
 def compute_nsets(ctx: ReductionContext) -> ReductionSets:
-    """The quotient families in pair order, read from the codes that ``ctx.members`` and
-    ``ctx.extend`` mark.
+    """The quotient families in pair order: keep and swap read from the codes that
+    ``ctx.members`` marks, and extend from ``ctx.boundary``, which lists the codes that
+    ``ctx.extend`` marks without the blocks' pairs.
 
     Hom, tau and Fac act blockwise: a tuple of the blocks' pairs is
     tau-tilting, or Hom-less to Q, when each part is, and it holds Q/Soc(Q)
@@ -301,8 +335,9 @@ def compute_nsets(ctx: ReductionContext) -> ReductionSets:
     qinv, members = ctx.quotient_inv, ctx.members
     swap = [t and not h for t, h in zip(members[True, True], members[False, None])]
     # simple Q (no block holds Q/Soc(Q)): no pair is exchanged
-    return ReductionSets(*([frozenset(p.modules) for p in qinv.listed(m)] for m in (
-        members[True, False], ctx.extend, [] if ctx.q_is_simple else swap)))
+    return ReductionSets(*([frozenset(p.modules) for p in pairs] for pairs in (
+        qinv.listed(members[True, False]), ctx.boundary,
+        qinv.listed([] if ctx.q_is_simple else swap))))
 
 
 def reconstruct_tau_tilt(ctx: ReductionContext, nsets: ReductionSets) -> list[frozenset]:

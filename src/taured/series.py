@@ -76,9 +76,8 @@ def _boundary_structure_check(n: int, ctx: ReductionContext,
     series, by summand names, which are shared vertex-wise between the series
     algebras.
     """
-    qinv = ctx.quotient_inv
-    extend = [frozenset(qinv.records[i].name for i in qinv.pair(c).modules)
-              for c, e in enumerate(ctx.extend) if e]
+    records = ctx.quotient_inv.records
+    extend = [frozenset(records[i].name for i in p.modules) for p in ctx.boundary]
     return all(str(n) in names for names in extend) and {e - {str(n)} for e in extend} == smaller
 
 
@@ -103,10 +102,11 @@ def series_counts(kind: str, n_max: int, budget: int | None = None) -> SeriesRep
     projective-injective: n >= 3 for A, n >= 5 for D.  Enumeration refuses
     past the desk budget (A: 10, D: 9 by default) instead of grinding.  Each
     algebra is built once over the rationals; its count and tau-tilting
-    modules are read off :attr:`Inventory.tilting_sets`, so the last row lists
-    no pairs.  The boundary check of row n reads those of row n - 2 by summand
-    names, and the pairs of Lambda_n / Soc(P_n) = Lambda_{n-1} x k, whose block
-    Lambda_{n-1} is carried from row n - 1's inventory, which is then freed.
+    modules are read off :attr:`Inventory.tilting_sets`.  The boundary check
+    of row n reads those of row n - 2 by summand names, and the boundary
+    family of Lambda_n / Soc(P_n) = Lambda_{n-1} x k, whose block Lambda_{n-1}
+    is carried from row n - 1's inventory, which is then freed.  That family
+    is :attr:`ReductionContext.boundary`, so no row or block lists its pairs.
     """
     kind = kind.upper()
     guard = 3 if kind == "A" else 5

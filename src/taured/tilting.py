@@ -131,7 +131,7 @@ class Inventory(_PairNames):
         self.records = records
         self.words = words
         self._hom_cache: dict[tuple[int, int], list] = {}
-        self._hom_to_tau: dict[tuple[int, int], int] = {}
+        self._facts: dict[tuple[int, int], tuple[int, bool]] = {}
         self._support_cache: dict[frozenset, frozenset] = {}
         self._simple_top: dict[int, bool] = {}
         self._generators: dict[int, frozenset] = {}
@@ -163,6 +163,23 @@ class Inventory(_PairNames):
             return src.pairs
         return [STPair(p.modules, tuple(sorted(vertex[v] for v in p.supports)))
                 for p in src.pairs]
+
+    @cached_property
+    def _graph(self) -> tuple[list, list[int], int]:
+        """The compatibility graph of the pair members, the tau-rigid candidates by name and
+        then the vertices by name: the members (record ids, then vertex names), one
+        adjacency bitmask per member, and the number of modules among them."""
+        rank = self.name_rank
+        mods = sorted((r for r in self.candidates() if r.is_tau_rigid), key=lambda r: rank[r.id])
+        elements: list = mods + sorted(self.algebra.vertices)
+        m = len(elements)
+        adj = [0] * m
+        for i in range(m):
+            for j in range(i + 1, m):
+                if compatible(self, elements[i], elements[j]):
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        return [r.id for r in mods] + elements[len(mods):], adj, len(mods)
 
     @cached_property
     def pair_index(self) -> dict[int, int]:
@@ -272,11 +289,19 @@ class Inventory(_PairNames):
             self._hom_cache[(i, j)] = hom_basis(self.records[i].rep, self.records[j].rep)
         return self._hom_cache[(i, j)]
 
+    def _hom_facts(self, i: int, j: int) -> tuple[int, bool]:
+        """dim Hom(X_i, X_j), and is X_j in Fac(X_i)?  Both from one Hom basis, which is
+        not kept: the one memo of :meth:`hom_to_tau` and :meth:`generates`."""
+        if (i, j) not in self._facts:
+            target = self.records[j].rep
+            homs = hom_basis(self.records[i].rep, target)
+            self._facts[(i, j)] = len(homs), bool(homs) and _images_fill(target, homs)
+        return self._facts[(i, j)]
+
     def hom_to_tau(self, i: int, j: int) -> int:
-        """dim Hom(X_i, tau X_j), computed once per pair."""
-        if (i, j) not in self._hom_to_tau:
-            self._hom_to_tau[(i, j)] = len(hom_basis(self.records[i].rep, self.records[j].tau_rep))
-        return self._hom_to_tau[(i, j)]
+        """dim Hom(X_i, tau X_j) for a candidate X_j: that into its tau record."""
+        k = self.records[j].tau_id
+        return 0 if k is None else self._hom_facts(i, k)[0]
 
     def hom_proj_dim(self, v: str, i: int) -> int:
         """dim Hom(P_v, X_i) = dim X_i at v."""
@@ -320,9 +345,8 @@ class Inventory(_PairNames):
         return self._generators[j]
 
     def generates(self, i: int, j: int) -> bool:
-        """Is X_j in Fac(X_i)?  The Hom basis is not kept."""
-        target = self.records[j].rep
-        return _images_fill(target, hom_basis(self.records[i].rep, target))
+        """Is X_j in Fac(X_i)?"""
+        return self._hom_facts(i, j)[1]
 
     def support(self, ids: frozenset) -> frozenset:
         """The vertices where the direct sum over ``ids`` is nonzero."""
@@ -357,9 +381,20 @@ class BlockProduct(_PairNames):
                         r.projective_vertex, None if r.tau_id is None else o + r.tau_id,
                         r.external)
             for o, b in zip(self.offsets, blocks) for r in b.records]
-        self.sizes = [len(b.pairs) for b in blocks]
-        self.strides = [prod(self.sizes[j + 1:]) for j in range(len(blocks))]
-        self.total = prod(self.sizes)  # the number of pairs
+
+    @cached_property
+    def sizes(self) -> list[int]:
+        """The number of pairs of each block; reading it lists them."""
+        return [len(b.pairs) for b in self.blocks]
+
+    @cached_property
+    def strides(self) -> list[int]:
+        return [prod(self.sizes[j + 1:]) for j in range(len(self.blocks))]
+
+    @cached_property
+    def total(self) -> int:
+        """The number of pairs."""
+        return prod(self.sizes)
 
     def codes_of(self, pairs: list[STPair], image: dict[int, int | None]) -> list[int | None]:
         """The code of the pair whose modules are the images of each pair's modules under
@@ -607,17 +642,15 @@ def compatible(inv: Inventory, x, y) -> bool:
     tau-rigidity.  Module / support vertex v: Hom(P_v, X) = 0.  Two support
     vertices are always compatible.
     """
-    x_is_mod = isinstance(x, IndecRecord)
-    y_is_mod = isinstance(y, IndecRecord)
-    if x_is_mod and y_is_mod:
-        if x.id == y.id:
-            return x.is_tau_rigid
-        return inv.hom_to_tau(x.id, y.id) == 0 and inv.hom_to_tau(y.id, x.id) == 0
-    if x_is_mod and not y_is_mod:
+    if not isinstance(x, IndecRecord):
+        x, y = y, x  # a module first, if there is one
+    if not isinstance(x, IndecRecord):
+        return True
+    if not isinstance(y, IndecRecord):
         return inv.hom_proj_dim(y, x.id) == 0
-    if y_is_mod and not x_is_mod:
-        return inv.hom_proj_dim(x, y.id) == 0
-    return True
+    if x.id == y.id:
+        return x.is_tau_rigid
+    return inv.hom_to_tau(x.id, y.id) == 0 and inv.hom_to_tau(y.id, x.id) == 0
 
 
 def enumerate_stpairs(inv: Inventory) -> list[STPair]:
@@ -631,30 +664,65 @@ def enumerate_stpairs(inv: Inventory) -> list[STPair]:
     are in key order unless two candidates share a name; then they are sorted.
     """
     n = len(inv.algebra.vertices)
-    rank = inv.name_rank
-    mods = sorted((r for r in inv.candidates() if r.is_tau_rigid), key=lambda r: rank[r.id])
-    elements: list = mods + sorted(inv.algebra.vertices)
-    m = len(elements)
-    adj = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if compatible(inv, elements[i], elements[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    members = [r.id for r in mods] + elements[len(mods):]
+    members, adj, k = inv._graph
     buckets: list[list[STPair]] = [[] for _ in range(n + 1)]  # by support count
 
     def leaf(chosen: tuple[int, ...]):
-        k = bisect_left(chosen, len(mods))
+        j = bisect_left(chosen, k)
         # tuples from lists are allocated at their size; from a generator they are not
-        buckets[n - k].append(STPair(tuple(sorted([members[i] for i in chosen[:k]])),
-                                     tuple([members[i] for i in chosen[k:]])))
+        buckets[n - j].append(STPair(tuple(sorted([members[i] for i in chosen[:j]])),
+                                     tuple([members[i] for i in chosen[j:]])))
 
-    _cliques(adj, (1 << m) - 1, n, (), leaf)
+    _cliques(adj, (1 << len(members)) - 1, n, (), leaf)
     pairs = list(chain.from_iterable(buckets))
-    if len({rank[r.id] for r in mods}) < len(mods):  # equal keys keep module id order
+    rank = inv.name_rank
+    if len({rank[i] for i in members[:k]}) < k:  # equal keys keep module id order
         pairs.sort(key=lambda p: (inv.pair_sort_key(p), p.modules))
     return pairs
+
+
+def restricted_stpairs(inv: Inventory, allowed, held: int | None = None) -> list[STPair]:
+    """The pairs with at most one support vertex whose modules are all in ``allowed`` (record
+    ids) and, when ``held`` is given, hold that record; in no fixed order.
+
+    In the member order of :func:`enumerate_stpairs`, where the vertices come
+    last, such a pair is n - 1 modules and then one more member, a module or a
+    vertex.  So the n - 1 modules (``held`` and a clique of the allowed modules
+    joined to it) are chosen first, and then any one allowed member after them
+    that is joined to all: each pair once, and none with two or more supports.
+    A carried inventory reads its source's graph and Hom memo, and renames the
+    supports.
+    """
+    if inv._source is not None:
+        src, vertex = inv._source
+        return [STPair(p.modules, tuple(vertex[v] for v in p.supports))
+                for p in restricted_stpairs(src, allowed, held)]
+    members, adj, k = inv._graph
+    mods = sum(1 << a for a, i in enumerate(members[:k]) if i in allowed)
+    last = mods | (1 << len(members)) - (1 << k)  # the allowed modules and every vertex
+    need, start = len(inv.algebra.vertices), ()
+    if held is not None:
+        if held not in allowed or held not in members[:k]:
+            return []
+        h = members.index(held)
+        mods, last, need, start = mods & adj[h], last & adj[h], need - 1, (h,)
+    out: list[STPair] = []
+
+    def pair(chosen: tuple[int, ...]):
+        out.append(STPair(tuple(sorted([members[i] for i in chosen if i < k])),
+                          tuple([members[i] for i in chosen if i >= k])))
+
+    def one_more(chosen: tuple[int, ...]):
+        rest = reduce(int.__and__, map(adj.__getitem__, chosen[len(start):]), last)
+        if len(chosen) > len(start):
+            rest &= -(2 << chosen[-1])  # the members after the chosen modules
+        _cliques(adj, rest, 1, chosen, pair)
+
+    if need:
+        _cliques(adj, mods, need - 1, start, one_more)
+    else:
+        pair(start)  # a one-vertex algebra: the held module alone
+    return out
 
 
 def _cliques(adj: list[int], allowed: int, need: int, chosen: tuple[int, ...], leaf) -> None:

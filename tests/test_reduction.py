@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import taured.reduction as reduction
 from taured.cli import main
 from taured.corpus import hereditary_d3, ka2_times_k, selfinjective_nakayama2, standard_corpus
 from taured.dsl import parse_file
@@ -22,7 +23,7 @@ from taured.reduction import (
     verify_reduction,
 )
 from taured.reps import bar
-from taured.series import series_algebra
+from taured.series import series_algebra, series_counts
 from taured.tilting import (
     BlockProduct,
     Inventory,
@@ -132,10 +133,45 @@ def test_hom_to_q_matches_hom_bases():
     assert candidates > 600
 
 
+def test_boundary_is_the_listed_extend_family():
+    """The boundary family listed by restricted cliques is the family that ``extend`` marks
+    on the codes, in the same order, at every projective-injective over Q and F_2 and of
+    the golden inputs; Q is simple on KA2xK, and the A series has a one-vertex block."""
+    simple = one_vertex = 0
+    for name, alg in _hom_to_q_cases():
+        for v in find_proj_injectives(alg):
+            ctx = socle_quotient(alg, v)
+            assert ctx.boundary == ctx.quotient_inv.listed(ctx.extend), (name, v)
+            simple += ctx.q_is_simple
+            one_vertex += bool(ctx.boundary) and any(
+                len(b.algebra.vertices) == 1 for b in ctx.blocks)
+    assert simple >= 2 and one_vertex >= 10
+
+
+def _drop_a_restricted_pair(monkeypatch):
+    """The restricted listing of every block misses its first pair."""
+    real = reduction.restricted_stpairs
+    monkeypatch.setattr(reduction, "restricted_stpairs", lambda *args: real(*args)[1:])
+
+
+def test_boundary_missing_a_pair_fails_split_bijections(monkeypatch, capsys):
+    _drop_a_restricted_pair(monkeypatch)
+    assert main(["verify", os.path.join(GOLDEN, "rsz_A7.alg")]) == 1
+    failed = _failed(capsys.readouterr().out)
+    assert {"split-bijections", "reconstruction"} <= failed
+    assert failed <= {"split-bijections", "reconstruction"}
+
+
+def test_boundary_missing_a_pair_fails_the_series_boundary_check(monkeypatch):
+    _drop_a_restricted_pair(monkeypatch)
+    rep = series_counts("A", 6)
+    assert not rep.ok()
+    assert [r.boundary_structure_checked for r in rep.rows] == [None, None] + [False] * 4
+    assert [r.recurrence_checked for r in rep.rows] == [None, None] + [True] * 4
+
+
 def test_verify_finds_proj_injectives_once(monkeypatch):
     """Each vertex is tested once; each reduction reuses what its test found."""
-    import taured.reduction as reduction
-
     calls = []
     real = reduction._proj_injective
     monkeypatch.setattr(reduction, "_proj_injective",
@@ -523,7 +559,6 @@ def _frozenset_collections(values, size: int) -> list:
 def test_reductions_build_no_product_pairs_or_quivers():
     """On rsz_A7 the checks build neither the product's pairs nor a box-product or surgery
     quiver, and hold no list of frozensets with half as many entries as there are pairs."""
-    import taured.reduction as reduction
     import taured.tilting as tilting
 
     assert not hasattr(tilting, "box_product") and not hasattr(reduction, "surgery")

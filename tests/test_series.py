@@ -105,11 +105,22 @@ def test_series_builds_each_inventory_once(monkeypatch):
     # one per row, and one per boundary check for the one-vertex block k of
     # the socle quotient Lambda_{n-1} x k; the block Lambda_{n-1} is carried
     # from row n - 1's inventory, and row n - 2 is read from its own row, so
-    # neither is built again.  Counts are read off the tau-tilting sets, so
-    # pairs are listed only where a boundary check reads them: the rows
-    # carried into the next row's quotient (A2..A9, D4..D8) and every k.  The
-    # first rows (A1, D3) precede the checks and the last (A10, D9) has none.
-    assert calls == {"build_inventory": 10 + 7 + (8 + 5), "enumerate_stpairs": 8 + 5 + (8 + 5)}
+    # neither is built again.  Counts are read off the tau-tilting sets, and
+    # the boundary family is listed by restricted cliques, so no pair list
+    # is built at all.
+    assert calls == {"build_inventory": 10 + 7 + (8 + 5), "enumerate_stpairs": 0}
+
+
+@pytest.mark.parametrize("kind, n", [("A", 13), ("D", 11)])
+def test_series_past_the_budget_lists_no_pairs(kind, n, monkeypatch):
+    """Past the default budget every check still passes, and no pair list is built."""
+    def refused(inv):
+        raise AssertionError("enumerate_stpairs called")
+
+    monkeypatch.setattr(taured.tilting, "enumerate_stpairs", refused)
+    rep = series_counts(kind, n, budget=n)
+    assert rep.ok() and rep.counts[-1] == closed_form(kind, n)
+    assert all(r.boundary_structure_checked for r in rep.rows[2:])
 
 
 def test_tilting_sets_are_the_tau_tilting_pairs(pair_invs):

@@ -29,6 +29,7 @@ from taured.tilting import (
     full_subquiver,
     hasse,
     oracle_stpairs_via_quotients,
+    restricted_stpairs,
 )
 
 from helpers import (
@@ -69,6 +70,72 @@ def test_compatible(a3sq_inv):
     assert compatible(a3sq_inv, p1, m23)           # both projective
     assert compatible(a3sq_inv, s2, s2)            # tau-rigid with itself
     assert compatible(a3sq_inv, "1", "2")
+    # a vertex first is the same test
+    assert compatible(a3sq_inv, "2", s2) == compatible(a3sq_inv, s2, "2")
+    assert compatible(a3sq_inv, "1", m23) == compatible(a3sq_inv, m23, "1")
+
+
+def _restricted_by_filter(inv, allowed, held):
+    return {p for p in inv.pairs if len(p.supports) <= 1 and set(p.modules) <= allowed
+            and (held is None or held in p.modules)}
+
+
+def test_restricted_pairs_are_the_filtered_pairs(pair_invs):
+    """The restricted listing gives the pairs with at most one support whose modules are
+    allowed and hold the held record, each once, on random allowed sets."""
+    rng = random.Random(0)
+    for name, inv in pair_invs.items():
+        ids = [r.id for r in inv.candidates()]
+        for trial in range(6):
+            allowed = set(ids) if trial == 0 else {i for i in ids if rng.random() < 0.7}
+            for held in [None, *rng.sample(ids, min(2, len(ids)))]:
+                got = restricted_stpairs(inv, allowed, held)
+                assert len(got) == len(set(got)), name
+                assert set(got) == _restricted_by_filter(inv, allowed, held), (name, held)
+
+
+def test_restricted_pairs_of_a_carried_inventory_rename_the_supports():
+    inv = build_inventory(series_algebra("D", 5))
+    quiver = inv.algebra.quiver
+    renamed = build_algebra(
+        Quiver(tuple(f"v{v}" for v in quiver.vertices),
+               tuple(Arrow(a.name, f"v{a.src}", f"v{a.tgt}") for a in quiver.arrows)),
+        inv.algebra.relations)
+    moved = inv.inventory_of(renamed)
+    assert moved._source[0] is inv
+    allowed = {r.id for r in inv.candidates()}
+    for held in (None, 0):
+        got = restricted_stpairs(moved, allowed, held)
+        assert got and set(got) == _restricted_by_filter(moved, allowed, held)
+        assert {p.supports for p in got} <= {(), *((f"v{v}",) for v in quiver.vertices)}
+
+
+def test_hom_to_tau_matches_the_translate_hom_basis(corpus_invs, a3sq, a3sq_inv):
+    """Read from the memo of Hom into the tau record, dim Hom(X_i, tau X_j) is that of
+    the Hom basis into the translate, also for supplied modules."""
+    supplied = build_inventory(a3sq, supplied=[(r.name, r.rep) for r in a3sq_inv.records])
+    for inv in (*corpus_invs.values(), supplied):
+        for x in inv.candidates():
+            for y in inv.candidates():
+                assert inv.hom_to_tau(x.id, y.id) == len(hom_basis(x.rep, y.tau_rep))
+
+
+def test_verify_builds_each_hom_basis_once(monkeypatch):
+    """``hom_to_tau`` and ``generates`` share one memo: on nakayama_5_5, whose records
+    all have a simple top, no pair of modules has its Hom basis computed twice."""
+    seen, repeats = [], 0
+    real = taured.tilting.hom_basis
+
+    def counting(m, n):
+        nonlocal repeats
+        repeats += any(a is m and b is n for a, b in seen)
+        seen.append((m, n))  # kept alive, so identity is never reused
+        return real(m, n)
+
+    monkeypatch.setattr(taured.tilting, "hom_basis", counting)
+    from taured.cli import main
+    assert main(["verify", str(Path(__file__).parent / "golden" / "nakayama_5_5.alg")]) == 0
+    assert len(seen) > 500 and repeats == 0
 
 
 def test_enumerate_counts(a3sq_inv):
